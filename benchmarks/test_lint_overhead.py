@@ -9,12 +9,6 @@ analyses' cost is tracked separately under the same budget.  The lint
 legs must also come back clean — an overhead number measured over a
 corpus the gate rejects would be meaningless.
 
-The interprocedural CONC9xx pass does not ride the per-loop gate — it
-analyzes the *source tree* once per run — so it gets its own leg: the
-project call-graph build + fixed-point solve over ``src/``, timed cold
-(no cache) and warm (second run against the incremental analysis
-cache), both recorded alongside the gate numbers.
-
 Everything is written to ``BENCH_lint.json`` at the repository root,
 in the shared :mod:`repro.obs.bench` schema.
 
@@ -64,35 +58,8 @@ def _timed(fn) -> float:
         gc.enable()
 
 
-def _time_callgraph_legs(tmp_dir: Path):
-    """Best-of-3 cold and warm timings of the CONC9xx project pass."""
-    from repro.lint import AnalysisCache, build_project, collect_source_files
-
-    src_root = str(Path(__file__).resolve().parent.parent / "src")
-    sources = collect_source_files([src_root])
-    cache_dir = str(tmp_dir)
-
-    cold_s = warm_s = None
-    for _ in range(3):
-        cold_s_run = _timed(lambda: build_project(sources))
-        cold_s = cold_s_run if cold_s is None else min(cold_s, cold_s_run)
-    # Populate the cache once off the clock, then time warm hits.
-    project = build_project(sources, cache=AnalysisCache(cache_dir))
-    for _ in range(3):
-        warm_s_run = _timed(
-            lambda: build_project(sources, cache=AnalysisCache(cache_dir))
-        )
-        warm_s = warm_s_run if warm_s is None else min(warm_s, warm_s_run)
-    warm = build_project(sources, cache=AnalysisCache(cache_dir))
-    assert warm.stats.files_parsed == 0 and warm.stats.sccs_solved == 0, (
-        "warm incremental run re-did work: "
-        f"{warm.stats!r} (cold solved {project.stats.sccs_solved} SCCs)"
-    )
-    return len(sources), cold_s, warm_s
-
-
 @pytest.mark.bench
-def test_lint_gate_overhead_under_10_percent(tmp_path):
+def test_lint_gate_overhead_under_10_percent():
     loops = bundled_corpus()
     machines = [two_cluster_gp(), four_cluster_grid()]
 
@@ -158,9 +125,6 @@ def test_lint_gate_overhead_under_10_percent(tmp_path):
 
     combined = (linted_total - plain_total) / plain_total
     dataflow_combined = (dataflow_total - plain_total) / plain_total
-    n_sources, callgraph_cold_s, callgraph_warm_s = _time_callgraph_legs(
-        tmp_path
-    )
     artifact = obs.bench.make_artifact(
         "lint_overhead",
         metrics={
@@ -169,8 +133,6 @@ def test_lint_gate_overhead_under_10_percent(tmp_path):
             "dataflow_total_s": round(dataflow_total, 6),
             "combined_overhead": round(combined, 4),
             "dataflow_overhead": round(dataflow_combined, 4),
-            "callgraph_cold_s": round(callgraph_cold_s, 6),
-            "callgraph_warm_s": round(callgraph_warm_s, 6),
         },
         budgets={
             "combined_overhead": MAX_OVERHEAD,
@@ -178,7 +140,6 @@ def test_lint_gate_overhead_under_10_percent(tmp_path):
         },
         regression_metrics=[
             "plain_total_s", "linted_total_s", "dataflow_total_s",
-            "callgraph_cold_s", "callgraph_warm_s",
         ],
         info={
             "loops": len(loops),
@@ -186,7 +147,6 @@ def test_lint_gate_overhead_under_10_percent(tmp_path):
             "machines": per_machine,
             "lint_errors": total_diagnostics["errors"],
             "lint_warnings": total_diagnostics["warnings"],
-            "callgraph_sources": n_sources,
         },
     )
     obs.bench.write_artifact(artifact, ARTIFACT)
@@ -206,8 +166,6 @@ def test_lint_gate_overhead_under_10_percent(tmp_path):
         f"overhead {100 * combined:.1f}% "
         f"(dataflow leg {100 * dataflow_combined:.1f}%, "
         f"budget {100 * MAX_OVERHEAD:.0f}%)",
-        f"call graph over {n_sources} files: "
-        f"cold {callgraph_cold_s:.3f}s   warm {callgraph_warm_s:.3f}s",
         f"corpus clean under the gate; wrote {ARTIFACT.name}",
     )
     assert dataflow_combined < MAX_OVERHEAD, (

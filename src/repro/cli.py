@@ -564,45 +564,15 @@ def _lint_config_from_args(args: argparse.Namespace):
         raise SystemExit(str(exc))
 
 
-def _changed_paths(base: str) -> list:
-    """Files the working tree changed relative to ``base`` (plus
-    untracked ones), for ``repro lint --changed`` scoping."""
-    import os
-    import subprocess
-
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", base],
-            capture_output=True, text=True, check=True,
-        ).stdout
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError) as exc:
-        raise SystemExit(f"lint --changed needs a git checkout: {exc}")
-    paths = [
-        line.strip()
-        for line in (diff + untracked).splitlines()
-        if line.strip()
-    ]
-    # Deduplicate, keep git's order, drop deletions.
-    return [p for p in dict.fromkeys(paths) if os.path.exists(p)]
-
-
-def _lint_loops(
-    args: argparse.Namespace, extra_paths=(), allow_default=True
-):
+def _lint_loops(args: argparse.Namespace):
     """Collect the loops a ``repro lint`` invocation targets.
 
     Positional paths may be single-loop files or multi-loop corpus
     files (detected by the ``== name ==`` headers); with no explicit
-    source the bundled corpus is analyzed — unless ``allow_default`` is
-    off (source-only and ``--changed`` runs must not balloon into a
-    full corpus lint).
+    source the bundled corpus is analyzed.
     """
     loops = []
-    for path in list(args.paths) + list(extra_paths):
+    for path in args.paths:
         if path == "-":
             text = sys.stdin.read()
         else:
@@ -618,7 +588,7 @@ def _lint_loops(
         loops.extend(all_kernels())
     if args.suite:
         loops.extend(paper_suite(args.suite))
-    if args.bundled or (not loops and allow_default):
+    if args.bundled or not loops:
         loops.extend(bundled_corpus())
     unique = {}
     for loop in loops:
@@ -630,111 +600,39 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from .lint import (
         LintReport,
         LintTarget,
-        collect_source_files,
         lint_corpus_deep,
         lint_machine,
-        lint_source_file,
         render,
         run_lint,
     )
 
     machine = _machine(args.machine)
     config = _lint_config_from_args(args)
-    source_paths = list(args.src or [])
-    changed_loop_paths = []
-    if args.changed is not None:
-        changed = _changed_paths(args.changed)
-        source_paths += [p for p in changed if p.endswith(".py")]
-        changed_loop_paths = [
-            p for p in changed
-            if p.endswith(".loop")
-            or "/workloads/data/" in p.replace("\\", "/")
-        ]
-    # Source-only and --changed runs must stay scoped: no silent
-    # fallback to the full bundled corpus.
-    allow_default = args.changed is None and not source_paths
-    loops = _lint_loops(
-        args, extra_paths=changed_loop_paths, allow_default=allow_default
-    )
-    sources = collect_source_files(source_paths)
-    if args.changed is not None and not loops and not sources:
-        print("lint --changed: nothing lintable in the diff")
-        return 0
+    loops = _lint_loops(args)
     variant = VARIANTS[args.variant]
     report = LintReport()
-    if loops:
-        if args.fast:
-            # Shallow pass: graph + machine rules, no compilation.
-            report.extend(lint_machine(machine, config))
-            report.extend(run_lint(
-                (LintTarget(name=ddg.name, ddg=ddg) for ddg in loops),
-                config,
-            ))
-        elif args.workers >= 2 and len(loops) > 1:
-            # Parallel deep pass over the warm worker pool: the machine
-            # in the parent, one task per loop; per-loop reports merge
-            # back in suite order, so the rendered output is
-            # byte-identical to a serial run.
-            from .service import map_tasks
+    if args.fast:
+        # Shallow pass: graph + machine rules, no compilation.
+        report.extend(lint_machine(machine, config))
+        report.extend(run_lint(
+            (LintTarget(name=ddg.name, ddg=ddg) for ddg in loops),
+            config,
+        ))
+    elif args.workers >= 2 and len(loops) > 1:
+        # Parallel deep pass over the warm worker pool: the machine
+        # in the parent, one task per loop; per-loop reports merge
+        # back in suite order, so the rendered output is
+        # byte-identical to a serial run.
+        from .service import map_tasks
 
-            report.extend(lint_machine(machine, config))
-            payloads = [
-                (ddg, machine, config, variant) for ddg in loops
-            ]
-            for loop_report in map_tasks(
-                "lint_loop", payloads, workers=args.workers
-            ):
-                report.extend(loop_report)
-        else:
-            report.extend(
-                lint_corpus_deep(loops, machine, config, variant)
-            )
-    if sources:
-        if args.workers >= 2 and len(sources) > 1:
-            from .service import map_tasks
-
-            payloads = [
-                (source.path, source.text, config) for source in sources
-            ]
-            for file_report in map_tasks(
-                "lint_source", payloads, workers=args.workers
-            ):
-                report.extend(file_report)
-        else:
-            for source in sources:
-                report.extend(lint_source_file(source, config))
-        # Interprocedural pass: one project target over all the source
-        # files, only when some CONC9xx rule is actually enabled (a
-        # ``--rule SRC8`` run must not pay for the call graph).
-        from .lint import lint_project
-        from .lint.registry import applicable_rules
-
-        if applicable_rules(config, frozenset(("project",))):
-            report.extend(
-                lint_project(
-                    sources, config, cache_dir=args.analysis_cache
-                )
-            )
-    if args.write_baseline:
-        from .lint import write_baseline
-
-        count = write_baseline(args.write_baseline, report.diagnostics)
-        print(
-            f"wrote {args.write_baseline} ({count} baselined "
-            f"error fingerprint(s))"
-        )
-        return 0
-    if args.baseline:
-        from .lint import apply_baseline, load_baseline
-
-        demoted = apply_baseline(report, load_baseline(args.baseline))
-        if demoted:
-            # stderr so machine-readable stdout (json/sarif) stays pure.
-            print(
-                f"baseline {args.baseline}: demoted {len(demoted)} "
-                f"known finding(s) to warning",
-                file=sys.stderr,
-            )
+        report.extend(lint_machine(machine, config))
+        payloads = [(ddg, machine, config, variant) for ddg in loops]
+        for loop_report in map_tasks(
+            "lint_loop", payloads, workers=args.workers
+        ):
+            report.extend(loop_report)
+    else:
+        report.extend(lint_corpus_deep(loops, machine, config, variant))
     rendered = render(report, args.format)
     if args.output:
         with open(args.output, "w") as handle:
@@ -1111,18 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also lint paper_suite(N)",
     )
     lint_parser.add_argument(
-        "--src", action="append", default=None, metavar="PATH",
-        help="also self-lint Python files/directories with the SRC8xx "
-             "rules (repeatable), e.g. --src src/",
-    )
-    lint_parser.add_argument(
-        "--changed", nargs="?", const="HEAD", default=None,
-        metavar="REF",
-        help="lint only what the working tree changed relative to REF "
-             "(default HEAD): changed .py files via SRC8xx, changed "
-             "loop/corpus files via the pipeline rules",
-    )
-    lint_parser.add_argument(
         "--fast", action="store_true",
         help="shallow pass only (graph + machine rules, no "
              "compilation)",
@@ -1144,22 +1030,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--exit-zero", action="store_true",
         help="always exit 0, even with error-severity findings "
              "(report-only CI runs)",
-    )
-    lint_parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="demote error findings fingerprinted in FILE to warnings "
-             "(warn-first adoption of new rule families)",
-    )
-    lint_parser.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="record the run's error fingerprints into FILE and exit 0 "
-             "instead of rendering a report",
-    )
-    lint_parser.add_argument(
-        "--analysis-cache", default=None, metavar="DIR",
-        help="incremental cache directory for the interprocedural "
-             "CONC9xx pass (unchanged files and call-graph components "
-             "are not re-analyzed)",
     )
     _add_lint_select_flags(lint_parser)
     lint_parser.set_defaults(func=_cmd_lint)

@@ -4,7 +4,7 @@ Every invariant the assign->schedule->regalloc pipeline relies on is
 re-derived from scratch by an independent rule, registered under a
 stable diagnostic code grouped by artifact family (``DDG1xx``,
 ``MACH2xx``, ``ASSIGN3xx``, ``SCHED4xx``, ``REG5xx``, ``CERT6xx``,
-``DF7xx``, ``SRC8xx``).  See ``docs/LINTING.md`` for the full catalog
+``DF7xx``).  See ``docs/LINTING.md`` for the full catalog
 and ``docs/DATAFLOW.md`` for the fixed-point engine the DF7xx family
 is built on.
 
@@ -15,28 +15,11 @@ Entry points:
 * :func:`lint_compiled` — lint an already compiled loop (what the
   ``--lint`` pipeline gate runs);
 * :func:`lint_machine` — machine description alone;
-* :func:`lint_source_paths` — SRC8xx self-analysis of Python sources;
 * :func:`df_mii_floor` / :func:`pressure_floor` — the static bounds as
   a library (exact-backend pruning, ROADMAP item 1);
 * :func:`render` — text / JSON / SARIF 2.1.0 output.
 """
 
-from .anacache import AnalysisCache
-from .baseline import (
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
-from .callgraph import (
-    FunctionSummary,
-    ModuleSummary,
-    ProjectAnalysis,
-    build_project,
-    extract_module,
-    link_project,
-    module_name_for,
-)
 from .dataflow import (
     DataflowProblem,
     DataflowResult,
@@ -63,9 +46,6 @@ from .engine import (
     lint_corpus_deep,
     lint_loop_deep,
     lint_machine,
-    lint_project,
-    lint_source_file,
-    lint_source_paths,
     lint_target,
     run_lint,
 )
@@ -87,10 +67,8 @@ from .render import (
     to_json_doc,
     to_sarif,
 )
-from .source import SourceFile, collect_source_files
 
 __all__ = [
-    "AnalysisCache",
     "CODE_COMPILE_FAILURE",
     "CODE_RULE_CRASH",
     "DEFAULT_CONFIG",
@@ -99,27 +77,14 @@ __all__ = [
     "Diagnostic",
     "FAMILIES",
     "Finding",
-    "FunctionSummary",
     "LintConfig",
     "LintReport",
     "LintTarget",
-    "ModuleSummary",
-    "ProjectAnalysis",
     "Rule",
     "SEVERITY_ERROR",
     "SEVERITY_INFO",
     "SEVERITY_WARNING",
-    "SourceFile",
     "all_rules",
-    "apply_baseline",
-    "build_project",
-    "collect_source_files",
-    "extract_module",
-    "fingerprint",
-    "link_project",
-    "load_baseline",
-    "module_name_for",
-    "write_baseline",
     "df_mii_floor",
     "df_rec_mii",
     "df_res_mii",
@@ -130,9 +95,6 @@ __all__ = [
     "lint_corpus_deep",
     "lint_loop_deep",
     "lint_machine",
-    "lint_project",
-    "lint_source_file",
-    "lint_source_paths",
     "lint_target",
     "pressure_floor",
     "render",

@@ -31,7 +31,6 @@ from .diagnostics import (
     rule_crash,
 )
 from .registry import DEFAULT_CONFIG, LintConfig, applicable_rules
-from .source import SourceFile, collect_source_files
 
 
 @dataclass
@@ -41,12 +40,7 @@ class LintTarget:
     ``cache`` memoizes expensive derived artifacts (rebuilt reservation
     tables, MVE allocations) across rules of one target; tests may
     pre-seed it to exercise consistency rules against corrupted
-    artifacts.  ``source`` carries a Python file for the SRC8xx
-    self-analysis family — source targets and pipeline targets are
-    disjoint in practice, but nothing forbids mixing them.
-    ``project`` carries a whole-program call-graph analysis
-    (:class:`~repro.lint.callgraph.ProjectAnalysis`) for the CONC9xx
-    interprocedural family; one project target covers every file.
+    artifacts.
     """
 
     name: str = ""
@@ -54,8 +48,6 @@ class LintTarget:
     machine: Optional[Machine] = None
     annotated: Optional[AnnotatedDdg] = None
     schedule: Optional[Schedule] = None
-    source: Optional[SourceFile] = None
-    project: Optional[object] = None
     cache: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -90,10 +82,6 @@ class LintTarget:
             names.add("annotated")
         if self.schedule is not None:
             names.add("schedule")
-        if self.source is not None:
-            names.add("source")
-        if self.project is not None:
-            names.add("project")
         return names
 
 
@@ -104,8 +92,6 @@ class LintReport:
     diagnostics: List[Diagnostic] = field(default_factory=list)
     n_targets: int = 0
     rules_run: int = 0
-    #: The ProjectAnalysis behind a CONC9xx run (cache-stats probes).
-    project: Optional[object] = None
 
     def by_severity(self, severity: str) -> List[Diagnostic]:
         """Diagnostics of one severity level."""
@@ -234,54 +220,6 @@ def lint_machine(
     """Lint a machine description alone (MACH2xx rules)."""
     target = LintTarget(name=machine.name or "machine", machine=machine)
     return lint_target(target, config)
-
-
-def lint_source_file(
-    source: SourceFile, config: LintConfig = DEFAULT_CONFIG
-) -> LintReport:
-    """Lint one Python source file (SRC8xx rules)."""
-    return lint_target(
-        LintTarget(name=source.name, source=source), config
-    )
-
-
-def lint_source_paths(
-    paths: Iterable[str], config: LintConfig = DEFAULT_CONFIG
-) -> LintReport:
-    """Self-lint Python files and directories (SRC8xx rules).
-
-    Directories expand recursively to ``*.py``; the report merges in
-    sorted path order so output is deterministic.
-    """
-    report = LintReport()
-    for source in collect_source_files(paths):
-        report.extend(lint_source_file(source, config))
-    return report
-
-
-def lint_project(
-    sources: Iterable[SourceFile],
-    config: LintConfig = DEFAULT_CONFIG,
-    cache_dir: Optional[str] = None,
-) -> LintReport:
-    """Interprocedural CONC9xx lint of a whole set of source files.
-
-    Builds (or incrementally reuses, when ``cache_dir`` is given) the
-    project call-graph analysis and runs the project-level rules over
-    one target named ``project``.  Callers that also want the per-file
-    SRC8xx pass run :func:`lint_source_paths` separately and merge.
-    """
-    from .anacache import AnalysisCache
-    from .callgraph import build_project
-
-    cache = AnalysisCache(cache_dir) if cache_dir else None
-    with obs.span("lint.callgraph"):
-        project = build_project(list(sources), cache=cache)
-    report = lint_target(
-        LintTarget(name="project", project=project), config
-    )
-    report.project = project
-    return report
 
 
 def lint_loop_deep(

@@ -12,8 +12,6 @@ stable code grouped by artifact family:
 ``REG5xx``    lifetime / MVE register-allocation consistency
 ``CERT6xx``   compilation-certificate verification
 ``DF7xx``     fixed-point dataflow analyses over cyclic kernels
-``SRC8xx``    self-analysis of the repro Python sources
-``CONC9xx``   interprocedural concurrency analysis (call graph)
 ========== ======================================================
 
 A rule's check function receives ``(target, config)`` and yields
@@ -39,12 +37,10 @@ FAMILIES = {
     "REG5": "register lifetime / MVE consistency",
     "CERT6": "certificate verification",
     "DF7": "cyclic-kernel dataflow analysis",
-    "SRC8": "repro source self-analysis",
-    "CONC9": "interprocedural concurrency analysis",
 }
 
 _CODE = re.compile(
-    r"^(DDG1|MACH2|ASSIGN3|SCHED4|REG5|CERT6|DF7|SRC8|CONC9)\d\d$"
+    r"^(DDG1|MACH2|ASSIGN3|SCHED4|REG5|CERT6|DF7)\d\d$"
 )
 
 
@@ -68,7 +64,7 @@ class Rule:
     default_severity: str
     description: str
     #: Artifact names the target must provide: any of ``graph``,
-    #: ``machine``, ``annotated``, ``schedule``, ``source``.
+    #: ``machine``, ``annotated``, ``schedule``.
     requires: FrozenSet[str]
     check: CheckFn
     #: Artifact family reported in diagnostics (``ddg``/``machine``/...).
@@ -179,13 +175,11 @@ def _load_rule_modules() -> None:
     from . import (  # noqa: F401  (imported for registration side effect)
         rules_assign,
         rules_cert,
-        rules_conc,
         rules_ddg,
         rules_df,
         rules_machine,
         rules_reg,
         rules_sched,
-        rules_src,
     )
 
 
@@ -196,7 +190,7 @@ class LintConfig:
     ``disable`` wins over everything; ``enable`` opts default-off rules
     in.  ``select``, when non-empty, restricts the run to rules whose
     code matches one of its entries — exactly (``DF705``) or by family
-    prefix (``DF7``, ``SRC8``); a selected rule runs even when it is
+    prefix (``DF7``, ``SCHED4``); a selected rule runs even when it is
     default-off (selection implies enablement, disable still wins).
     ``severity`` maps rule codes to overridden severities.  The config
     is immutable and picklable so it can ride into experiment worker

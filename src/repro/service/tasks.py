@@ -20,8 +20,6 @@ Registered tasks:
     One experiment-engine chunk (:func:`repro.analysis.engine._run_chunk`).
 ``lint_loop``
     Deep-lint one loop (the ``repro lint --workers`` unit).
-``lint_source``
-    SRC8xx self-lint one Python file (``repro lint --src --workers``).
 ``certify_loop``
     Compile + certify one loop (the ``repro certify --workers`` unit).
 ``compile_batch``
@@ -58,8 +56,7 @@ def prewarm() -> None:
     """Build every standard machine preset once (idempotent).
 
     Lock-guarded double-checked warm-up: the front door's threads and
-    a worker's first task may race here, and the SRC801 self-lint
-    rightly refuses unguarded rebinds of module globals.
+    a worker's first task may race here.
     """
     global _WARM
     if _WARM:
@@ -71,7 +68,7 @@ def prewarm() -> None:
             _PRESETS[name] = build()
         # Per-process warm cache is the point: each worker warms its
         # own presets once and never shares them back.
-        _WARM = True  # lint: allow CONC902
+        _WARM = True
 
 
 def resolve_machine(ref) -> Machine:
@@ -134,15 +131,6 @@ def lint_loop(payload):
     return lint_loop_deep(ddg, machine, config, variant)
 
 
-def lint_source(payload):
-    """SRC8xx-lint one source file: payload is (name, text, config)."""
-    from ..lint import lint_source_file
-    from ..lint.source import SourceFile
-
-    name, text, config = payload
-    return lint_source_file(SourceFile(path=name, text=text), config)
-
-
 def certify_loop(payload):
     """Compile + certify one loop into a lint-style report."""
     from ..certify.gate import certify_loop_report
@@ -197,7 +185,6 @@ TASKS: Dict[str, Callable] = {
     "sleep": sleep,
     "engine_chunk": engine_chunk,
     "lint_loop": lint_loop,
-    "lint_source": lint_source,
     "certify_loop": certify_loop,
     "compile_batch": compile_batch,
 }

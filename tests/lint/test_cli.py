@@ -111,16 +111,6 @@ class TestLintCommand:
             assert doc["summary"]["errors"] == 0
 
 
-BAD_SOURCE = """\
-_CACHE = {}
-
-
-def refresh():
-    global _CACHE
-    _CACHE = {}
-"""
-
-
 class TestRuleSelection:
     def test_rule_prefix_scopes_the_run(
         self, defective_loop_file, capsys
@@ -156,170 +146,6 @@ class TestRuleSelection:
         assert by_severity == {
             "error": {"DDG103"}, "info": {"DF701"},
         }
-
-
-class TestSourceLint:
-    def test_src_flag_lints_python_files(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_SOURCE)
-        rc = main([
-            "lint", "--src", str(bad), "--format", "json",
-        ])
-        doc = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert {d["code"] for d in doc["diagnostics"]} == {"SRC801"}
-        # A source-only run must not balloon into a corpus lint: the
-        # file itself plus the one interprocedural "project" target.
-        assert doc["summary"]["targets"] == 2
-
-    def test_src_directory_walk(self, tmp_path, capsys):
-        package = tmp_path / "pkg"
-        package.mkdir()
-        (package / "good.py").write_text("WIDTH = 4\n")
-        (package / "bad.py").write_text(BAD_SOURCE)
-        rc = main(["lint", "--src", str(package)])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "SRC801" in out
-        # Two files plus the interprocedural "project" target.
-        assert "3 target(s)" in out
-
-
-#: Coroutine calling a sync helper that blocks: CONC901, not SRC804.
-CONC_HANDLER = """\
-from pkg import helper
-
-
-async def handle(request):
-    return helper.slow(request)
-"""
-
-CONC_HELPER = """\
-import time
-
-
-def slow(request):
-    time.sleep(2)
-    return request
-"""
-
-
-class TestProjectLint:
-    def _tree(self, tmp_path):
-        # Under a ``src`` component so module names resolve the same
-        # way they do for the real tree (pkg.handler, pkg.helper).
-        package = tmp_path / "src" / "pkg"
-        package.mkdir(parents=True)
-        (package / "handler.py").write_text(CONC_HANDLER)
-        (package / "helper.py").write_text(CONC_HELPER)
-        return str(package)
-
-    def test_rule_conc9_runs_the_interprocedural_pass(
-        self, tmp_path, capsys
-    ):
-        rc = main([
-            "lint", "--src", self._tree(tmp_path),
-            "--rule", "CONC9", "--format", "json",
-        ])
-        doc = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert {d["code"] for d in doc["diagnostics"]} == {"CONC901"}
-
-    def test_write_then_apply_baseline_round_trip(
-        self, tmp_path, capsys
-    ):
-        tree = self._tree(tmp_path)
-        baseline = str(tmp_path / "lint-baseline.json")
-        rc = main([
-            "lint", "--src", tree, "--rule", "CONC9",
-            "--write-baseline", baseline,
-        ])
-        capsys.readouterr()
-        assert rc == 0
-
-        rc = main([
-            "lint", "--src", tree, "--rule", "CONC9",
-            "--baseline", baseline,
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "CONC901" in out  # demoted, but still visible
-
-    def test_analysis_cache_warms_across_invocations(
-        self, tmp_path, capsys
-    ):
-        tree = self._tree(tmp_path)
-        cache = str(tmp_path / "cache")
-        args = [
-            "lint", "--src", tree, "--rule", "CONC9",
-            "--analysis-cache", cache,
-        ]
-        main(args)
-        capsys.readouterr()
-        import os
-
-        assert os.path.exists(
-            os.path.join(cache, "callgraph-cache.json")
-        )
-        # Second run must behave identically off the warm cache.
-        rc = main(args + ["--format", "json"])
-        doc = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert {d["code"] for d in doc["diagnostics"]} == {"CONC901"}
-
-
-@pytest.fixture
-def scratch_repo(tmp_path, monkeypatch):
-    """An initialized git repo with one committed clean source file."""
-    import subprocess
-
-    monkeypatch.chdir(tmp_path)
-    env = {
-        "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
-        "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t",
-    }
-    subprocess.run(["git", "init", "-q"], check=True)
-    (tmp_path / "clean.py").write_text("WIDTH = 4\n")
-    subprocess.run(["git", "add", "clean.py"], check=True)
-    subprocess.run(
-        ["git", "commit", "-q", "-m", "seed"],
-        check=True,
-        env={**__import__("os").environ, **env},
-    )
-    return tmp_path
-
-
-class TestChangedScope:
-    def test_changed_lints_modified_python(self, scratch_repo, capsys):
-        (scratch_repo / "clean.py").write_text(BAD_SOURCE)
-        rc = main(["lint", "--changed", "--format", "json"])
-        doc = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert {d["code"] for d in doc["diagnostics"]} == {"SRC801"}
-
-    def test_changed_picks_up_untracked_loops(
-        self, scratch_repo, capsys
-    ):
-        (scratch_repo / "cycle.loop").write_text(DEFECTIVE_LOOP)
-        rc = main([
-            "lint", "--changed", "--fast", "--format", "json",
-        ])
-        doc = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert "DDG103" in {d["code"] for d in doc["diagnostics"]}
-
-    def test_clean_diff_short_circuits(self, scratch_repo, capsys):
-        rc = main(["lint", "--changed"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "nothing lintable" in out
-
-    def test_changed_against_explicit_ref(self, scratch_repo, capsys):
-        (scratch_repo / "clean.py").write_text(BAD_SOURCE)
-        rc = main(["lint", "--changed", "HEAD", "--format", "json"])
-        doc = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert {d["code"] for d in doc["diagnostics"]} == {"SRC801"}
 
 
 class TestCompileGate:

@@ -58,7 +58,7 @@ SARIF_SCHEMA = {
                                                         "^(DDG1|MACH2|"
                                                         "ASSIGN3|SCHED4|"
                                                         "REG5|CERT6|"
-                                                        "DF7|SRC8|CONC9)"
+                                                        "DF7)"
                                                         "[0-9]{2}$"
                                                     ),
                                                 },

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import logging
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -16,6 +18,7 @@ from repro.service import (
     QuotaExceededError,
     ServiceConfig,
     ServiceStats,
+    ShardedResultCache,
     WorkerPool,
     replay,
 )
@@ -27,8 +30,42 @@ def loops():
     return paper_suite()[:6]
 
 
+#: Any event-loop step slower than this fails the test: the front door
+#: must never block its loop (a sync sleep, a pool wait, a slow read).
+SLOW_CALLBACK_S = 0.25
+
+
+class _SlowSteps(logging.Handler):
+    """Collects asyncio debug mode's "Executing ... took ..." warnings."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        message = record.getMessage()
+        if message.startswith("Executing") and " took " in message:
+            self.messages.append(message)
+
+
 def run(coroutine):
-    return asyncio.run(coroutine)
+    """``asyncio.run`` in debug mode, failing on any slow loop step."""
+    async def guarded():
+        loop = asyncio.get_running_loop()
+        loop.slow_callback_duration = SLOW_CALLBACK_S
+        return await coroutine
+
+    slow = _SlowSteps()
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(slow)
+    try:
+        result = asyncio.run(guarded(), debug=True)
+    finally:
+        logger.removeHandler(slow)
+    assert not slow.messages, (
+        "blocked the event loop: " + "; ".join(slow.messages)
+    )
+    return result
 
 
 class TestServing:
@@ -136,6 +173,29 @@ class TestCacheAndCoalescing:
         assert stats.cache_hit_rate == pytest.approx(7 / 8)
 
 
+class TestEventLoopGuard:
+    def test_blocking_cache_read_trips_the_guard(
+        self, warm_pool, loops, tmp_path, monkeypatch,
+    ):
+        # _serve calls the cache synchronously on the loop; a slow read
+        # there stalls every other request and must fail the test.
+        real_get = ShardedResultCache.get
+
+        def slow_get(self, key):
+            time.sleep(0.4)
+            return real_get(self, key)
+
+        monkeypatch.setattr(ShardedResultCache, "get", slow_get)
+        config = ServiceConfig(cache_dir=str(tmp_path))
+
+        async def main():
+            async with CompileService(config, pool=warm_pool) as svc:
+                return await svc.submit(CompileRequest(loop=loops[0]))
+
+        with pytest.raises(AssertionError, match="blocked the event loop"):
+            run(main())
+
+
 class TestAdmission:
     def test_tenant_quota_rejects_excess(self, warm_pool, loops):
         config = ServiceConfig(tenant_quota=2)
@@ -207,7 +267,7 @@ class TestFaults:
                         svc, [CompileRequest(loop=d) for d in loops],
                     ), svc.stats
 
-            replies, stats = asyncio.run(main())
+            replies, stats = run(main())
             failed = [r for r in replies if r.status == "failed"]
             assert failed, "the crashed batch never surfaced"
             assert all(
