@@ -27,12 +27,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..ddg.graph import Ddg
+from ..ddg.opcodes import fu_class_of
 from ..ddg.transform import AnnotatedDdg, trivial_annotation
 from ..obs.trace import count as obs_count, span as obs_span
-from ..machine.machine import Machine, ResourceKey
-from ..mrt.pool import PoolOverflowError, ResourcePools
+from ..machine.machine import Demand, Machine
+from ..mrt.pool import ResourcePools
 from .annotate import build_annotated
-from .copies import CopyRoutingError, RoutingState
+from .copies import RoutingState
 from .ordering import AssignmentOrder, build_assignment_order
 from .prediction import prediction_satisfied
 from .selection import (
@@ -83,7 +84,7 @@ class _Assigner:
         self.nodes_on: Dict[int, Set[int]] = {
             c: set() for c in machine.cluster_indices
         }
-        self.issue_held: Dict[int, List[ResourceKey]] = {}
+        self.issue_held: Dict[int, Demand] = {}
         self.previously_on: Dict[int, Set[int]] = {
             n: set() for n in ddg.node_ids
         }
@@ -94,33 +95,18 @@ class _Assigner:
         self._ready: List[Tuple[int, int]] = [
             (self.order.priority_of(n), n) for n in self.order.order
         ]
-        # Opcode resources per (node, cluster) are invariant across the
-        # attempt; cache them (including structural impossibility).
-        self._op_keys_cache: Dict[
-            Tuple[int, int], Optional[List[ResourceKey]]
-        ] = {}
+        # Node -> per-cluster demand of its own issue slot, None where
+        # the cluster structurally cannot execute the opcode.  The
+        # vectors are the machine table's, shared and read-only.
+        issue_demand = machine.resource_table.issue_demand
+        self._op_demand: Dict[int, Tuple[Optional[Demand], ...]] = {
+            node.node_id: issue_demand[fu_class_of(node.opcode)]
+            for node in ddg.nodes
+        }
 
     # ------------------------------------------------------------------
     # Small helpers
     # ------------------------------------------------------------------
-    def _op_keys(self, node_id: int, cluster: int) -> Optional[List[ResourceKey]]:
-        """Issue-slot keys of a node on a cluster; None when the cluster
-        structurally cannot execute the opcode.  Cached per attempt; the
-        returned list is shared and must not be mutated."""
-        cache_key = (node_id, cluster)
-        try:
-            return self._op_keys_cache[cache_key]
-        except KeyError:
-            pass
-        try:
-            keys = self.machine.op_resources(
-                self.ddg.node(node_id).opcode, cluster
-            )
-        except ValueError:
-            keys = None
-        self._op_keys_cache[cache_key] = keys
-        return keys
-
     def _scc_partner_on(self, node_id: int, cluster: int) -> bool:
         """Is another member of the node's SCC already on ``cluster``?"""
         scc = self.order.scc_of(node_id)
@@ -145,41 +131,46 @@ class _Assigner:
     def evaluate(self, node_id: int, cluster: int) -> CandidateInfo:
         """Tentatively place ``node_id`` on ``cluster``; roll back after
         measuring the Figure 10 selection inputs."""
-        keys = self._op_keys(node_id, cluster)
+        demand = self._op_demand[node_id][cluster]
         previously_here = cluster in self.previously_on[node_id]
-        if keys is None:
+        if demand is None:
             return CandidateInfo(
                 cluster=cluster, feasible=False, shares_scc=False,
                 prediction_ok=False, new_copies=0, free_resources=0,
                 previously_here=previously_here, op_fits=False,
             )
-        op_fits = self.pools.can_reserve(keys)
-        pools_snap = self.pools.checkpoint()
-        routing_snap = self.routing.snapshot()
-        copies_before = self.routing.total_copies()
+        pools = self.pools
+        routing = self.routing
         feasible = False
         prediction_ok = True
         new_copies = 0
         free_resources = 0
-        try:
-            self.pools.reserve(keys)
-            self.routing.set_cluster(node_id, cluster)
-            feasible = True
-            new_copies = self.routing.total_copies() - copies_before
-            if self.config.predict_copies:
-                prediction_ok = prediction_satisfied(
-                    self.machine,
-                    self.routing,
-                    self.pools,
-                    cluster,
-                    self.nodes_on[cluster] | {node_id},
-                )
-            free_resources = self.pools.free_cluster_slots(cluster)
-        except (PoolOverflowError, CopyRoutingError):
-            feasible = False
-        finally:
-            self.pools.restore(pools_snap)
-            self.routing.restore(routing_snap)
+        op_fits = pools.fits(demand)
+        # When the op's own slot is full the placement fails before any
+        # copy is planned: no transaction needed.
+        if op_fits:
+            pools_snap = pools.checkpoint()
+            routing_snap = routing.snapshot()
+            copies_before = routing.total_copies()
+            pools.take(demand)
+            routing.assign_unplanned(node_id, cluster)
+            feasible = all(
+                routing.replan(producer)
+                for producer in routing.affected_producers(node_id)
+            )
+            if feasible:
+                new_copies = routing.total_copies() - copies_before
+                if self.config.predict_copies:
+                    prediction_ok = prediction_satisfied(
+                        self.machine,
+                        routing,
+                        pools,
+                        cluster,
+                        self.nodes_on[cluster] | {node_id},
+                    )
+                free_resources = pools.free_cluster_slots(cluster)
+            pools.restore(pools_snap)
+            routing.restore(routing_snap)
         return CandidateInfo(
             cluster=cluster,
             feasible=feasible,
@@ -195,19 +186,19 @@ class _Assigner:
         """Figure 11 line 4: assigned neighbors whose required copies fail
         when ``node_id`` is put on ``cluster`` (resource shortages of the
         node's own slot are handled separately by eviction)."""
-        if self._op_keys(node_id, cluster) is None:
+        if self._op_demand[node_id][cluster] is None:
             return len(self.ddg.node_ids)  # structurally impossible
+        routing = self.routing
         pools_snap = self.pools.checkpoint()
-        routing_snap = self.routing.snapshot()
-        conflicts = 0
-        self.routing.assign_unplanned(node_id, cluster)
-        for producer in self.routing.affected_producers(node_id):
-            try:
-                self.routing.replan(producer)
-            except (PoolOverflowError, CopyRoutingError):
-                conflicts += 1
+        routing_snap = routing.snapshot()
+        routing.assign_unplanned(node_id, cluster)
+        conflicts = sum(
+            1
+            for producer in routing.affected_producers(node_id)
+            if not routing.replan(producer)
+        )
         self.pools.restore(pools_snap)
-        self.routing.restore(routing_snap)
+        routing.restore(routing_snap)
         return conflicts
 
     # ------------------------------------------------------------------
@@ -215,11 +206,11 @@ class _Assigner:
     # ------------------------------------------------------------------
     def commit(self, node_id: int, cluster: int) -> None:
         """Finalize a feasible assignment chosen by Figure 10."""
-        keys = self._op_keys(node_id, cluster)
-        assert keys is not None
-        self.pools.reserve(keys)
+        demand = self._op_demand[node_id][cluster]
+        if not self.pools.take(demand):
+            raise self.pools.overflow_error(demand)
         self.routing.set_cluster(node_id, cluster)
-        self.issue_held[node_id] = keys
+        self.issue_held[node_id] = demand
         self.nodes_on[cluster].add(node_id)
         self.unassigned.discard(node_id)
         self._record_history(node_id, cluster)
@@ -234,7 +225,7 @@ class _Assigner:
         Returns False when recovery is impossible at this II.
         """
         cluster = self.routing.cluster_of[node_id]
-        self.pools.release(self.issue_held.pop(node_id))
+        self.pools.give(self.issue_held.pop(node_id))
         self.nodes_on[cluster].discard(node_id)
         self.routing.unassign_unplanned(node_id)
         self.unassigned.add(node_id)
@@ -274,29 +265,25 @@ class _Assigner:
 
     def _replan_or_evict(self, producer: int, protect: Set[int]) -> bool:
         """Replan one producer, evicting conflicting nodes until it fits."""
-        while True:
-            try:
-                self.routing.replan(producer)
-                return True
-            except (PoolOverflowError, CopyRoutingError):
-                victim = self._plan_victim(producer, protect)
-                if victim is None:
-                    return False
-                if victim == producer:
-                    return self.evict(producer, protect)
-                if not self.evict(victim, protect):
-                    return False
+        while not self.routing.replan(producer):
+            victim = self._plan_victim(producer, protect)
+            if victim is None:
+                return False
+            if victim == producer:
+                return self.evict(producer, protect)
+            if not self.evict(victim, protect):
+                return False
+        return True
 
     def _issue_victim(
-        self, node_id: int, cluster: int, keys: List[ResourceKey]
+        self, node_id: int, cluster: int, demand: Demand
     ) -> Optional[int]:
         """Lowest-priority node on ``cluster`` holding the pool ``node_id``
         needs for its own issue slot."""
-        pool_key = keys[0]
         candidates = [
             other
             for other in self.nodes_on[cluster]
-            if other != node_id and self.issue_held[other][0] == pool_key
+            if other != node_id and self.issue_held[other] == demand
         ]
         if not candidates:
             return None
@@ -308,18 +295,18 @@ class _Assigner:
         Returns False when no sequence of evictions can make the
         assignment fit (the driver then gives up at this II).
         """
-        keys = self._op_keys(node_id, cluster)
-        if keys is None:
+        demand = self._op_demand[node_id][cluster]
+        if demand is None:
             return False
         protect = {node_id}
-        while not self.pools.can_reserve(keys):
-            victim = self._issue_victim(node_id, cluster, keys)
+        while not self.pools.fits(demand):
+            victim = self._issue_victim(node_id, cluster, demand)
             if victim is None:
                 return False
             if not self.evict(victim, protect):
                 return False
-        self.pools.reserve(keys)
-        self.issue_held[node_id] = keys
+        self.pools.take(demand)
+        self.issue_held[node_id] = demand
         self.routing.assign_unplanned(node_id, cluster)
         self.nodes_on[cluster].add(node_id)
         self.unassigned.discard(node_id)

@@ -16,16 +16,20 @@ function of ``(machine, producer cluster, clusters that need the value)``:
 :class:`RoutingState` keeps these plans current while the assignment
 algorithm assigns, evicts, and re-assigns nodes, reserving and releasing
 the copies' port/bus/link slots in the shared :class:`ResourcePools`.
+A plan's shape depends only on the producer's cluster and the set of
+clusters needing the value, so each shape is built once per machine as
+a :class:`CopyTemplate` (specs, pool keys and their demand vector),
+keyed on the home cluster and a bitmask of the needed clusters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, NamedTuple, Set, Tuple, Union
 
 from ..ddg.graph import Ddg
-from ..machine.machine import Machine, ResourceKey
-from ..mrt.pool import PoolOverflowError, ResourcePools
+from ..machine.machine import Demand, Machine, ResourceKey
+from ..mrt.pool import ResourcePools
 from ..obs.trace import count as obs_count
 
 
@@ -131,13 +135,29 @@ def plan_copies(
     )
 
 
+def _clusters_in(mask: int) -> Set[int]:
+    """The cluster indices whose bits are set in ``mask``."""
+    return {c for c in range(mask.bit_length()) if mask >> c & 1}
+
+
+class CopyTemplate(NamedTuple):
+    """A producer-independent copy plan plus its pool demand vector."""
+
+    specs: Tuple[CopySpec, ...]
+    resources: Tuple[ResourceKey, ...]
+    demand: Demand
+
+
 @dataclass
 class RoutingSnapshot:
     """Rollback point for :class:`RoutingState` (pools snapshot separate)."""
 
     cluster_of: Dict[int, int]
-    plans: Dict[int, CopyPlan]
-    total_copies: int = -1  # -1: recompute on restore (legacy snapshots)
+    #: Producer -> plan: a :class:`CopyTemplate` here, a
+    #: :class:`CopyPlan` in the frozen reference (repro.baselines).
+    plans: Dict[int, Union[CopyTemplate, CopyPlan]]
+    #: -1 in the frozen reference's snapshots, which it restores itself.
+    total_copies: int = -1
 
 
 class RoutingState:
@@ -159,7 +179,10 @@ class RoutingState:
         self.pools = pools
         self.share_broadcast = share_broadcast
         self.cluster_of: Dict[int, int] = {}
-        self._plans: Dict[int, CopyPlan] = {}
+        # Producer -> its current (non-empty) plan.  Insertion order
+        # numbers the copy nodes of the annotated graph, so rollback
+        # restores a copy of the dict rather than undoing changes.
+        self._plans: Dict[int, CopyTemplate] = {}
         self._total_copies = 0
         # Value-edge adjacency — producer -> consumers and consumer ->
         # producers over register (value) edges only, excluding
@@ -171,15 +194,13 @@ class RoutingState:
         self._produces_value = view.produces_value
         self._value_consumers = view.value_consumers
         self._value_producers = view.value_producers
-        # (producer cluster, needed clusters) -> (specs, resources).  A
-        # plan's shape is independent of the producer's identity, and the
-        # same few cluster patterns recur throughout an assignment run's
-        # tentative/evict/replan churn.  Only successful plans are cached
-        # (a CopyRoutingError must re-raise on every attempt).
-        self._plan_cache: Dict[
-            Tuple[int, frozenset],
-            Tuple[Tuple[CopySpec, ...], Tuple[ResourceKey, ...]],
-        ] = {}
+        # Home cluster -> needed-cluster bitmask -> template, shared by
+        # every assignment on this machine.  Only routable shapes are
+        # memoized (a CopyRoutingError is re-derived, and counted, on
+        # every attempt).
+        self._templates = machine.resource_table.copy_templates[
+            share_broadcast
+        ]
 
     # ------------------------------------------------------------------
     # Value-flow queries
@@ -204,21 +225,28 @@ class RoutingState:
             if consumer not in self.cluster_of
         )
 
+    def _needed_mask(self, producer: int, home: int) -> int:
+        """Bitmask of the clusters other than ``home`` holding an
+        assigned consumer of ``producer``."""
+        cluster_of = self.cluster_of
+        mask = 0
+        for consumer in self._value_consumers[producer]:
+            cluster = cluster_of.get(consumer)
+            if cluster is not None:
+                mask |= 1 << cluster
+        return mask & ~(1 << home)
+
     def needed_clusters(self, producer: int) -> Set[int]:
         """Clusters (other than the producer's) that need the value now."""
         home = self.cluster_of.get(producer)
         if home is None:
             return set()
-        return {
-            self.cluster_of[c]
-            for c in self._value_consumers[producer]
-            if c in self.cluster_of and self.cluster_of[c] != home
-        }
+        return _clusters_in(self._needed_mask(producer, home))
 
     def required_copies(self, producer: int) -> int:
         """RC(producer): copies the current assignment forces on it."""
         plan = self._plans.get(producer)
-        return 0 if plan is None else plan.copy_count
+        return 0 if plan is None else len(plan.specs)
 
     def total_copies(self) -> int:
         """Total copy operations implied by the current assignment."""
@@ -226,7 +254,13 @@ class RoutingState:
 
     def plans(self) -> Dict[int, CopyPlan]:
         """Producer -> current plan (only producers with copies)."""
-        return {p: plan for p, plan in self._plans.items() if plan.specs}
+        return {
+            producer: CopyPlan(
+                producer=producer, specs=plan.specs,
+                resources=plan.resources,
+            )
+            for producer, plan in self._plans.items()
+        }
 
     # ------------------------------------------------------------------
     # Replanning
@@ -241,51 +275,61 @@ class RoutingState:
                 affected.append(producer)
         return affected
 
-    def replan(self, producer: int) -> None:
-        """Recompute ``producer``'s plan; raises on resource shortage.
+    def _template(self, producer: int, home: int, mask: int) -> CopyTemplate:
+        """The plan moving ``producer``'s value from ``home`` to the
+        clusters in ``mask``; raises :class:`CopyRoutingError` when the
+        fabric cannot route it."""
+        templates = self._templates[home]
+        template = templates.get(mask)
+        if template is None:
+            plan = plan_copies(
+                self.machine, producer, home, _clusters_in(mask),
+                share_broadcast=self.share_broadcast,
+            )
+            template = CopyTemplate(
+                plan.specs, plan.resources,
+                self.machine.resource_table.demand(plan.resources),
+            )
+            templates[mask] = template
+        return template
 
-        On :class:`PoolOverflowError` the producer's old reservation has
-        already been released and its plan dropped — callers either roll
+    def replan(self, producer: int) -> bool:
+        """Recompute ``producer``'s plan; False when it does not fit.
+
+        The old reservation is released first.  On False (the plan
+        overflows a pool, or the fabric cannot route the value) the
+        producer holds no plan and no reservation: callers either roll
         back via snapshots or evict nodes and call :meth:`replan` again.
         """
         obs_count("copies.replans")
         old = self._plans.pop(producer, None)
         if old is not None:
             self._total_copies -= len(old.specs)
-            self.pools.release(old.resources)
-        if producer not in self.cluster_of:
-            return
-        home = self.cluster_of[producer]
-        key = (home, frozenset(self.needed_clusters(producer)))
-        cached = self._plan_cache.get(key)
-        if cached is None:
-            template = plan_copies(
-                self.machine,
-                producer,
-                home,
-                set(key[1]),
-                share_broadcast=self.share_broadcast,
-            )
-            cached = (template.specs, template.resources)
-            self._plan_cache[key] = cached
-        plan = CopyPlan(producer=producer, specs=cached[0],
-                        resources=cached[1])
-        if not plan.specs:
-            return
+            self.pools.give(old.demand)
+        home = self.cluster_of.get(producer)
+        if home is None:
+            return True
+        mask = self._needed_mask(producer, home)
+        if not mask:
+            return True
         try:
-            self.pools.reserve(plan.resources)
-        except PoolOverflowError:
+            template = self._template(producer, home, mask)
+        except CopyRoutingError:
+            return False
+        if not self.pools.take(template.demand):
             obs_count("copies.replan_failures")
-            raise
-        self._plans[producer] = plan
-        self._total_copies += len(plan.specs)
+            return False
+        self._plans[producer] = template
+        self._total_copies += len(template.specs)
+        return True
 
     def assign_unplanned(self, node_id: int, cluster: int) -> None:
         """Record an assignment *without* replanning any copies.
 
-        Used by forced placement and conflict counting, which replan the
-        affected producers one at a time so failures can be attributed to
-        individual predecessor/successor relationships.
+        Used by tentative evaluation, forced placement and conflict
+        counting, which replan the affected producers one at a time so
+        failures can be attributed to individual predecessor/successor
+        relationships.
         """
         if node_id in self.cluster_of:
             raise ValueError(f"node {node_id} is already assigned")
@@ -296,14 +340,18 @@ class RoutingState:
 
         The caller must have reserved the node's own issue slot already.
         Raises :class:`PoolOverflowError` when some required copy does not
-        fit; state is then inconsistent and must be rolled back via
-        snapshot (tentative mode) or repaired by eviction (forced mode).
+        fit (:class:`CopyRoutingError` when it cannot be routed); state is
+        then inconsistent and must be rolled back via snapshot (tentative
+        mode) or repaired by eviction (forced mode).
         """
-        if node_id in self.cluster_of:
-            raise ValueError(f"node {node_id} is already assigned")
-        self.cluster_of[node_id] = cluster
+        self.assign_unplanned(node_id, cluster)
         for producer in self.affected_producers(node_id):
-            self.replan(producer)
+            if not self.replan(producer):
+                home = self.cluster_of[producer]
+                template = self._template(
+                    producer, home, self._needed_mask(producer, home)
+                )
+                raise self.pools.overflow_error(template.demand)
 
     def unassign_unplanned(self, node_id: int) -> None:
         """Drop an assignment *without* replanning any copies.
@@ -317,18 +365,6 @@ class RoutingState:
         if node_id not in self.cluster_of:
             raise ValueError(f"node {node_id} is not assigned")
         del self.cluster_of[node_id]
-
-    def clear_cluster(self, node_id: int) -> None:
-        """Remove ``node_id``'s assignment and replan affected copies.
-
-        May raise :class:`PoolOverflowError` on point-to-point fabrics
-        (see :meth:`unassign_unplanned`); callers needing eviction-based
-        recovery should use ``unassign_unplanned`` + per-producer
-        ``replan`` instead.
-        """
-        self.unassign_unplanned(node_id)
-        for producer in self.affected_producers(node_id):
-            self.replan(producer)
 
     # ------------------------------------------------------------------
     # Snapshots (pools are snapshotted separately by the caller)
@@ -345,9 +381,4 @@ class RoutingState:
         """Roll back to ``snap`` (pair with ``pools.restore``)."""
         self.cluster_of = dict(snap.cluster_of)
         self._plans = dict(snap.plans)
-        if snap.total_copies >= 0:
-            self._total_copies = snap.total_copies
-        else:
-            self._total_copies = sum(
-                plan.copy_count for plan in self._plans.values()
-            )
+        self._total_copies = snap.total_copies

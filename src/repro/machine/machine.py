@@ -12,12 +12,18 @@ Resource keys
 * ``("issue", c, FuClass.X)``   — one of cluster ``c``'s class-X units
 * ``("rd", c)`` / ``("wr", c)`` — a communication read/write port
 * ``"bus"`` or ``("link", a, b)`` — a shared channel, per the interconnect
+
+The assignment phase probes these pools hundreds of thousands of times
+per corpus, so :attr:`Machine.resource_table` interns every key once
+per machine into a dense :class:`ResourceTable`: its pools are flat
+integer lists and a demand is a ``((index, count), ...)`` vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..ddg.opcodes import FuClass, Opcode, fu_class_of
 from .cluster import ClusterSpec
@@ -25,6 +31,99 @@ from .interconnect import Interconnect, NoInterconnect
 from .units import UnitMix
 
 ResourceKey = Hashable
+#: Slots demanded per dense resource index: ``((index, count), ...)``.
+Demand = Tuple[Tuple[int, int], ...]
+
+
+class ResourceTable:
+    """Every resource key of one machine, interned to a dense index.
+
+    Indices follow :meth:`Machine.resource_capacities` order.  Beside the
+    key <-> index maps the table holds what the assignment phase asks of
+    a cluster, precomputed as index tuples: its issue pools, the channel
+    pools incident to it, its communication ports, and the issue-pool
+    demand of one operation of each FU class placed on it.
+    """
+
+    def __init__(self, machine: "Machine") -> None:
+        capacities = machine.resource_capacities()
+        #: Index -> key.
+        self.keys: Tuple[ResourceKey, ...] = tuple(capacities)
+        #: Key -> index.
+        self.index: Dict[ResourceKey, int] = {
+            key: i for i, key in enumerate(self.keys)
+        }
+        #: Index -> slots per cycle.
+        self.per_cycle: Tuple[int, ...] = tuple(capacities.values())
+        index = self.index
+        clusters = machine.cluster_indices
+        #: Cluster -> indices of its issue pools.
+        self.issue: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(
+                i for i, key in enumerate(self.keys)
+                if isinstance(key, tuple) and len(key) == 3
+                and key[0] == "issue" and key[1] == c
+            )
+            for c in clusters
+        )
+        channel_keys = list(machine.interconnect.channel_resources())
+        #: Cluster -> indices of the channel pools a copy leaving it may
+        #: use: every bus, or the links incident to it.
+        self.channels: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(
+                index[key] for key in channel_keys
+                if key == "bus" or (
+                    isinstance(key, tuple) and key[0] == "link"
+                    and c in key[1:]
+                )
+            )
+            for c in clusters
+        )
+        #: Cluster -> index of its read / write port pool (None on a
+        #: unified machine, which has no ports).
+        self.read_port: Tuple[Optional[int], ...] = tuple(
+            index.get(machine.read_port_key(c)) for c in clusters
+        )
+        self.write_port: Tuple[Optional[int], ...] = tuple(
+            index.get(machine.write_port_key(c)) for c in clusters
+        )
+        #: Cluster -> its issue pools followed by its ports: the "free
+        #: resources on the cluster" of the paper's Figure 10.
+        self.local: Tuple[Tuple[int, ...], ...] = tuple(
+            self.issue[c] + tuple(
+                i for i in (self.read_port[c], self.write_port[c])
+                if i is not None
+            )
+            for c in clusters
+        )
+        #: FU class -> per-cluster demand of one op of that class,
+        #: ``((issue index, 1),)``, or None where the cluster has no unit
+        #: for it (copies never have one).
+        self.issue_demand: Dict[FuClass, Tuple[Optional[Demand], ...]] = {
+            fu_class: tuple(
+                ((index[machine.issue_key(c, fu_class)], 1),)
+                if machine.cluster(c).issue_capacity(fu_class) > 0
+                else None
+                for c in clusters
+            )
+            for fu_class in FuClass
+        }
+        #: Copy-plan templates memoized by :mod:`repro.core.copies`:
+        #: ``share_broadcast`` -> per home cluster, needed-cluster
+        #: bitmask -> template.
+        self.copy_templates: Dict[bool, Tuple[Dict[int, object], ...]] = {
+            share: tuple({} for _ in clusters) for share in (True, False)
+        }
+
+    def demand(self, keys: Iterable[ResourceKey]) -> Demand:
+        """``keys`` as a demand vector; a repeated key demands one slot
+        per repetition.  Raises ``KeyError`` for an unknown key."""
+        counts: Dict[int, int] = {}
+        index = self.index
+        for key in keys:
+            i = index[key]
+            counts[i] = counts.get(i, 0) + 1
+        return tuple(counts.items())
 
 
 @dataclass(frozen=True)
@@ -47,6 +146,14 @@ class Machine:
         gp_flags = {c.units.general_purpose for c in self.clusters}
         if len(gp_flags) != 1:
             raise ValueError("mixing GP and FS clusters is not supported")
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The resource table is derived and rebuilt on first use: it
+        # stays out of pickles, so task payloads carrying a machine are
+        # the same bytes before and after it compiles anything.
+        state = dict(self.__dict__)
+        state.pop("resource_table", None)
+        return state
 
     # ------------------------------------------------------------------
     # Shape
@@ -115,6 +222,12 @@ class Machine:
                 capacities[("wr", cluster.index)] = cluster.write_ports
         capacities.update(self.interconnect.channel_resources())
         return capacities
+
+    @cached_property
+    def resource_table(self) -> ResourceTable:
+        """The dense index table of this machine's resource keys (built
+        on first use, never pickled)."""
+        return ResourceTable(self)
 
     # ------------------------------------------------------------------
     # Resource demands

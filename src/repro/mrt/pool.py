@@ -11,13 +11,20 @@ treat the MRTs: as boxes filled by ops, without cycle positions).
 :class:`ResourcePools` tracks one such pool per machine resource key and
 supports transactional use: the assignment algorithm snapshots the pools,
 tentatively applies an assignment, records the outcome, and rolls back.
+
+The pools are two flat integer lists over the machine's
+:class:`~repro.machine.machine.ResourceTable` indices.  The assignment
+phase probes them with precomputed ``((index, count), ...)`` demand
+vectors (:meth:`ResourcePools.fits` / :meth:`~ResourcePools.take` /
+:meth:`~ResourcePools.give`), which never raise; the key-based methods
+translate their keys through the table and call the same code.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
-from ..machine.machine import Machine, ResourceKey
+from ..machine.machine import Demand, Machine, ResourceKey
 
 
 class PoolOverflowError(RuntimeError):
@@ -37,72 +44,80 @@ class ResourcePools:
             raise ValueError("II must be >= 1")
         self.machine = machine
         self.ii = ii
-        self._capacity: Dict[ResourceKey, int] = {
-            key: per_cycle * ii
-            for key, per_cycle in machine.resource_capacities().items()
-        }
-        self._used: Dict[ResourceKey, int] = {key: 0 for key in self._capacity}
-        # Per-cluster key lists, precomputed once: the selection heuristic
-        # calls the cluster-level summaries thousands of times per II and
-        # the key-shape scans are invariant.
-        self._issue_keys: Dict[int, List[ResourceKey]] = {}
-        self._channel_keys: Dict[int, List[ResourceKey]] = {}
-        for cluster_index in machine.cluster_indices:
-            self._issue_keys[cluster_index] = [
-                key
-                for key in self._capacity
-                if (
-                    isinstance(key, tuple)
-                    and len(key) == 3
-                    and key[0] == "issue"
-                    and key[1] == cluster_index
+        self.table = machine.resource_table
+        self._capacity: List[int] = [
+            per_cycle * ii for per_cycle in self.table.per_cycle
+        ]
+        self._used: List[int] = [0] * len(self._capacity)
+
+    # ------------------------------------------------------------------
+    # Demand vectors (the assignment phase's probe path)
+    # ------------------------------------------------------------------
+    def fits(self, demand: Demand) -> bool:
+        """True when every ``(index, count)`` of ``demand`` is free."""
+        used = self._used
+        capacity = self._capacity
+        for index, count in demand:
+            if used[index] + count > capacity[index]:
+                return False
+        return True
+
+    def take(self, demand: Demand) -> bool:
+        """Reserve ``demand``; False, reserving nothing, when it does
+        not fit."""
+        # The fit test is repeated inline rather than calling fits():
+        # this is the hottest call on the pools.
+        used = self._used
+        capacity = self._capacity
+        for index, count in demand:
+            if used[index] + count > capacity[index]:
+                return False
+        for index, count in demand:
+            used[index] += count
+        return True
+
+    def give(self, demand: Demand) -> None:
+        """Release ``demand``, which the caller took earlier."""
+        used = self._used
+        for index, count in demand:
+            used[index] -= count
+
+    def overflow_error(self, demand: Demand) -> "PoolOverflowError":
+        """The error naming the first pool of ``demand`` that does not
+        fit (``demand`` must not fit)."""
+        for index, count in demand:
+            if self._used[index] + count > self._capacity[index]:
+                return PoolOverflowError(
+                    self.table.keys[index], self._capacity[index]
                 )
-            ]
-            channel_keys = []
-            for key in machine.interconnect.channel_resources():
-                if key == "bus":
-                    channel_keys.append(key)
-                elif (
-                    isinstance(key, tuple)
-                    and key[0] == "link"
-                    and cluster_index in key[1:]
-                ):
-                    channel_keys.append(key)
-            self._channel_keys[cluster_index] = channel_keys
+        raise ValueError("the demand fits")
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def capacity(self, key: ResourceKey) -> int:
         """Total slots of ``key`` over the whole kernel (per-cycle × II)."""
-        return self._capacity[key]
+        return self._capacity[self.table.index[key]]
 
     def used(self, key: ResourceKey) -> int:
         """Slots of ``key`` currently reserved."""
-        return self._used[key]
+        return self._used[self.table.index[key]]
 
     def free(self, key: ResourceKey) -> int:
         """Slots of ``key`` still available."""
-        return self._capacity[key] - self._used[key]
+        index = self.table.index[key]
+        return self._capacity[index] - self._used[index]
 
     def keys(self) -> List[ResourceKey]:
         """All pool keys."""
-        return list(self._capacity)
+        return list(self.table.keys)
 
     def can_reserve(self, keys: Iterable[ResourceKey]) -> bool:
         """True when one slot of each key in ``keys`` is available.
 
         ``keys`` may repeat a key; repetitions demand multiple slots.
         """
-        used = self._used
-        capacity = self._capacity
-        demand: Dict[ResourceKey, int] = {}
-        for key in keys:
-            demand[key] = demand.get(key, 0) + 1
-        for key, count in demand.items():
-            if used[key] + count > capacity[key]:
-                return False
-        return True
+        return self.fits(self.table.demand(keys))
 
     # ------------------------------------------------------------------
     # Mutation
@@ -110,50 +125,46 @@ class ResourcePools:
     def reserve(self, keys: Iterable[ResourceKey]) -> None:
         """Reserve one slot per key; raises and leaves state unchanged on
         overflow."""
-        key_list = list(keys)
-        if not self.can_reserve(key_list):
-            for key in key_list:
-                if self._used[key] >= self._capacity[key]:
-                    raise PoolOverflowError(key, self._capacity[key])
-            # Overflow came from repetition within key_list.
-            demand: Dict[ResourceKey, int] = {}
-            for key in key_list:
-                demand[key] = demand.get(key, 0) + 1
-            for key, count in demand.items():
-                if self._used[key] + count > self._capacity[key]:
-                    raise PoolOverflowError(key, self._capacity[key])
-        for key in key_list:
-            self._used[key] += 1
+        demand = self.table.demand(keys)
+        if not self.take(demand):
+            raise self.overflow_error(demand)
 
     def release(self, keys: Iterable[ResourceKey]) -> None:
-        """Release one slot per key (must have been reserved)."""
-        for key in keys:
-            if self._used[key] <= 0:
-                raise ValueError(f"releasing unreserved resource {key!r}")
-            self._used[key] -= 1
+        """Release one slot per key (must have been reserved); raises and
+        leaves state unchanged otherwise."""
+        demand = self.table.demand(keys)
+        for index, count in demand:
+            if self._used[index] < count:
+                raise ValueError(
+                    f"releasing unreserved resource {self.table.keys[index]!r}"
+                )
+        self.give(demand)
 
     # ------------------------------------------------------------------
     # Transactions
     # ------------------------------------------------------------------
-    def checkpoint(self) -> Dict[ResourceKey, int]:
+    def checkpoint(self) -> List[int]:
         """Snapshot the current usage counters."""
-        return dict(self._used)
+        return self._used.copy()
 
-    def restore(self, snapshot: Dict[ResourceKey, int]) -> None:
+    def restore(self, snapshot: List[int]) -> None:
         """Roll usage counters back to ``snapshot``."""
-        self._used = dict(snapshot)
+        self._used[:] = snapshot
 
     # ------------------------------------------------------------------
     # Cluster-level summaries used by the selection heuristic
     # ------------------------------------------------------------------
-    def free_issue_slots(self, cluster_index: int) -> int:
-        """Free function-unit slots on one cluster (all classes pooled)."""
+    def _free_of(self, indices) -> int:
         capacity = self._capacity
         used = self._used
-        return sum(
-            capacity[key] - used[key]
-            for key in self._issue_keys[cluster_index]
-        )
+        total = 0
+        for index in indices:
+            total += capacity[index] - used[index]
+        return total
+
+    def free_issue_slots(self, cluster_index: int) -> int:
+        """Free function-unit slots on one cluster (all classes pooled)."""
+        return self._free_of(self.table.issue[cluster_index])
 
     def free_cluster_slots(self, cluster_index: int) -> int:
         """Free slots of every pool local to one cluster (issue + ports).
@@ -161,11 +172,7 @@ class ResourcePools:
         This is the "free resources on the cluster" quantity maximized by
         the last selection of the paper's Figure 10.
         """
-        total = self.free_issue_slots(cluster_index)
-        if not self.machine.is_unified:
-            total += self.free(self.machine.read_port_key(cluster_index))
-            total += self.free(self.machine.write_port_key(cluster_index))
-        return total
+        return self._free_of(self.table.local[cluster_index])
 
     def free_channel_slots_from(self, cluster_index: int) -> int:
         """Free channel slots usable by copies leaving ``cluster_index``.
@@ -173,12 +180,7 @@ class ResourcePools:
         For buses this is the free bus slots; for point-to-point fabrics it
         is the sum of free slots on links incident to the cluster.
         """
-        capacity = self._capacity
-        used = self._used
-        return sum(
-            capacity[key] - used[key]
-            for key in self._channel_keys[cluster_index]
-        )
+        return self._free_of(self.table.channels[cluster_index])
 
     def max_reservable_copies(self, cluster_index: int) -> int:
         """MRC_C — room for additional copies out of cluster C.
@@ -188,12 +190,13 @@ class ResourcePools:
         ports are not charged: the targets are unknown at prediction
         time, exactly as in the paper's definition of MRC).
         """
-        if self.machine.is_unified:
+        read_port = self.table.read_port[cluster_index]
+        if read_port is None:  # unified machine: nothing to copy to
             return 0
-        read_free = self.free(self.machine.read_port_key(cluster_index))
+        read_free = self._capacity[read_port] - self._used[read_port]
         return min(read_free, self.free_channel_slots_from(cluster_index))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        used = sum(self._used.values())
-        cap = sum(self._capacity.values())
+        used = sum(self._used)
+        cap = sum(self._capacity)
         return f"ResourcePools(ii={self.ii}, used={used}/{cap})"

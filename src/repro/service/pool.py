@@ -42,10 +42,12 @@ from __future__ import annotations
 import atexit
 import gc
 import multiprocessing
+import multiprocessing.queues
 import os
 import threading
 import time
 import traceback
+import weakref
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -128,6 +130,27 @@ class _Pending:
         self.submitted_wall = time.time()
         self.started_wall: Optional[float] = None
         self.pid: Optional[int] = None
+
+
+class _TaskQueue(multiprocessing.queues.Queue):
+    """The shared task queue.
+
+    ``Queue.put`` pickles on a feeder thread, which by default prints
+    and drops a message it cannot pickle: that task's future would
+    never resolve.  Here the failure goes to ``on_unsendable(message,
+    error)`` instead.  The queue holds that method weakly: a feeder
+    thread still flushing after ``close`` must not keep the pool, and
+    the semaphores of its queues, alive.
+    """
+
+    def __init__(self, ctx, on_unsendable) -> None:
+        super().__init__(ctx=ctx)
+        self._on_unsendable = weakref.WeakMethod(on_unsendable)
+
+    def _on_queue_feeder_error(self, e, obj):
+        on_unsendable = self._on_unsendable()
+        if on_unsendable is not None:
+            on_unsendable(obj, e)
 
 
 def _worker_main(task_queue, result_queue, crash_once_path) -> None:
@@ -229,7 +252,7 @@ class WorkerPool:
         if workers < 1:
             raise ValueError("a pool needs at least 1 worker")
         self._context = _pick_context()
-        self._task_queue = self._context.Queue()
+        self._task_queue = _TaskQueue(self._context, self._fail_unsendable)
         # SimpleQueue writes synchronously (no feeder thread), so a
         # worker that hard-exits right after reporting "started" cannot
         # lose the message in an unflushed buffer — the crash detector
@@ -376,6 +399,16 @@ class WorkerPool:
             _MSG_TASK, pending.task_id, pending.fn_name,
             pending.payload, pending.submitted_wall,
         ))
+
+    def _fail_unsendable(self, message, error: Exception) -> None:
+        """Fail the task whose message the queue could not pickle (stop
+        sentinels always pickle)."""
+        with self._lock:
+            pending = self._pending.pop(message[1], None)
+            if pending is not None:
+                self.stats.task_errors += 1
+        if pending is not None and not pending.future.done():
+            pending.future.set_exception(error)
 
     # -- collector ------------------------------------------------------
     def _wait_for_result(self, timeout: float) -> bool:

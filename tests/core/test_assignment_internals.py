@@ -7,6 +7,7 @@ from repro.core.assignment import AssignmentStats, _Assigner
 from repro.core.variants import HEURISTIC_ITERATIVE
 from repro.ddg import Ddg, Opcode
 from repro.machine import four_cluster_grid
+from repro.obs import tracing
 
 
 def _assigner(ddg, machine, ii):
@@ -75,6 +76,18 @@ class TestEvaluateTransactionality:
         assert not info.feasible
         assert not info.op_fits
         assert assigner.evaluate(nodes[8], 1).feasible
+
+    def test_full_issue_slot_plans_no_copies(self, pair_graph, two_gp):
+        # The op's own slot is checked first: a full cluster is rejected
+        # without replanning (or rolling back) anything.
+        assigner = _assigner(pair_graph, two_gp, ii=1)
+        assigner.commit(0, 0)
+        assigner.pools.reserve([("issue", 1, "gp")] * 4)
+        with tracing() as trace:
+            info = assigner.evaluate(1, 1)
+        assert not info.feasible and not info.op_fits
+        assert info.prediction_ok and info.new_copies == 0
+        assert trace.counter("copies.replans") == 0
 
 
 class TestForcedPlacement:

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.core import RoutingState, plan_copies
+from repro.core.copies import CopyRoutingError
 from repro.ddg import Ddg, Opcode
+from repro.machine import (
+    ClusterSpec,
+    Machine,
+    PointToPointInterconnect,
+    gp_units,
+)
 from repro.mrt import PoolOverflowError, ResourcePools
 
 
@@ -172,3 +179,50 @@ class TestRoutingState:
         state = RoutingState(accumulator, two_gp, pools)
         state.set_cluster(accumulator.node_ids[1], 0)
         assert state.total_copies() == 0
+
+
+class TestReplanMisfits:
+    def _two_pairs(self, machine, ii):
+        graph = Ddg()
+        p1, c1, p2, c2 = (graph.add_node(Opcode.ALU) for _ in range(4))
+        graph.add_edge(p1, c1, distance=0)
+        graph.add_edge(p2, c2, distance=0)
+        pools = ResourcePools(machine, ii=ii)
+        return RoutingState(graph, machine, pools), pools
+
+    def test_replan_returns_false_and_holds_nothing(self, two_gp):
+        # II 1: C0's single read-port slot goes to the first pair's copy.
+        state, pools = self._two_pairs(two_gp, ii=1)
+        state.set_cluster(0, 0)
+        state.set_cluster(1, 1)
+        state.assign_unplanned(2, 0)
+        state.assign_unplanned(3, 1)
+        before = pools.checkpoint()
+        assert state.replan(2) is False
+        assert pools.checkpoint() == before
+        assert state.required_copies(2) == 0
+        assert state.total_copies() == 1
+
+    def test_templates_are_shared_per_machine(self, two_gp):
+        first, _ = self._two_pairs(two_gp, ii=2)
+        first.set_cluster(0, 0)
+        first.set_cluster(1, 1)
+        second, _ = self._two_pairs(two_gp, ii=3)
+        second.set_cluster(2, 0)
+        second.set_cluster(3, 1)
+        assert first._plans[0] is second._plans[2]
+
+    def test_unroutable_value(self):
+        # Links 0-1 and 2-3 only: cluster 2 is unreachable from 0.
+        machine = Machine(
+            clusters=tuple(
+                ClusterSpec(index=i, units=gp_units(2)) for i in range(4)
+            ),
+            interconnect=PointToPointInterconnect([(0, 1), (2, 3)]),
+        )
+        state, pools = self._two_pairs(machine, ii=2)
+        state.set_cluster(0, 0)
+        with pytest.raises(CopyRoutingError):
+            state.set_cluster(1, 2)
+        assert state.replan(0) is False
+        assert pools.checkpoint() == ResourcePools(machine, ii=2).checkpoint()

@@ -1,15 +1,20 @@
 """Machine descriptions: resource keys, capacities, unified equivalents."""
 
+import pickle
+
 import pytest
 
-from repro.ddg.opcodes import FuClass, Opcode
+from repro.core import compile_loop
+from repro.ddg.opcodes import FuClass, Opcode, fu_class_of
 from repro.machine import (
+    STANDARD_PRESETS,
     ClusterSpec,
     Machine,
     NoInterconnect,
     fs_units,
     gp_units,
 )
+from repro.workloads import paper_suite
 
 
 class TestShape:
@@ -159,3 +164,62 @@ class TestUnifiedEquivalent:
 
     def test_unified_of_unified_is_itself(self, uni8):
         assert uni8.unified_equivalent() is uni8
+
+
+class TestResourceTable:
+    def test_indices_follow_capacity_order(self, grid):
+        table = grid.resource_table
+        caps = grid.resource_capacities()
+        assert list(table.keys) == list(caps)
+        assert list(table.per_cycle) == list(caps.values())
+        assert all(table.index[key] == i for i, key in enumerate(table.keys))
+
+    def test_per_cluster_indices(self, grid):
+        table = grid.resource_table
+        assert {table.keys[i] for i in table.issue[0]} == {
+            ("issue", 0, fu) for fu in
+            (FuClass.MEMORY, FuClass.INTEGER, FuClass.FLOAT)
+        }
+        assert {table.keys[i] for i in table.channels[0]} == {
+            ("link", 0, 1), ("link", 0, 2),
+        }
+        assert table.keys[table.read_port[2]] == ("rd", 2)
+        assert table.keys[table.write_port[3]] == ("wr", 3)
+
+    def test_issue_demand_matches_op_resources(self, two_fs):
+        table = two_fs.resource_table
+        for opcode in Opcode:
+            for cluster in two_fs.cluster_indices:
+                demand = table.issue_demand[fu_class_of(opcode)][cluster]
+                if opcode is Opcode.COPY:
+                    assert demand is None
+                    continue
+                assert demand == table.demand(
+                    two_fs.op_resources(opcode, cluster)
+                )
+
+    def test_missing_unit_has_no_issue_demand(self):
+        cluster = ClusterSpec(index=0, units=fs_units(1, 1, 0))
+        machine = Machine(clusters=(cluster,), interconnect=NoInterconnect())
+        table = machine.resource_table
+        assert table.issue_demand[FuClass.FLOAT] == (None,)
+        assert table.read_port == (None,)
+
+    def test_demand_counts_repeated_keys(self, two_gp):
+        table = two_gp.resource_table
+        assert table.demand(["bus", ("rd", 0), "bus"]) == (
+            (table.index["bus"], 2), (table.index[("rd", 0)], 1),
+        )
+
+    def test_derived_tables_stay_out_of_pickles(self):
+        # Task payloads carry pickled machines: compiling must not grow
+        # them with the resource table or the copy-plan templates.
+        machine = STANDARD_PRESETS["2gp"]()
+        before = pickle.dumps(machine)
+        for ddg in paper_suite(20, 1998):
+            compile_loop(ddg, machine)
+        assert any(machine.resource_table.copy_templates[True])
+        assert pickle.dumps(machine) == before
+        clone = pickle.loads(before)
+        assert clone == machine
+        assert clone.resource_table.keys == machine.resource_table.keys

@@ -74,7 +74,8 @@ class TestTransactions:
     def test_checkpoint_is_isolated_from_later_changes(self, pools):
         snap = pools.checkpoint()
         pools.reserve(["bus"])
-        assert snap["bus"] == 0
+        pools.restore(snap)
+        assert pools.used("bus") == 0
 
 
 class TestClusterSummaries:

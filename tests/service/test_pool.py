@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 
 import pytest
 
@@ -80,6 +81,17 @@ class TestFaults:
             assert pool.stats.workers_recycled >= 1
         finally:
             pool.close()
+
+
+class TestUnpicklablePayload:
+    def test_lambda_payload_fails_its_future(self, warm_pool):
+        # The task queue pickles on a feeder thread; a message it cannot
+        # pickle must fail its future instead of vanishing.
+        future = warm_pool.submit("ping", lambda: None)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            future.result(timeout=5)
+        assert warm_pool.submit("ping", 7).result(timeout=30).value[
+            "echo"] == 7
 
 
 class TestLifecycle:
