@@ -5,13 +5,13 @@ slow-reference path (``repro.baselines.reference_pipeline`` — monolithic
 RecMII, networkx SCCs, min()-scan scheduler, dict-rebuilding MRT) and
 through the optimized path (compiled DDG views, memoized per-SCC RecMII,
 heap-driven scheduler, counter-based MRT probes), asserts the outcomes
-are bit-identical, times the optimized path again through the PR-2
-engine serially and with 4 workers, and writes everything to
+are bit-identical, times the optimized path again through the
+experiment runner in-process and with 4 workers, and writes everything to
 ``BENCH_hotpath.json`` at the repository root, in the shared
 :mod:`repro.obs.bench` schema.
 
 The >= 2x throughput assertion compares the seed serial wall time
-against the engine's 4-worker wall time and is enforced only when the
+against the runner's 4-worker wall time and is enforced only when the
 host exposes at least 4 usable cores (PR-2 convention): on a single-core
 container the parallel leg cannot contribute, and the artifact records
 the core count so the recorded speedups are interpretable either way.
@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.analysis import EngineOptions, run_engine_experiment
+from repro.analysis import EngineOptions, run_experiment
 from repro.baselines import reference_compile_loop
 from repro.core.driver import compile_loop
 from repro.machine import two_cluster_gp
@@ -69,16 +69,17 @@ def test_hotpath_speedup_and_bit_identity():
         assert opt.copy_count == ref.copy_count, name
         assert dict(opt.schedule.start) == ref.start, name
 
-    # The PR-2 engine over the optimized path (the experiment legs also
-    # compile each loop's unified baseline, so they are not directly
-    # comparable to the bare compile loops above — both legs are recorded
-    # and compared against each other).
+    # The experiment runner over the optimized path, in-process and with
+    # workers (the experiment legs also compile each loop's unified
+    # baseline, so they are not directly comparable to the bare compile
+    # loops above — both legs are recorded and compared against each
+    # other).
     started = time.perf_counter()
-    engine_serial = run_engine_experiment(loops, machine)
+    engine_serial = run_experiment(loops, machine)
     engine_serial_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    engine_parallel = run_engine_experiment(
+    engine_parallel = run_experiment(
         loops, machine, options=EngineOptions(workers=WORKERS)
     )
     engine_parallel_s = time.perf_counter() - started

@@ -1,11 +1,11 @@
-"""Parallel experiment-engine benchmark.
+"""Parallel experiment-runner benchmark.
 
-Runs the bench suite (>= 100 loops) serially through the reference
-runner and through the 4-worker engine, asserts the two outcome lists
-are bit-identical, verifies fault tolerance on an injected
-unschedulable loop, and writes serial-vs-parallel wall times plus the
-speedup to ``BENCH_parallel_engine.json`` at the repository root, in
-the shared :mod:`repro.obs.bench` schema.
+Runs the bench suite (>= 100 loops) through the experiment runner
+in-process and with 4 workers, asserts both outcome lists equal the
+frozen reference (:mod:`repro.baselines`), verifies fault tolerance on
+an injected unschedulable loop, and writes in-process-vs-parallel wall
+times plus the speedup to ``BENCH_parallel_engine.json`` at the
+repository root, in the shared :mod:`repro.obs.bench` schema.
 
 The >= 2x speedup assertion is enforced only when the host exposes at
 least 4 usable cores: a process pool cannot beat the serial path on a
@@ -22,11 +22,8 @@ import time
 from pathlib import Path
 
 from repro import obs
-from repro.analysis import (
-    EngineOptions,
-    run_engine_experiment,
-    run_experiment,
-)
+from repro.analysis import EngineOptions, LoopOutcome, run_experiment
+from repro.baselines import reference_compile_loop
 from repro.ddg import Opcode, build_ddg
 from repro.machine import two_cluster_gp
 from repro.workloads import paper_suite
@@ -46,6 +43,22 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _reference_outcomes(loops, machine):
+    """The outcomes the runner must reproduce, from the frozen
+    reference pipeline on the unified and the clustered machine."""
+    unified = machine.unified_equivalent()
+    outcomes = []
+    for ddg in loops:
+        clustered = reference_compile_loop(ddg, machine)
+        outcomes.append(LoopOutcome(
+            loop_name=ddg.name,
+            unified_ii=reference_compile_loop(ddg, unified).ii,
+            clustered_ii=clustered.ii,
+            copies=clustered.copy_count,
+        ))
+    return outcomes
+
+
 def test_parallel_engine_speedup_and_equality():
     n_loops = max(100, bench_suite_size())
     loops = paper_suite(n_loops)
@@ -57,13 +70,17 @@ def test_parallel_engine_speedup_and_equality():
     serial_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    parallel = run_engine_experiment(
+    parallel = run_experiment(
         loops, machine, options=EngineOptions(workers=WORKERS)
     )
     parallel_s = time.perf_counter() - started
 
-    assert parallel.outcomes == serial.outcomes, (
-        "engine outcomes diverged from the serial reference"
+    reference = _reference_outcomes(loops, machine)
+    assert serial.outcomes == reference, (
+        "in-process outcomes diverged from the frozen reference"
+    )
+    assert parallel.outcomes == reference, (
+        "parallel outcomes diverged from the frozen reference"
     )
     speedup = serial_s / parallel_s if parallel_s > 0 else 0.0
 
@@ -75,7 +92,7 @@ def test_parallel_engine_speedup_and_equality():
         name="injected_unschedulable",
     )
     injected = list(loops[:50]) + [bad] + list(loops[50:100])
-    tolerant = run_engine_experiment(
+    tolerant = run_experiment(
         injected, machine, options=EngineOptions(workers=WORKERS)
     )
     assert tolerant.n_loops == len(injected)

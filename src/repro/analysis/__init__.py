@@ -1,16 +1,11 @@
 """Experiment harness: deviation histograms, runners, text reports."""
 
 from .campaign import Campaign, campaign_to_markdown, run_campaign
-from .engine import (
-    EngineOptions,
-    ResultCache,
-    outcome_cache_key,
-    run_engine_experiment,
-)
 from .experiment import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_TIMEOUT,
+    EngineOptions,
     ExperimentError,
     ExperimentResult,
     LoopOutcome,
@@ -43,7 +38,6 @@ __all__ = [
     "ExperimentError",
     "ExperimentResult",
     "LoopOutcome",
-    "ResultCache",
     "STATUS_FAILED",
     "STATUS_OK",
     "STATUS_TIMEOUT",
@@ -61,12 +55,10 @@ __all__ = [
     "histogram_of",
     "match_bar_chart",
     "mve_unroll_factor",
-    "outcome_cache_key",
     "outcomes_to_csv",
     "register_pressure",
     "results_to_csv",
     "run_campaign",
-    "run_engine_experiment",
     "run_experiment",
     "run_sweep",
     "run_variant_comparison",

@@ -27,8 +27,12 @@ from ..machine.presets import (
 )
 from ..workloads.stats import SuiteStatistics, suite_statistics
 from ..workloads.suite import paper_suite
-from .engine import EngineOptions, run_engine_experiment
-from .experiment import ExperimentResult, UnifiedBaseline, run_experiment
+from .experiment import (
+    EngineOptions,
+    ExperimentResult,
+    UnifiedBaseline,
+    run_experiment,
+)
 from .reporting import cumulative_table, deviation_table, table3_rows
 
 
@@ -69,14 +73,16 @@ def run_campaign(
     include_table3: bool = True,
     progress=None,
     engine_options: Optional[EngineOptions] = None,
+    strict: bool = False,
 ) -> Campaign:
     """Run every paper experiment over one suite.
 
     ``progress`` may be a callable receiving one status string per
-    experiment (e.g. ``print``).  Passing ``engine_options`` routes
-    every experiment through the parallel fault-tolerant engine
-    (workers / per-loop budget / result cache); the unified-baseline
-    cache is still shared across the whole campaign either way.
+    experiment (e.g. ``print``).  ``engine_options`` (workers, per-loop
+    budget, result cache) and ``strict`` apply to every experiment; the
+    unified-baseline cache is shared across the whole campaign.  Under
+    ``strict`` the first experiment with a failed loop raises
+    :class:`~repro.analysis.experiment.ExperimentError`.
     """
     suite = list(loops) if loops is not None else paper_suite(n_loops)
     baseline = UnifiedBaseline()
@@ -86,14 +92,9 @@ def run_campaign(
             progress(message)
 
     def measure(machine, config, label):
-        if engine_options is not None:
-            return run_engine_experiment(
-                suite, machine, config,
-                label=label, baseline=baseline,
-                options=engine_options,
-            )
         return run_experiment(
             suite, machine, config, label=label, baseline=baseline,
+            strict=strict, options=engine_options,
         )
 
     def experiments(machines, labels, configs=None):

@@ -39,7 +39,6 @@ report is byte-identical to a serial run.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Callable, Dict, Optional
@@ -50,7 +49,6 @@ from .analysis import (
     ExperimentError,
     deviation_table,
     experiment_summary,
-    run_engine_experiment,
     run_experiment,
 )
 from .analysis.registers import format_pressure, register_pressure
@@ -348,18 +346,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _engine_options(args: argparse.Namespace) -> Optional[EngineOptions]:
-    """Engine options when any engine flag was used, else None.
-
-    Without engine flags the serial reference runner handles the
-    experiment (lenient or strict per ``--strict``).
-    """
-    if not (args.workers or args.cache_dir or args.resume
-            or args.timeout):
-        return None
+def _engine_options(args: argparse.Namespace) -> EngineOptions:
+    """How the experiment runner runs, from the engine flags."""
     return EngineOptions(
         workers=args.workers,
-        strict=args.strict,
         timeout_seconds=args.timeout,
         cache_dir=args.cache_dir,
         resume=args.resume,
@@ -377,13 +367,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         _certify_config_from_args(args)
         if args.certify is not None else None
     )
-    options = _engine_options(args)
-    if options is not None and lint_config is not None:
-        options = dataclasses.replace(options, lint_config=lint_config)
-    if options is not None and certify_config is not None:
-        options = dataclasses.replace(
-            options, certify_config=certify_config
-        )
     trace = _trace_requested(args)
     if args.json and trace is None:
         # --json reports obs counters, so it always traces.
@@ -391,16 +374,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if trace is not None:
         obs.install(trace)
     try:
-        if options is not None:
-            result = run_engine_experiment(
-                loops, machine, config=config, options=options
-            )
-        else:
-            result = run_experiment(
-                loops, machine, config=config, strict=args.strict,
-                lint_config=lint_config,
-                certify_config=certify_config,
-            )
+        result = run_experiment(
+            loops, machine, config=config, strict=args.strict,
+            lint_config=lint_config, certify_config=certify_config,
+            options=_engine_options(args),
+        )
     except ExperimentError as exc:
         print(f"experiment aborted: {exc}", file=sys.stderr)
         print(
@@ -499,12 +477,17 @@ def _experiment_json(result, trace: Optional[obs.Trace]) -> Dict:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from .analysis import campaign_to_markdown, run_campaign
 
-    campaign = run_campaign(
-        n_loops=args.loops,
-        include_table3=not args.skip_table3,
-        progress=(print if args.verbose else None),
-        engine_options=_engine_options(args),
-    )
+    try:
+        campaign = run_campaign(
+            n_loops=args.loops,
+            include_table3=not args.skip_table3,
+            progress=(print if args.verbose else None),
+            engine_options=_engine_options(args),
+            strict=args.strict,
+        )
+    except ExperimentError as exc:
+        print(f"campaign aborted: {exc}", file=sys.stderr)
+        return 1
     report = campaign_to_markdown(campaign)
     if args.output:
         with open(args.output, "w") as handle:
@@ -765,7 +748,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=0, metavar="N",
         help="fan loops out over N worker processes "
-             "(0 = serial reference path)",
+             "(0 = in-process)",
     )
     parser.add_argument(
         "--strict", action="store_true",

@@ -2,7 +2,7 @@
 
 A parallel experiment run grafts one ``worker`` host span per completed
 chunk into the parent trace (see
-:func:`repro.analysis.engine.run_engine_experiment`).  Each host span
+:func:`repro.analysis.experiment.run_experiment`).  Each host span
 carries the worker's **lane** — a stable small integer per worker
 process — plus its ``pid``, the chunk's ``queue_wait_s`` (submit →
 execution start) and ``execute_s`` (the worker-side wall time).  Since
@@ -25,7 +25,7 @@ from typing import Dict, List
 from .trace import SpanNode, Trace
 
 #: Host spans are recognized by carrying this attribute (set by the
-#: engine's graft call).
+#: experiment runner's graft call).
 LANE_ATTR = "lane"
 
 

@@ -6,12 +6,13 @@ to serial on the corpus' millisecond-scale compile tasks):
 
 * :mod:`repro.service.pool` — the persistent work-stealing
   :class:`WorkerPool` (fork-server start, warm presets, crash recovery,
-  deadline recycle) shared by the experiment engine, ``repro lint`` /
+  deadline recycle) shared by the experiment runner, ``repro lint`` /
   ``repro certify`` ``--workers``, and the front door;
 * :mod:`repro.service.tasks` — the worker-side task registry and
   prewarm;
 * :mod:`repro.service.cache` — the sharded content-addressed result
-  cache keyed by compile fingerprints + the engine's ``CACHE_VERSION``;
+  cache keyed by compile fingerprints, versioned by its
+  ``CACHE_VERSION``;
 * :mod:`repro.service.frontdoor` — :class:`CompileService`, the
   ``asyncio`` admission layer with backpressure, per-tenant quotas,
   and micro-batched dispatch.

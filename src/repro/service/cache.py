@@ -1,15 +1,18 @@
-"""Sharded content-addressed result cache for the compile service.
+"""Sharded content-addressed result cache: the one on-disk result store.
 
-Entries are small JSON documents keyed by the hex compile-request
-fingerprint (:func:`repro.workloads.fingerprint.compile_fingerprint`).
-Keys spread over 256 shard directories (the first two hex characters),
-so a million-entry cache never puts a million files in one directory
-and shard subsets can be rsynced / expired independently.
+The compile service caches its replies here and the experiment runner
+its per-loop outcomes.  Entries are small JSON documents keyed by the
+hex compile-request fingerprint
+(:func:`repro.workloads.fingerprint.compile_fingerprint`; the runner's
+keys add an ``extra`` record-kind tag, so the two never collide in a
+shared directory).  Keys spread over 256 shard directories (the first
+two hex characters), so a million-entry cache never puts a million
+files in one directory and shard subsets can be rsynced / expired
+independently.
 
 Writes are atomic (temp file + rename), replays are validated against
-the writer's ``version`` (the engine's ``CACHE_VERSION`` — one bump
-invalidates both the engine's flat cache and this one), and a corrupt
-or torn entry reads as a miss, never an error.
+the writer's ``version`` (:data:`CACHE_VERSION`), and a corrupt or torn
+entry reads as a miss, never an error.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ import json
 import os
 import threading
 from typing import Dict, Optional
+
+#: Bumped whenever a cached document's schema changes; entries written
+#: under another version read as misses.
+CACHE_VERSION = 3
 
 
 class ShardedResultCache:

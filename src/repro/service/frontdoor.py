@@ -24,7 +24,7 @@ Replies are bit-identical to a direct serial
 :func:`repro.core.driver.compile_loop` call — the worker runs exactly
 that function — and a crashed worker or blown deadline degrades to a
 ``failed`` / ``timeout`` reply instead of an exception, mirroring the
-experiment engine's fault taxonomy.
+experiment runner's fault taxonomy.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from .. import obs
 from ..ddg.graph import Ddg
 from ..workloads.fingerprint import compile_fingerprint
-from .cache import ShardedResultCache
+from .cache import CACHE_VERSION, ShardedResultCache
 from .pool import (
     DeadlineExceeded,
     WorkerCrashError,
@@ -167,8 +167,6 @@ class CompileService:
         self._pool = pool or shared_pool(self.config.workers)
         self._cache: Optional[ShardedResultCache] = None
         if self.config.cache_dir:
-            from ..analysis.engine import CACHE_VERSION
-
             self._cache = ShardedResultCache(
                 self.config.cache_dir, version=CACHE_VERSION
             )

@@ -1,8 +1,8 @@
 """Persistent fork-server worker pool with work-stealing dispatch.
 
 The one process-fan-out implementation in the repository: the
-experiment engine (:mod:`repro.analysis.engine`), the ``repro lint`` /
-``repro certify`` ``--workers`` paths, and the compile service's async
+experiment runner (:mod:`repro.analysis.experiment`), the ``repro lint``
+/ ``repro certify`` ``--workers`` paths, and the compile service's async
 front door all dispatch through a :class:`WorkerPool`.
 
 Why not ``ProcessPoolExecutor``?  The corpus' per-loop compiles are a
@@ -25,10 +25,11 @@ cost model:
   submission order;
 * **fault tolerance** — a worker that dies mid-task is detected by the
   collector thread, its in-flight task is retried on a live worker (up
-  to ``max_task_retries``), and a replacement worker is spawned; a task
-  that exceeds its ``deadline`` gets its worker killed and recycled
-  (the portable budget fallback for code SIGALRM cannot reach) and its
-  future fails with :class:`DeadlineExceeded`;
+  to :data:`MAX_TASK_RETRIES` times), and a replacement worker is
+  spawned; a task that exceeds its ``deadline`` gets its worker killed
+  and recycled and its future fails with :class:`DeadlineExceeded` —
+  the repository's one timeout mechanism, which also stops code stuck
+  in C (the experiment runner's per-loop budget is this deadline);
 * **graceful drain** — ``close()`` finishes outstanding work, stops
   workers with sentinels, and joins them.
 
@@ -54,8 +55,13 @@ from typing import Dict, List, Optional
 
 from . import tasks as task_registry
 
-#: How often the collector polls worker liveness while idle (seconds).
+#: How often the collector checks deadlines and worker liveness
+#: (seconds), whether or not results are arriving.
 _POLL_INTERVAL = 0.05
+
+#: Times a task lost to a worker crash is retried before its future
+#: fails with :class:`WorkerCrashError`.
+MAX_TASK_RETRIES = 2
 
 _MSG_TASK = "task"
 _MSG_STOP = "stop"
@@ -234,19 +240,16 @@ class WorkerPool:
     :class:`concurrent.futures.Future` resolving to a
     :class:`TaskResult`.  All submission is thread-safe.
 
-    ``max_task_retries`` bounds how many times a task lost to a worker
-    crash is retried before its future fails with
-    :class:`WorkerCrashError`.  ``task_deadline`` (seconds) is a default
-    per-task watchdog budget — 0 disables it; :meth:`submit` can
-    override per task.  ``crash_once`` is the fault-injection hook
-    documented on :func:`_worker_main`.
+    A task lost to a worker crash is retried up to
+    :data:`MAX_TASK_RETRIES` times; ``submit(deadline=S)`` kills and
+    recycles the worker of a task still running after ``S`` seconds.
+    ``crash_once`` is the fault-injection hook documented on
+    :func:`_worker_main`.
     """
 
     def __init__(
         self,
         workers: int = 1,
-        max_task_retries: int = 2,
-        task_deadline: float = 0.0,
         crash_once: Optional[str] = None,
     ) -> None:
         if workers < 1:
@@ -258,8 +261,6 @@ class WorkerPool:
         # lose the message in an unflushed buffer — the crash detector
         # depends on that ordering to know which task to retry.
         self._result_queue = self._context.SimpleQueue()
-        self._max_task_retries = max_task_retries
-        self._task_deadline = task_deadline
         self._crash_once = crash_once
         self._lock = threading.Lock()
         self._pending: Dict[int, _Pending] = {}
@@ -361,7 +362,11 @@ class WorkerPool:
         self, fn_name: str, payload,
         deadline: Optional[float] = None,
     ) -> Future:
-        """Enqueue one task; the Future resolves to a TaskResult."""
+        """Enqueue one task; the Future resolves to a TaskResult.
+
+        ``deadline`` (seconds, None or 0 for none) bounds the task's run
+        time once a worker has started it.
+        """
         if self._closed:
             raise PoolClosedError("pool is closed")
         if fn_name not in task_registry.TASKS:
@@ -371,9 +376,8 @@ class WorkerPool:
             task_id = self._next_task_id
             self._next_task_id += 1
             pending = _Pending(
-                task_id, fn_name, payload, future,
-                self._task_deadline if deadline is None else deadline,
-                self._max_task_retries,
+                task_id, fn_name, payload, future, deadline,
+                MAX_TASK_RETRIES,
             )
             self._pending[task_id] = pending
             self.stats.submitted += 1
@@ -424,20 +428,27 @@ class WorkerPool:
         return False  # pragma: no cover
 
     def _collect_loop(self) -> None:
+        # Deadlines and worker liveness are checked on a fixed cadence,
+        # not only when the result queue goes quiet: under a steady
+        # stream of results an overdue task must still be killed and a
+        # dead worker's task still retried.
+        next_check = time.monotonic() + _POLL_INTERVAL
         while True:
             try:
-                if not self._wait_for_result(_POLL_INTERVAL):
-                    if self._closed and not self._pending:
-                        return
-                    self._check_deadlines()
-                    self._check_workers()
-                    continue
-                message = self._result_queue.get()
+                ready = self._wait_for_result(
+                    max(0.0, next_check - time.monotonic())
+                )
+                message = self._result_queue.get() if ready else None
             except (EOFError, OSError):  # pragma: no cover - teardown
                 return
-            self._handle(message)
+            if message is not None:
+                self._handle(message)
             if self._closed and not self._pending:
                 return
+            if time.monotonic() >= next_check:
+                self._check_deadlines()
+                self._check_workers()
+                next_check = time.monotonic() + _POLL_INTERVAL
 
     def _handle(self, message) -> None:
         kind = message[0]
@@ -501,10 +512,8 @@ class WorkerPool:
     def _check_deadlines(self) -> None:
         """Kill + recycle workers whose current task blew its deadline.
 
-        This is the portable enforcement path for budgets SIGALRM
-        cannot reach (the in-worker :class:`_TimeBudget` handles the
-        common case on the worker's main thread; this backstop catches
-        code stuck in C or a wedged worker).
+        Killing the process stops any task, including one stuck in C
+        code or a wedged worker.
         """
         now = time.time()
         with self._lock:

@@ -17,7 +17,8 @@ Registered tasks:
 ``sleep``
     Block the worker for N seconds — the deadline/drain test probe.
 ``engine_chunk``
-    One experiment-engine chunk (:func:`repro.analysis.engine._run_chunk`).
+    One chunk of experiment loops
+    (:func:`repro.analysis.experiment._run_chunk`).
 ``lint_loop``
     Deep-lint one loop (the ``repro lint --workers`` unit).
 ``certify_loop``
@@ -116,9 +117,9 @@ def sleep(payload) -> float:
 
 
 def engine_chunk(payload):
-    """One experiment-engine chunk (imported lazily: the engine imports
-    the pool, so a module-level import here would be a cycle)."""
-    from ..analysis.engine import _run_chunk
+    """One chunk of experiment loops (imported lazily: the runner
+    imports the pool, so a module-level import here would be a cycle)."""
+    from ..analysis.experiment import _run_chunk
 
     return _run_chunk(payload)
 

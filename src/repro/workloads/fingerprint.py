@@ -1,10 +1,10 @@
 """Stable content hashing for compile requests and their parts.
 
-The experiment engine's on-disk result cache, the unified-baseline
-duplicate guard, and the compile service's sharded result cache all
-need *content* identities: two requests hash equal iff they would
-compile identically.  Three ingredient fingerprints cover everything
-the compiler reads —
+The sharded result cache (shared by the experiment runner and the
+compile service) and the unified-baseline duplicate guard need
+*content* identities: two requests hash equal iff they would compile
+identically.  Three ingredient fingerprints cover everything the
+compiler reads —
 
 * :func:`ddg_fingerprint` — node ids, opcodes, (possibly overridden)
   latencies, and the full edge list with distances; the loop's display
@@ -16,9 +16,11 @@ the compiler reads —
   :class:`~repro.core.variants.AssignmentConfig`;
 
 and :func:`compile_fingerprint` combines them into the identity of one
-(loop, machine, config, verify) compile request — the key shape shared
-by :mod:`repro.analysis.engine`'s outcome cache and
-:mod:`repro.service.cache`'s sharded store.
+(loop, machine, config, verify) compile request — the key of every
+:mod:`repro.service.cache` entry.  Its ``extra`` field carries anything
+else a cached record depends on: the experiment runner passes the
+:func:`lint_fingerprint` and :func:`certify_fingerprint` of its gates
+plus a record-kind tag.
 
 Fingerprints are hex SHA-256 digests of canonical JSON documents, so
 they are stable across processes, Python versions, and hash seeds —
@@ -30,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from typing import Optional
 
 from ..ddg.graph import Ddg
 
@@ -74,6 +77,31 @@ def machine_fingerprint(machine) -> str:
 def config_fingerprint(config) -> str:
     """Hex digest of an assignment configuration's knobs."""
     return _digest(dataclasses.asdict(config))
+
+
+def lint_fingerprint(lint_config) -> Optional[str]:
+    """Hex digest of a lint gate's configuration (None when no gate)."""
+    if lint_config is None:
+        return None
+    return _digest({
+        "disable": sorted(lint_config.disable),
+        "enable": sorted(lint_config.enable),
+        "severity": dict(sorted(lint_config.severity.items())),
+        "strict": lint_config.strict,
+        "sample": lint_config.differential_sample,
+    })
+
+
+def certify_fingerprint(certify_config) -> Optional[str]:
+    """Hex digest of a certify gate's configuration (None when off)."""
+    if certify_config is None:
+        return None
+    return _digest({
+        "strict": certify_config.strict,
+        "exact": certify_config.exact,
+        "node_budget": certify_config.exact_node_budget,
+        "backtrack_budget": certify_config.exact_backtrack_budget,
+    })
 
 
 def compile_fingerprint(

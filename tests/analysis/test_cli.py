@@ -157,6 +157,29 @@ class TestExperimentEngineFlags:
         ) == 0
         assert "Figure" in capsys.readouterr().out
 
+    def test_campaign_strict_aborts_on_failed_loop(self, capsys,
+                                                   monkeypatch):
+        import repro.analysis.experiment as experiment_module
+        from repro.core import CompilationError
+        from repro.workloads import paper_suite
+
+        real = experiment_module.compile_loop
+        doomed = paper_suite(3)[1].name
+
+        def flaky(ddg, machine, *args, **kwargs):
+            if ddg.name == doomed and not machine.is_unified:
+                raise CompilationError("injected")
+            return real(ddg, machine, *args, **kwargs)
+
+        monkeypatch.setattr(experiment_module, "compile_loop", flaky)
+        assert main(
+            ["campaign", "--loops", "3", "--skip-table3", "--strict"]
+        ) == 1
+        captured = capsys.readouterr()
+        assert "campaign aborted" in captured.err
+        assert doomed in captured.err
+        assert "Figure" not in captured.out
+
 
 class TestTraceOutputs:
     def test_compile_trace_prints_span_tree(self, loop_file, capsys):

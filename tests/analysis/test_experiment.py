@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import (
+    EngineOptions,
     ExperimentError,
     UnifiedBaseline,
     run_experiment,
@@ -123,6 +124,33 @@ class TestFailurePaths:
         assert trace.counter("experiment.failures") == 1
         assert trace.counter("experiment.loops") == 4
 
+    def test_strict_finishes_the_run_before_raising(
+            self, small_suite, failing_compile):
+        from repro import obs
+
+        with obs.tracing() as trace:
+            with pytest.raises(ExperimentError):
+                run_experiment(small_suite[:5], two_cluster_gp(),
+                               strict=True)
+        # The loops after the failed one were measured too.
+        assert trace.counter("experiment.loops") == 4
+
+    def test_strict_malformed_loop_raises_experiment_error(
+            self, small_suite):
+        from repro.ddg import Opcode, build_ddg
+
+        bad = build_ddg(
+            ops=[("a", Opcode.ALU), ("b", Opcode.ALU)],
+            deps=[("a", "b", 0), ("b", "a", 0)],
+            name="zero_distance_cycle",
+        )
+        with pytest.raises(ExperimentError) as exc_info:
+            run_experiment(list(small_suite[:2]) + [bad],
+                           two_cluster_gp(), strict=True)
+        assert exc_info.value.loop_name == "zero_distance_cycle"
+        assert "invalid loop" in str(exc_info.value)
+        assert exc_info.value.partial_result.n_loops == 2
+
 
 class TestBaselineCache:
     def test_cache_shared_across_experiments(self, small_suite):
@@ -140,7 +168,8 @@ class TestBaselineCache:
         machine = two_cluster_gp()
         unified = machine.unified_equivalent()
         ddg = small_suite[0]
-        cached = baseline.ii_for(ddg, unified)
+        run_experiment([ddg], machine, baseline=baseline)
+        cached = baseline.lookup(unified.name, ddg.name)
         assert cached == compile_loop(ddg, unified).ii
 
     def test_duplicate_name_different_content_rejected(self, small_suite):
@@ -148,18 +177,22 @@ class TestBaselineCache:
         unified = two_cluster_gp().unified_equivalent()
         first = small_suite[0]
         impostor = small_suite[1].copy(name=first.name)
-        baseline.ii_for(first, unified)
-        with pytest.raises(ValueError, match="duplicate loop name"):
-            baseline.ii_for(impostor, unified)
+        baseline.seed(unified.name, first, 3)
         with pytest.raises(ValueError, match="duplicate loop name"):
             baseline.seed(unified.name, impostor, 3)
+        with pytest.raises(ValueError, match="duplicate loop name"):
+            run_experiment([first, impostor], two_cluster_gp())
 
     def test_same_loop_twice_is_fine(self, small_suite):
         baseline = UnifiedBaseline()
-        unified = two_cluster_gp().unified_equivalent()
-        first = baseline.ii_for(small_suite[0], unified)
-        again = baseline.ii_for(small_suite[0].copy(), unified)
+        machine = two_cluster_gp()
+        unified = machine.unified_equivalent()
+        loop = small_suite[0]
+        result = run_experiment([loop, loop.copy()], machine,
+                                baseline=baseline)
+        first, again = result.outcomes
         assert first == again
+        assert baseline.lookup(unified.name, loop.name) == first.unified_ii
         assert len(baseline) == 1
 
     def test_baseline_time_tracked_separately(self, small_suite):
@@ -167,9 +200,6 @@ class TestBaselineCache:
         machine = two_cluster_gp()
         first = run_experiment(small_suite, machine, baseline=baseline)
         assert first.baseline_seconds > 0
-        assert baseline.elapsed_seconds == pytest.approx(
-            first.baseline_seconds
-        )
         # A second experiment reusing the cache pays no baseline time,
         # so its elapsed_seconds is no longer skewed by cache misses
         # charged to whichever experiment ran first.
@@ -204,3 +234,28 @@ class TestSweepAndComparison:
         )
         assert (results[1].match_percentage
                 >= results[0].match_percentage - 1e-9)
+
+
+class TestReferenceEquality:
+    """Every way of running the runner reproduces the frozen reference
+    (:mod:`repro.baselines`) exactly."""
+
+    @pytest.mark.parametrize("cache", ["none", "cold", "warm-resume"])
+    @pytest.mark.parametrize("budget", [0.0, 30.0])
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_outcomes_equal_reference(
+        self, small_suite, reference_outcomes, tmp_path,
+        workers, budget, cache,
+    ):
+        machine = two_cluster_gp()
+        options = EngineOptions(
+            workers=workers, timeout_seconds=budget,
+            cache_dir=None if cache == "none" else str(tmp_path),
+            resume=cache == "warm-resume",
+        )
+        if cache == "warm-resume":
+            run_experiment(small_suite, machine, options=options)
+        result = run_experiment(small_suite, machine, options=options)
+        assert result.outcomes == reference_outcomes(small_suite, machine)
+        expected_hits = len(small_suite) if cache == "warm-resume" else 0
+        assert result.cache_hits == expected_hits

@@ -1,18 +1,11 @@
-"""The certify gate: driver attach, strict rejection, experiment and
-engine threading, cache round-trips."""
+"""The certify gate: driver attach, strict rejection, experiment
+threading across worker counts, cache round-trips."""
 
 import dataclasses
 
 import pytest
 
-from repro.analysis import run_experiment
-from repro.analysis.engine import (
-    EngineOptions,
-    ResultCache,
-    certify_fingerprint,
-    outcome_cache_key,
-    run_engine_experiment,
-)
+from repro.analysis import EngineOptions, LoopOutcome, run_experiment
 from repro.certify import (
     CertifyConfig,
     DEFAULT_CERTIFY,
@@ -21,7 +14,9 @@ from repro.certify import (
 )
 from repro.certify.check import CertIssue
 from repro.core import CompilationError, compile_loop
+from repro.service.cache import CACHE_VERSION, ShardedResultCache
 from repro.workloads import bundled_corpus
+from repro.workloads.fingerprint import certify_fingerprint
 
 
 def small_corpus(n=6):
@@ -119,20 +114,25 @@ class TestExperimentThreading:
             assert outcome.cert_codes == ()
             assert outcome.exact_status == ""
 
-    def test_engine_matches_serial(self, two_gp):
+    def test_engine_matches_serial(self, two_gp, reference_outcomes):
+        # The gate's fields do not depend on where the loop ran, and
+        # the gate does not change the measurement itself.
         config = CertifyConfig(exact=True)
-        serial = run_experiment(
+        inline = run_experiment(
             small_corpus(), two_gp, certify_config=config
         )
-        engine = run_engine_experiment(
-            small_corpus(), two_gp,
-            options=EngineOptions(workers=2, certify_config=config),
+        pooled = run_experiment(
+            small_corpus(), two_gp, certify_config=config,
+            options=EngineOptions(workers=2),
         )
-        for a, b in zip(serial.outcomes, engine.outcomes):
-            assert a.loop_name == b.loop_name
-            assert a.cert_errors == b.cert_errors
-            assert a.cert_codes == b.cert_codes
-            assert a.exact_status == b.exact_status
+        assert pooled.outcomes == inline.outcomes
+        assert [
+            (o.loop_name, o.unified_ii, o.clustered_ii, o.copies)
+            for o in inline.outcomes
+        ] == [
+            (o.loop_name, o.unified_ii, o.clustered_ii, o.copies)
+            for o in reference_outcomes(small_corpus(), two_gp)
+        ]
 
 
 class TestCacheKeys:
@@ -153,44 +153,44 @@ class TestCacheKeys:
         assert len(prints) == 5
 
     def test_cache_key_depends_on_certify_config(
-        self, intro_example, two_gp
+        self, intro_example, two_gp, tmp_path
     ):
-        from repro.core import HEURISTIC_ITERATIVE
-
-        plain = outcome_cache_key(
-            intro_example, two_gp, HEURISTIC_ITERATIVE
+        options = EngineOptions(cache_dir=str(tmp_path), resume=True)
+        run_experiment([intro_example], two_gp, options=options)
+        gated = run_experiment(
+            [intro_example], two_gp, certify_config=DEFAULT_CERTIFY,
+            options=options,
         )
-        gated = outcome_cache_key(
-            intro_example, two_gp, HEURISTIC_ITERATIVE,
-            certify_config=DEFAULT_CERTIFY,
-        )
-        assert plain != gated
+        assert gated.cache_hits == 0
+        assert len(ShardedResultCache(str(tmp_path), CACHE_VERSION)) == 2
 
     def test_cache_round_trips_cert_fields(self, two_gp, tmp_path):
-        options = EngineOptions(
-            cache_dir=str(tmp_path), resume=True,
-            certify_config=CertifyConfig(exact=True),
+        config = CertifyConfig(exact=True)
+        options = EngineOptions(cache_dir=str(tmp_path), resume=True)
+        first = run_experiment(
+            small_corpus(4), two_gp, certify_config=config,
+            options=options,
         )
-        first = run_engine_experiment(
-            small_corpus(4), two_gp, options=options
+        second = run_experiment(
+            small_corpus(4), two_gp, certify_config=config,
+            options=options,
         )
-        second = run_engine_experiment(
-            small_corpus(4), two_gp, options=options
-        )
+        assert second.cache_hits == 4
         for a, b in zip(first.outcomes, second.outcomes):
             assert a.cert_errors == b.cert_errors
             assert a.cert_codes == b.cert_codes
             assert a.exact_status == b.exact_status
 
     def test_result_cache_store_load(self, two_gp, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ShardedResultCache(str(tmp_path), CACHE_VERSION)
         result = run_experiment(
             small_corpus(1), two_gp,
             certify_config=CertifyConfig(exact=True),
         )
         outcome = result.outcomes[0]
-        cache.store("k", outcome)
-        loaded = cache.load("k")
+        cache.put("key", dataclasses.asdict(outcome))
+        loaded = LoopOutcome.from_doc(cache.get("key"))
+        assert loaded == outcome
         assert loaded.cert_errors == outcome.cert_errors
         assert loaded.cert_codes == outcome.cert_codes
         assert loaded.exact_status == outcome.exact_status

@@ -107,3 +107,29 @@ def uni8():
 def any_clustered_machine(request):
     """Every clustered machine configuration of the paper."""
     return request.getfixturevalue(request.param)
+
+
+@pytest.fixture(scope="session")
+def reference_outcomes():
+    """``build(loops, machine, config)``: the outcome list the experiment
+    runner must reproduce, built from the frozen reference pipeline
+    (:func:`repro.baselines.reference_compile_loop`) on the unified and
+    the clustered machine."""
+    from repro.analysis import LoopOutcome
+    from repro.baselines import reference_compile_loop
+    from repro.core import HEURISTIC_ITERATIVE
+
+    def build(loops, machine, config=HEURISTIC_ITERATIVE):
+        unified = machine.unified_equivalent()
+        outcomes = []
+        for ddg in loops:
+            clustered = reference_compile_loop(ddg, machine, config)
+            outcomes.append(LoopOutcome(
+                loop_name=ddg.name,
+                unified_ii=reference_compile_loop(ddg, unified).ii,
+                clustered_ii=clustered.ii,
+                copies=clustered.copy_count,
+            ))
+        return outcomes
+
+    return build

@@ -1,16 +1,13 @@
-"""The ``--lint`` pipeline gates: driver, experiment, parallel engine."""
+"""The ``--lint`` pipeline gates: driver, experiment, result cache."""
+
+import dataclasses
 
 import pytest
 
-from repro.analysis import (
-    EngineOptions,
-    ResultCache,
-    outcome_cache_key,
-    run_engine_experiment,
-    run_experiment,
-)
-from repro.analysis.engine import lint_fingerprint
+from repro.analysis import EngineOptions, run_experiment
 from repro.analysis.experiment import LoopOutcome
+from repro.service.cache import CACHE_VERSION, ShardedResultCache
+from repro.workloads.fingerprint import lint_fingerprint
 from repro.core import CompilationError, compile_loop
 from repro.ddg import Ddg, Opcode
 from repro.lint import DEFAULT_CONFIG, LintConfig
@@ -100,11 +97,9 @@ class TestEngineGate:
     def test_inline_engine_honours_lint_config(
         self, dead_value_loop, two_gp
     ):
-        options = EngineOptions(
-            lint_config=LintConfig(severity={"REG503": "error"})
-        )
-        result = run_engine_experiment(
-            [dead_value_loop], two_gp, options=options
+        result = run_experiment(
+            [dead_value_loop], two_gp,
+            lint_config=LintConfig(severity={"REG503": "error"}),
         )
         (outcome,) = result.outcomes
         assert outcome.lint_errors >= 1
@@ -118,43 +113,42 @@ class TestEngineGate:
         assert a != b
         assert lint_fingerprint(LintConfig()) == a
 
-    def test_cache_key_varies_with_lint_config(self, chain3, two_gp):
-        from repro.core import HEURISTIC_ITERATIVE
-
-        plain = outcome_cache_key(chain3, two_gp, HEURISTIC_ITERATIVE)
-        gated = outcome_cache_key(
-            chain3, two_gp, HEURISTIC_ITERATIVE,
-            lint_config=DEFAULT_CONFIG,
+    def test_cache_key_varies_with_lint_config(
+        self, chain3, two_gp, tmp_path
+    ):
+        options = EngineOptions(cache_dir=str(tmp_path), resume=True)
+        run_experiment([chain3], two_gp, options=options)
+        gated = run_experiment(
+            [chain3], two_gp, lint_config=DEFAULT_CONFIG,
+            options=options,
         )
-        assert plain != gated
+        assert gated.cache_hits == 0
+        assert len(ShardedResultCache(str(tmp_path), CACHE_VERSION)) == 2
 
     def test_cache_roundtrips_lint_fields(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ShardedResultCache(str(tmp_path), CACHE_VERSION)
         outcome = LoopOutcome(
             loop_name="x", unified_ii=3, clustered_ii=4, copies=2,
             lint_errors=1, lint_warnings=2,
             lint_codes=("DDG102", "SCHED402"),
         )
-        cache.store("key", outcome)
-        loaded = cache.load("key")
-        assert loaded is not None
-        assert loaded.lint_errors == 1
-        assert loaded.lint_warnings == 2
+        cache.put("key", dataclasses.asdict(outcome))
+        loaded = LoopOutcome.from_doc(cache.get("key"))
+        assert loaded == outcome
         assert loaded.lint_codes == ("DDG102", "SCHED402")
 
     def test_cached_run_replays_lint_fields(
         self, dead_value_loop, two_gp, tmp_path
     ):
-        options = EngineOptions(
-            lint_config=LintConfig(severity={"REG503": "error"}),
-            cache_dir=str(tmp_path),
-            resume=True,
+        lint_config = LintConfig(severity={"REG503": "error"})
+        options = EngineOptions(cache_dir=str(tmp_path), resume=True)
+        first = run_experiment(
+            [dead_value_loop], two_gp, lint_config=lint_config,
+            options=options,
         )
-        first = run_engine_experiment(
-            [dead_value_loop], two_gp, options=options
-        )
-        second = run_engine_experiment(
-            [dead_value_loop], two_gp, options=options
+        second = run_experiment(
+            [dead_value_loop], two_gp, lint_config=lint_config,
+            options=options,
         )
         assert second.cache_hits == 1
         assert (

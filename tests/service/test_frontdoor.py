@@ -9,6 +9,7 @@ from concurrent.futures import Future
 
 import pytest
 
+import repro.service.pool as pool_module
 from repro.core.driver import compile_loop
 from repro.machine.presets import two_cluster_gp
 from repro.service import (
@@ -253,12 +254,11 @@ class TestAdmission:
 
 class TestFaults:
     def test_worker_crash_past_retries_degrades_to_failed(
-        self, loops, tmp_path,
+        self, loops, tmp_path, monkeypatch,
     ):
         marker = str(tmp_path / "crash-once")
-        pool = WorkerPool(
-            workers=1, max_task_retries=0, crash_once=marker,
-        )
+        monkeypatch.setattr(pool_module, "MAX_TASK_RETRIES", 0)
+        pool = WorkerPool(workers=1, crash_once=marker)
         try:
             async def main():
                 config = ServiceConfig(batch_size=len(loops))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import time
 
 import pytest
 
@@ -79,6 +80,29 @@ class TestFaults:
             # The replacement worker comes up and serves new tasks.
             assert list(pool.map("ping", [9]))[0]["echo"] == 9
             assert pool.stats.workers_recycled >= 1
+        finally:
+            pool.close()
+
+
+class TestCollectorUnderLoad:
+    def test_deadline_noticed_while_results_keep_arriving(self):
+        # The collector used to check deadlines only after a quiet
+        # poll interval, so a steady stream of results from the other
+        # worker kept an overdue task alive until the stream stopped.
+        pool = WorkerPool(workers=2)
+        try:
+            pool.warm_up()
+            started = time.monotonic()
+            failed_at = []
+            future = pool.submit("sleep", 30.0, deadline=0.3)
+            future.add_done_callback(
+                lambda _: failed_at.append(time.monotonic())
+            )
+            while time.monotonic() - started < 2.0:
+                pool.submit("ping", None).result(timeout=30)
+            with pytest.raises(DeadlineExceeded):
+                future.result(timeout=30)
+            assert failed_at[0] - started < 1.0
         finally:
             pool.close()
 

@@ -1,8 +1,8 @@
-"""ISSUE 7's core acceptance: pool outcomes bit-identical to serial.
+"""Pool outcomes bit-identical to the frozen reference.
 
-The experiment engine dispatched over the warm worker pool must produce
-byte-for-byte the same outcome list as the serial reference runner —
-across worker counts, chunkings, and even with a worker crash injected
+The experiment runner dispatched over the warm worker pool must produce
+exactly the outcome list built from :mod:`repro.baselines` — across
+worker counts, chunkings, and even with a worker crash injected
 mid-sweep (the retry path re-runs the lost chunk, so faults shift
 timing, never results).
 """
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.engine import EngineOptions, run_engine_experiment
-from repro.analysis.experiment import run_experiment
+import repro.service.pool as pool_module
+from repro.analysis.experiment import EngineOptions, run_experiment
 from repro.machine.presets import two_cluster_gp
 from repro.service import WorkerPool
 from repro.workloads import paper_suite
@@ -29,68 +29,67 @@ def machine():
 
 
 @pytest.fixture(scope="module")
-def serial_outcomes(corpus, machine):
-    return run_experiment(corpus, machine, strict=False).outcomes
+def expected_outcomes(corpus, machine, reference_outcomes):
+    return reference_outcomes(corpus, machine)
 
 
 class TestPoolDeterminism:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_pool_outcomes_equal_serial(
-        self, corpus, machine, serial_outcomes, workers,
+        self, corpus, machine, expected_outcomes, workers,
     ):
         pool = WorkerPool(workers=min(workers, 2))
         try:
-            result = run_engine_experiment(
+            result = run_experiment(
                 corpus, machine,
                 options=EngineOptions(workers=workers, pool=pool),
             )
-            assert result.outcomes == serial_outcomes
+            assert result.outcomes == expected_outcomes
         finally:
             pool.close()
 
     def test_chunk_size_does_not_change_outcomes(
-        self, corpus, machine, serial_outcomes,
+        self, corpus, machine, expected_outcomes,
     ):
         pool = WorkerPool(workers=2)
         try:
             for chunk_size in (1, 3, 16):
-                result = run_engine_experiment(
+                result = run_experiment(
                     corpus, machine,
                     options=EngineOptions(
                         workers=2, chunk_size=chunk_size, pool=pool,
                     ),
                 )
-                assert result.outcomes == serial_outcomes
+                assert result.outcomes == expected_outcomes
         finally:
             pool.close()
 
     def test_outcomes_survive_injected_worker_crash(
-        self, corpus, machine, serial_outcomes, tmp_path,
+        self, corpus, machine, expected_outcomes, tmp_path,
     ):
         # One worker dies hard mid-sweep; the pool retries the lost
         # chunk on the replacement, so results stay bit-identical.
         marker = str(tmp_path / "crash-once")
         pool = WorkerPool(workers=2, crash_once=marker)
         try:
-            result = run_engine_experiment(
+            result = run_experiment(
                 corpus, machine,
                 options=EngineOptions(workers=2, pool=pool),
             )
             assert pool.stats.crashes >= 1
             assert pool.stats.retries >= 1
-            assert result.outcomes == serial_outcomes
+            assert result.outcomes == expected_outcomes
         finally:
             pool.close()
 
     def test_crash_past_retry_budget_degrades_to_failed(
-        self, corpus, machine, tmp_path,
+        self, corpus, machine, tmp_path, monkeypatch,
     ):
         marker = str(tmp_path / "crash-once")
-        pool = WorkerPool(
-            workers=1, max_task_retries=0, crash_once=marker,
-        )
+        monkeypatch.setattr(pool_module, "MAX_TASK_RETRIES", 0)
+        pool = WorkerPool(workers=1, crash_once=marker)
         try:
-            result = run_engine_experiment(
+            result = run_experiment(
                 corpus, machine,
                 options=EngineOptions(
                     workers=2, chunk_size=len(corpus), pool=pool,

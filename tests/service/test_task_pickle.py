@@ -17,7 +17,7 @@ from concurrent.futures import Future
 import pytest
 
 from repro import obs
-from repro.analysis.engine import EngineOptions, run_engine_experiment
+from repro.analysis.experiment import EngineOptions, run_experiment
 from repro.cli import main
 from repro.lint import DEFAULT_CONFIG
 from repro.machine.presets import two_cluster_gp
@@ -55,11 +55,9 @@ class _PicklingPool:
 def _engine_chunk(pool, monkeypatch, capsys):
     # Traced, so the chunk's value carries the worker trace events too.
     with obs.tracing():
-        run_engine_experiment(
-            paper_suite(2), two_cluster_gp(),
-            options=EngineOptions(
-                workers=2, pool=pool, lint_config=DEFAULT_CONFIG,
-            ),
+        run_experiment(
+            paper_suite(2), two_cluster_gp(), lint_config=DEFAULT_CONFIG,
+            options=EngineOptions(workers=2, pool=pool),
         )
 
 
