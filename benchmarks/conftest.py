@@ -15,7 +15,7 @@ import pytest
 from repro.analysis import UnifiedBaseline
 from repro.workloads import paper_suite
 
-DEFAULT_BENCH_SUITE_SIZE = 250
+DEFAULT_SUITE_SIZE = 250
 
 
 def pytest_collection_modifyitems(items):
@@ -26,7 +26,15 @@ def pytest_collection_modifyitems(items):
 
 def bench_suite_size() -> int:
     """Suite size for benchmark runs (env-overridable)."""
-    return int(os.environ.get("REPRO_SUITE_SIZE", DEFAULT_BENCH_SUITE_SIZE))
+    return int(os.environ.get("REPRO_SUITE_SIZE", DEFAULT_SUITE_SIZE))
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on (speedup gates need >= 4)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux fallback
+        return os.cpu_count() or 1
 
 
 @pytest.fixture(scope="session")

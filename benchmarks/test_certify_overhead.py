@@ -8,20 +8,15 @@ the gate adds less than 10% overhead across the two machines combined.
 The certify legs must also come back clean — an overhead number
 measured over a corpus the verifier rejects would be meaningless.
 
-Everything is written to ``BENCH_certify.json`` at the repository
-root, in the shared :mod:`repro.obs.bench` schema.
-
 Run: ``PYTHONPATH=src python -m pytest benchmarks/test_certify_overhead.py -q``
 """
 
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 import pytest
 
-from repro import obs
 from repro.analysis import run_experiment
 from repro.certify import DEFAULT_CERTIFY
 from repro.machine import four_cluster_grid, two_cluster_gp
@@ -31,7 +26,6 @@ from conftest import print_report
 
 MAX_OVERHEAD = 0.10
 REPEATS = 5
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_certify.json"
 
 
 def _timed(fn) -> float:
@@ -48,7 +42,6 @@ def test_certify_gate_overhead_under_10_percent():
     per_machine = []
     plain_total = 0.0
     certified_total = 0.0
-    total_errors = 0
     for machine in machines:
         def plain():
             run_experiment(loops, machine)
@@ -66,7 +59,6 @@ def test_certify_gate_overhead_under_10_percent():
             f"certify gate rejected the bundled corpus on "
             f"{machine.name}: {result.cert_code_counts()}"
         )
-        total_errors += result.total_cert_errors
         # Interleave the legs so clock-speed drift hits both equally.
         plain_s = certified_s = None
         for _ in range(REPEATS):
@@ -89,25 +81,6 @@ def test_certify_gate_overhead_under_10_percent():
         certified_total += certified_s
 
     combined = (certified_total - plain_total) / plain_total
-    artifact = obs.bench.make_artifact(
-        "certify_overhead",
-        metrics={
-            "plain_total_s": round(plain_total, 6),
-            "certified_total_s": round(certified_total, 6),
-            "combined_overhead": round(combined, 4),
-        },
-        budgets={"combined_overhead": MAX_OVERHEAD},
-        regression_metrics=["plain_total_s", "certified_total_s"],
-        info={
-            "loops": len(loops),
-            "repeats": REPEATS,
-            "machines": per_machine,
-            "cert_errors": total_errors,
-            "exact_oracle": "excluded",
-        },
-    )
-    obs.bench.write_artifact(artifact, ARTIFACT)
-
     print_report(
         f"Certify-gate overhead — {len(loops)} corpus loops, "
         f"best of {REPEATS}",
@@ -121,7 +94,7 @@ def test_certify_gate_overhead_under_10_percent():
         f"certified {certified_total:.3f}s   "
         f"overhead {100 * combined:.1f}% "
         f"(budget {100 * MAX_OVERHEAD:.0f}%)",
-        f"corpus clean under the gate; wrote {ARTIFACT.name}",
+        "corpus clean under the gate",
     )
     assert combined < MAX_OVERHEAD, (
         f"--certify adds {100 * combined:.1f}% to the corpus compile "

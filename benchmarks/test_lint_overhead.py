@@ -9,9 +9,6 @@ analyses' cost is tracked separately under the same budget.  The lint
 legs must also come back clean — an overhead number measured over a
 corpus the gate rejects would be meaningless.
 
-Everything is written to ``BENCH_lint.json`` at the repository root,
-in the shared :mod:`repro.obs.bench` schema.
-
 Run: ``PYTHONPATH=src python -m pytest benchmarks/test_lint_overhead.py -q``
 """
 
@@ -19,11 +16,9 @@ from __future__ import annotations
 
 import gc
 import time
-from pathlib import Path
 
 import pytest
 
-from repro import obs
 from repro.analysis import run_experiment
 from repro.lint import DEFAULT_CONFIG, LintConfig
 from repro.machine import four_cluster_grid, two_cluster_gp
@@ -33,7 +28,6 @@ from conftest import print_report
 
 MAX_OVERHEAD = 0.10
 REPEATS = 7
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_lint.json"
 
 #: The dataflow-family-only gate (the tentpole's fixed-point analyses)
 #: as the default ``--lint`` gate runs it: DF705 re-derives MII from
@@ -67,7 +61,6 @@ def test_lint_gate_overhead_under_10_percent():
     plain_total = 0.0
     linted_total = 0.0
     dataflow_total = 0.0
-    total_diagnostics = {"errors": 0, "warnings": 0}
     for machine in machines:
         def plain():
             run_experiment(loops, machine)
@@ -95,8 +88,6 @@ def test_lint_gate_overhead_under_10_percent():
             f"DF gate rejected the bundled corpus on {machine.name}: "
             f"{df_result.lint_code_counts()}"
         )
-        total_diagnostics["errors"] += result.total_lint_errors
-        total_diagnostics["warnings"] += result.total_lint_warnings
         # Interleave the legs so clock-speed drift hits all equally;
         # the best-of floor of each leg is the comparable number.
         plain_s = linted_s = dataflow_s = None
@@ -125,32 +116,6 @@ def test_lint_gate_overhead_under_10_percent():
 
     combined = (linted_total - plain_total) / plain_total
     dataflow_combined = (dataflow_total - plain_total) / plain_total
-    artifact = obs.bench.make_artifact(
-        "lint_overhead",
-        metrics={
-            "plain_total_s": round(plain_total, 6),
-            "linted_total_s": round(linted_total, 6),
-            "dataflow_total_s": round(dataflow_total, 6),
-            "combined_overhead": round(combined, 4),
-            "dataflow_overhead": round(dataflow_combined, 4),
-        },
-        budgets={
-            "combined_overhead": MAX_OVERHEAD,
-            "dataflow_overhead": MAX_OVERHEAD,
-        },
-        regression_metrics=[
-            "plain_total_s", "linted_total_s", "dataflow_total_s",
-        ],
-        info={
-            "loops": len(loops),
-            "repeats": REPEATS,
-            "machines": per_machine,
-            "lint_errors": total_diagnostics["errors"],
-            "lint_warnings": total_diagnostics["warnings"],
-        },
-    )
-    obs.bench.write_artifact(artifact, ARTIFACT)
-
     print_report(
         f"Lint-gate overhead — {len(loops)} corpus loops, "
         f"best of {REPEATS}",
@@ -166,7 +131,7 @@ def test_lint_gate_overhead_under_10_percent():
         f"overhead {100 * combined:.1f}% "
         f"(dataflow leg {100 * dataflow_combined:.1f}%, "
         f"budget {100 * MAX_OVERHEAD:.0f}%)",
-        f"corpus clean under the gate; wrote {ARTIFACT.name}",
+        "corpus clean under the gate",
     )
     assert dataflow_combined < MAX_OVERHEAD, (
         f"the DF7xx pass alone adds {100 * dataflow_combined:.1f}% "

@@ -1,6 +1,6 @@
 """Compile-service benchmark: warm pool + front door vs serial.
 
-The ISSUE-7 acceptance benchmark.  Drives the bench suite through the
+The serving layer's acceptance benchmark.  Drives the bench suite through the
 compile service three ways —
 
 * **serial reference** — direct ``compile_loop`` calls, the floor the
@@ -15,11 +15,9 @@ compile service three ways —
   fully-warm service.
 
 Replies are asserted bit-identical (ii/mii/copies) to the direct
-serial compiles, and everything lands in ``BENCH_service.json`` via
-the shared :mod:`repro.obs.bench` envelope.  The serial and service
-legs run as interleaved pass pairs and the gate uses the best paired
-ratio, so host load lands on both sides of a ratio instead of
-masquerading as serving overhead.
+serial compiles.  The serial and service legs run as interleaved pass
+pairs and the gate uses the best paired ratio, so host load lands on
+both sides of a ratio instead of masquerading as serving overhead.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/test_service.py -q``
 """
@@ -27,11 +25,8 @@ Run: ``PYTHONPATH=src python -m pytest benchmarks/test_service.py -q``
 from __future__ import annotations
 
 import asyncio
-import os
 import time
-from pathlib import Path
 
-from repro import obs
 from repro.core.driver import CompilationError, compile_loop
 from repro.machine import two_cluster_gp
 from repro.service import (
@@ -43,19 +38,10 @@ from repro.service import (
 )
 from repro.workloads import paper_suite
 
-from conftest import bench_suite_size, print_report
+from conftest import bench_suite_size, print_report, usable_cores
 
 #: The service must stay within this fraction of serial at 1 worker.
 MIN_SPEEDUP_1W = 0.95
-ARTIFACT = (Path(__file__).resolve().parent.parent
-            / "BENCH_service.json")
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
 
 
 #: Timed legs are repeated and the fastest pass is kept: the suite
@@ -92,7 +78,7 @@ def test_compile_service_vs_serial(tmp_path):
     n_loops = max(100, bench_suite_size())
     loops = paper_suite(n_loops)
     machine = two_cluster_gp()
-    cores = _usable_cores()
+    cores = usable_cores()
     requests = [CompileRequest(loop=ddg) for ddg in loops]
 
     # -- warm pool startup (measured, excluded from the legs) ----------
@@ -161,54 +147,18 @@ def test_compile_service_vs_serial(tmp_path):
         "second replay over the same cache dir must be all hits"
     )
     cache_hit_rate = cached_stats.cache_hit_rate
-    cache_miss_rate = 1.0 - cache_hit_rate
     cached_p50_ms = cached_stats.latency_percentile(50) * 1e3
     cached_p99_ms = cached_stats.latency_percentile(99) * 1e3
-
-    artifact = obs.bench.make_artifact(
-        "service",
-        metrics={
-            "serial_s": round(serial_s, 6),
-            "service_nocache_s": round(service_nocache_s, 6),
-            "nocache_slowdown": round(nocache_slowdown, 4),
-            "speedup_1w": round(speedup_1w, 4),
-            "warm_start_s": round(warm_start_s, 6),
-            "cached_s": round(cached_s, 6),
-            "cache_miss_rate": round(cache_miss_rate, 4),
-            "p50_ms": round(p50_ms, 3),
-            "p99_ms": round(p99_ms, 3),
-            "cached_p50_ms": round(cached_p50_ms, 3),
-            "cached_p99_ms": round(cached_p99_ms, 3),
-        },
-        budgets={
-            # ISSUE 7's acceptance: >= 0.95x serial at 1 warm worker,
-            # i.e. at most 1/0.95 ~ 1.0526x serial wall time.
-            "nocache_slowdown": round(1.0 / MIN_SPEEDUP_1W, 4),
-            # The cached replay must be all hits.
-            "cache_miss_rate": 0.01,
-        },
-        regression_metrics=["service_nocache_s", "cached_s"],
-        info={
-            "loops": n_loops,
-            "machine": machine.name,
-            "usable_cores": cores,
-            "min_speedup_1w": MIN_SPEEDUP_1W,
-            "batches": nocache_stats.batches,
-            "replies_identical_to_serial": True,
-            "cache_hit_rate": round(cache_hit_rate, 4),
-        },
-    )
-    obs.bench.write_artifact(artifact, ARTIFACT)
 
     print_report(
         f"Compile service — {n_loops} loops, 1 warm worker "
         f"({cores} cores)",
+        f"warm pool start: {warm_start_s:.2f}s",
         f"serial: {serial_s:.2f}s   service (no cache): "
         f"{service_nocache_s:.2f}s   speedup: {speedup_1w:.2f}x",
         f"cached replay: {cached_s:.2f}s   hit rate: "
         f"{cache_hit_rate:.0%}   p50/p99: {p50_ms:.1f}/{p99_ms:.1f} ms "
         f"(cached: {cached_p50_ms:.2f}/{cached_p99_ms:.2f} ms)",
-        f"wrote {ARTIFACT.name}",
     )
     assert speedup_1w >= MIN_SPEEDUP_1W, (
         f"warm 1-worker service ran at {speedup_1w:.2f}x serial, "

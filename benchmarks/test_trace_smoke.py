@@ -1,18 +1,9 @@
 """Tracing-overhead smoke benchmark.
 
-Compiles a 20-loop slice of the evaluation suite with tracing disabled,
-enabled, and enabled-with-profiling, asserts the traced run stays
-within 10% of the untraced one (the disabled fast path must stay ~free,
-and even *enabled* tracing must remain cheap relative to compilation),
-and writes the comparison plus the traced run's full metrics dict to
-``BENCH_trace_smoke.json`` at the repository root — the
-machine-readable perf artifact of the observability layer, in the
-shared :mod:`repro.obs.bench` schema.
-
-The profiled leg (``sys.setprofile`` CPU attribution) is recorded with
-a 2x-of-untraced budget but not asserted: deterministic profiling is an
-opt-in diagnosis mode, and its cost is tracked by ``repro bench check``
-rather than gated here.
+Compiles a 20-loop slice of the evaluation suite with tracing disabled
+and enabled, and asserts the traced run stays within 10% of the
+untraced one (the disabled fast path must stay ~free, and even
+*enabled* tracing must remain cheap relative to compilation).
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/test_trace_smoke.py -q``
 """
@@ -20,7 +11,6 @@ Run: ``PYTHONPATH=src python -m pytest benchmarks/test_trace_smoke.py -q``
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 from repro import obs
 from repro.analysis import UnifiedBaseline, run_experiment
@@ -32,8 +22,6 @@ from conftest import print_report
 SMOKE_LOOPS = 20
 ROUNDS = 3
 MAX_OVERHEAD = 0.10
-PROFILED_BUDGET_X = 2.0  # recorded, not asserted
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_trace_smoke.json"
 
 
 def _best_of(rounds: int, run) -> float:
@@ -60,53 +48,15 @@ def test_tracing_overhead_smoke():
         with obs.tracing(trace):
             run_experiment(loops, machine, baseline=UnifiedBaseline())
 
-    def run_profiled():
-        profiled_trace = obs.Trace()
-        with obs.tracing(profiled_trace):
-            with obs.prof.profiling(profiled_trace):
-                run_experiment(
-                    loops, machine, baseline=UnifiedBaseline()
-                )
-
     run_untraced()  # warm caches before timing any mode
     untraced = _best_of(ROUNDS, run_untraced)
     traced = _best_of(ROUNDS, run_traced)
-    profiled = _best_of(ROUNDS, run_profiled)
     overhead = traced / untraced - 1.0
-    profiled_overhead = profiled / untraced - 1.0
-
-    metrics = obs.metrics_dict(trace)
-    artifact = obs.bench.make_artifact(
-        "trace_smoke",
-        metrics={
-            "untraced_s": round(untraced, 6),
-            "traced_s": round(traced, 6),
-            "overhead_fraction": round(overhead, 4),
-            "profiled_s": round(profiled, 6),
-            "profiled_overhead": round(profiled_overhead, 4),
-        },
-        budgets={"overhead_fraction": MAX_OVERHEAD},
-        regression_metrics=["untraced_s", "traced_s"],
-        info={
-            "loops": SMOKE_LOOPS,
-            "machine": machine.name,
-            "rounds": ROUNDS,
-            "profiled_budget_x": PROFILED_BUDGET_X,
-            "profiled_gated": False,
-            "counters": metrics["counters"],
-            "phases": metrics["phases"],
-        },
-    )
-    obs.bench.write_artifact(artifact, ARTIFACT)
 
     print_report(
-        "Trace smoke — 20-loop slice, tracing off vs. on vs. profiled",
+        "Trace smoke — 20-loop slice, tracing off vs. on",
         f"untraced: {untraced * 1e3:.1f}ms   traced: {traced * 1e3:.1f}ms"
         f"   overhead: {overhead * 100:+.1f}%",
-        f"profiled: {profiled * 1e3:.1f}ms   "
-        f"overhead: {profiled_overhead * 100:+.1f}% "
-        f"(budget {PROFILED_BUDGET_X:.0f}x untraced, reported not gated)",
-        f"wrote {ARTIFACT.name}",
     )
     assert overhead < MAX_OVERHEAD, (
         f"tracing overhead {overhead * 100:.1f}% exceeds "

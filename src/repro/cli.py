@@ -8,13 +8,6 @@ Subcommands:
   (``--trace`` adds the span tree, ``--trace-out`` a JSONL event log).
 * ``trace`` — compile one loop with tracing on and print only the
   observability report (see ``docs/OBSERVABILITY.md``).
-* ``profile`` — compile one loop with the deterministic profiler on
-  and print the CPU-by-phase breakdown plus the top-functions table
-  (see ``docs/PROFILING.md``).
-* ``bench`` — the benchmark observatory (``run`` / ``check`` /
-  ``report``): run the benchmark suite, append schema-versioned
-  artifacts to ``results/bench_history.jsonl``, gate on budget or
-  baseline regressions, and render the per-benchmark history.
 * ``stats`` — print the Table 1 statistics of the evaluation suite.
 * ``experiment`` — run one clustered configuration against its unified
   baseline over the suite and print the II-deviation histogram
@@ -34,6 +27,11 @@ Subcommands:
 gates on every compiled artifact.  ``lint`` and ``certify`` accept
 ``--workers N`` to fan loops out over worker processes; the merged
 report is byte-identical to a serial run.
+
+A loop file that cannot be read or parsed, or an unknown machine name,
+exits with a one-line message instead of a traceback.  Performance is
+measured outside the CLI, by the benchmark ledger
+(``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from . import obs
 from .analysis import (
@@ -55,6 +53,7 @@ from .analysis.registers import format_pressure, register_pressure
 from .codegen import expand_pipeline, format_kernel_only, format_pipelined
 from .core import ALL_VARIANTS, CompilationError, compile_loop
 from .ddg.dot import annotated_to_dot
+from .ddg.graph import Ddg
 from .ddg.parse import parse_loop
 from .machine import Machine, STANDARD_PRESETS
 from .workloads import (
@@ -83,14 +82,38 @@ def _machine(name: str) -> Machine:
         )
 
 
-def _read_loop(args: argparse.Namespace):
-    """Parse the loop file argument (``-`` reads stdin)."""
-    if args.loop == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.loop) as handle:
-            text = handle.read()
-    return parse_loop(text, name=args.loop)
+def _read_loops(path: str) -> List[Ddg]:
+    """The loops in one loop or corpus file (``-`` reads stdin).
+
+    A file with ``== name ==`` headers is a corpus; anything else is one
+    loop named after its path.  A file that cannot be read or parsed
+    exits with a one-line message naming the path.
+    """
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as handle:
+                text = handle.read()
+        if any(
+            line.lstrip().startswith("==") for line in text.splitlines()
+        ):
+            return loads_corpus(text)
+        return [parse_loop(text, name=path)]
+    except OSError as exc:
+        raise SystemExit(f"{path}: {exc.strerror or exc}")
+    except ValueError as exc:
+        raise SystemExit(f"{path}: {exc}")
+
+
+def _read_loop(args: argparse.Namespace) -> Ddg:
+    """The single loop of the ``loop`` file argument."""
+    loops = _read_loops(args.loop)
+    if len(loops) != 1:
+        raise SystemExit(
+            f"{args.loop}: expected one loop, found {len(loops)}"
+        )
+    return loops[0]
 
 
 def _trace_requested(args: argparse.Namespace) -> Optional[obs.Trace]:
@@ -241,102 +264,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         n_events = obs.write_jsonl(trace, args.out)
         print()
         print(f"wrote {args.out} ({n_events} events)")
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """``repro profile``: one traced + profiled compile, CPU report."""
-    from .obs import prof
-
-    loop = _read_loop(args)
-    machine = _machine(args.machine)
-    config = VARIANTS[args.variant]
-    with obs.tracing() as trace, prof.profiling(trace):
-        result = compile_loop(loop, machine, config=config)
-    print(f"machine: {machine}")
-    print(f"II = {result.ii} (MII: {result.mii}, "
-          f"attempts: {result.attempts})")
-    print()
-    print(prof.format_profile_report(
-        trace, n=args.top, sort=args.sort
-    ))
-    if args.tree:
-        print()
-        print("trace:")
-        print(obs.format_trace_tree(trace))
-    if args.out:
-        n_events = obs.write_jsonl(trace, args.out)
-        print()
-        print(f"wrote {args.out} ({n_events} events)")
-    if args.cprofile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        compile_loop(loop, machine, config=config)
-        profiler.disable()
-        profiler.dump_stats(args.cprofile)
-        print(f"wrote {args.cprofile} (cProfile stats; inspect with "
-              f"python -m pstats)")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench run|check|report``: the benchmark observatory."""
-    from .obs import bench
-
-    history_path = args.history
-    if args.action == "run":
-        names = args.benchmarks or None
-        suite_size = args.suite_size or (100 if args.smoke else None)
-        code = bench.run_benchmarks(
-            names, suite_size=suite_size, repo_root=args.repo_root
-        )
-        if code != 0:
-            print(
-                f"benchmark run failed (pytest exit {code}); "
-                f"history not updated", file=sys.stderr,
-            )
-            return code
-        artifacts = bench.collect_artifacts(
-            names, repo_root=args.repo_root
-        )
-        for artifact in artifacts:
-            bench.append_history(artifact, history_path)
-        print(
-            f"recorded {len(artifacts)} benchmark run(s) in "
-            f"{history_path}"
-        )
-        return 0
-
-    entries = bench.read_history(history_path)
-    if args.action == "report":
-        print(f"benchmark history — {history_path} "
-              f"({len(entries)} entries)")
-        print()
-        print(bench.format_history_table(entries))
-        return 0
-
-    # action == "check"
-    if not entries:
-        print(f"no history at {history_path}; run `repro bench run` "
-              f"first", file=sys.stderr)
-        return 0 if args.exit_zero else 1
-    violations = bench.check_entries(
-        entries, tolerance=args.tolerance, baseline_n=args.baseline
-    )
-    checked = sorted(bench.by_benchmark(entries))
-    if violations:
-        print(f"{len(violations)} perf violation(s) across "
-              f"{len(checked)} benchmark(s):")
-        for violation in violations:
-            print(f"  {violation}")
-        return 0 if args.exit_zero else 1
-    print(
-        f"{len(checked)} benchmark(s) within budgets and baseline "
-        f"(tolerance {args.tolerance:.0%}, baseline last "
-        f"{args.baseline})"
-    )
     return 0
 
 
@@ -556,17 +483,7 @@ def _lint_loops(args: argparse.Namespace):
     """
     loops = []
     for path in args.paths:
-        if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path) as handle:
-                text = handle.read()
-        if any(
-            line.lstrip().startswith("==") for line in text.splitlines()
-        ):
-            loops.extend(loads_corpus(text))
-        else:
-            loops.append(parse_loop(text, name=path))
+        loops.extend(_read_loops(path))
     if args.kernels:
         loops.extend(all_kernels())
     if args.suite:
@@ -846,92 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the JSONL event log",
     )
     trace_parser.set_defaults(func=_cmd_trace)
-
-    profile_parser = sub.add_parser(
-        "profile",
-        help="compile one loop with the deterministic profiler on and "
-             "print the CPU-by-phase and top-functions report "
-             "(see docs/PROFILING.md)",
-    )
-    profile_parser.add_argument("loop", help="loop file ('-' for stdin)")
-    profile_parser.add_argument(
-        "--machine", default="2gp", help=f"one of {sorted(MACHINES)}"
-    )
-    profile_parser.add_argument(
-        "--variant", default="heuristic-iterative",
-        choices=sorted(VARIANTS),
-    )
-    profile_parser.add_argument(
-        "--top", type=int, default=20, metavar="N",
-        help="rows in the top-functions table (default 20)",
-    )
-    profile_parser.add_argument(
-        "--sort", default="cpu", choices=["cpu", "calls", "name"],
-        help="top-functions sort order (default cpu)",
-    )
-    profile_parser.add_argument(
-        "--tree", action="store_true",
-        help="also print the span tree (with per-span CPU)",
-    )
-    profile_parser.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="also write the profiled trace as a JSONL event log",
-    )
-    profile_parser.add_argument(
-        "--cprofile", default=None, metavar="FILE",
-        help="also run an unprofiled compile under cProfile and dump "
-             "binary pstats to FILE",
-    )
-    profile_parser.set_defaults(func=_cmd_profile)
-
-    bench_parser = sub.add_parser(
-        "bench",
-        help="benchmark observatory: run the suite, append to the "
-             "perf history, gate on regressions",
-    )
-    bench_parser.add_argument(
-        "action", choices=["run", "check", "report"],
-        help="run: execute benchmarks + append artifacts to history; "
-             "check: compare the newest entries against budgets and "
-             "the last-N baseline; report: render the history table",
-    )
-    bench_parser.add_argument(
-        "benchmarks", nargs="*",
-        help="benchmark names for 'run' (default: every registered "
-             "observatory benchmark)",
-    )
-    bench_parser.add_argument(
-        "--history", default="results/bench_history.jsonl",
-        metavar="FILE", help="history store location",
-    )
-    bench_parser.add_argument(
-        "--smoke", action="store_true",
-        help="run with the 100-loop smoke suite size (CI perf gate)",
-    )
-    bench_parser.add_argument(
-        "--suite-size", type=int, default=0, metavar="N",
-        help="explicit REPRO_SUITE_SIZE for the run (overrides "
-             "--smoke)",
-    )
-    bench_parser.add_argument(
-        "--repo-root", default=".", metavar="DIR",
-        help="repository root the benchmarks run in (default .)",
-    )
-    bench_parser.add_argument(
-        "--tolerance", type=float, default=0.15, metavar="FRACTION",
-        help="allowed fractional slowdown vs the baseline mean before "
-             "'check' fails (default 0.15)",
-    )
-    bench_parser.add_argument(
-        "--baseline", type=int, default=5, metavar="N",
-        help="how many prior entries form the regression baseline "
-             "(default 5)",
-    )
-    bench_parser.add_argument(
-        "--exit-zero", action="store_true",
-        help="report violations but exit 0 (report-only CI runs)",
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
 
     stats_parser = sub.add_parser(
         "stats", help="print Table 1 statistics of the loop suite"

@@ -26,6 +26,7 @@ and the resource tables:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, List, Sequence, Tuple
 
 import networkx as nx
@@ -111,11 +112,33 @@ class PointToPointInterconnect(Interconnect):
             if link not in normalized:
                 normalized.append(link)
         self._links = normalized
-        self._graph = nx.Graph()
-        for link in normalized:
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The link graph and the route memo are derived and rebuilt on
+        # first use: like ``Machine.resource_table`` they stay out of
+        # pickles, so a machine pickles to the same bytes before and
+        # after it routes anything.
+        return {"_links": self._links}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PointToPointInterconnect):
+            return NotImplemented
+        return self._links == other._links
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._links))
+
+    @cached_property
+    def _graph(self) -> nx.Graph:
+        graph = nx.Graph()
+        for link in self._links:
             a, b = sorted(link)
-            self._graph.add_edge(a, b)
-        self._routes: Dict[Tuple[int, int], List[int]] = {}
+            graph.add_edge(a, b)
+        return graph
+
+    @cached_property
+    def _routes(self) -> Dict[Tuple[int, int], List[int]]:
+        return {}
 
     @property
     def links(self) -> List[Tuple[int, int]]:

@@ -1,4 +1,4 @@
-"""Observability: structured tracing, counters, profiling, and export.
+"""Observability: structured tracing, counters, and export.
 
 The pipeline is instrumented with :func:`span` / :func:`count` calls —
 no-ops unless a :class:`Trace` is installed on the calling thread::
@@ -11,16 +11,16 @@ no-ops unless a :class:`Trace` is installed on the calling thread::
     obs.write_jsonl(trace, "trace.jsonl")
     obs.write_chrome_trace(trace, "trace.json")   # Perfetto-loadable
 
-CPU attribution is opt-in via :mod:`repro.obs.prof`, benchmark
-artifacts and the regression-tracked history live in
-:mod:`repro.obs.bench`, and parallel runs reconstruct their per-worker
-timelines through :mod:`repro.obs.timeline`.
+Parallel runs reconstruct their per-worker timelines through
+:mod:`repro.obs.timeline`.  Performance numbers are recorded by the
+benchmark ledger (``benchmarks/ledger/run.py``), whose ``--trace 1``
+run reads per-layer self time off these spans.
 
 See ``docs/OBSERVABILITY.md`` for the span and counter taxonomy and
-``docs/PROFILING.md`` for the profiler.
+``docs/PERFORMANCE.md`` for how to measure.
 """
 
-from . import bench, prof, timeline
+from . import timeline
 from .chrome import chrome_trace_events, write_chrome_trace
 from .render import (
     format_counters,
@@ -55,7 +55,6 @@ __all__ = [
     "PhaseStats",
     "SpanNode",
     "Trace",
-    "bench",
     "chrome_trace_events",
     "count",
     "current_trace",
@@ -66,7 +65,6 @@ __all__ = [
     "format_trace_tree",
     "install",
     "metrics_dict",
-    "prof",
     "read_jsonl",
     "read_trace",
     "span",

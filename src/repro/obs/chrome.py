@@ -36,8 +36,6 @@ def _args(node: SpanNode) -> Dict[str, object]:
     args: Dict[str, object] = dict(node.attrs)
     for name, value in node.counters.items():
         args[f"counter.{name}"] = value
-    if node.cpu is not None:
-        args["cpu_ms"] = round(node.cpu * 1e3, 3)
     return args
 
 

@@ -45,8 +45,6 @@ def _render_node(node: SpanNode, prefix: str, is_last: bool,
     if attrs:
         label += f"  {attrs}"
     line = f"{prefix}{connector}{label}  {_format_duration(node.duration)}"
-    if node.cpu is not None:
-        line += f" (cpu {_format_duration(node.cpu)})"
     if node.counters:
         line += f"  {_format_counters(node.counters)}"
     lines.append(line)
@@ -86,25 +84,16 @@ def format_counters(trace: Trace) -> str:
 
 def format_phase_table(trace: Trace) -> str:
     """Per-phase wall-time summary table with percentiles and a log2
-    sparkline; profiled traces grow a ``cpu`` column (see
-    :mod:`repro.obs.prof`)."""
+    sparkline."""
     phases = trace.phases()
     if not phases:
         return "(no phases)"
-    show_cpu = any(stats.cpu_count for stats in phases.values())
-    cpu_head = f" {'cpu':>9}" if show_cpu else ""
     header = (f"  {'phase':<14} {'count':>7} {'total':>10} {'mean':>10} "
               f"{'min':>9} {'p50':>9} {'p90':>9} {'p99':>9} "
-              f"{'max':>9}{cpu_head}  histogram")
+              f"{'max':>9}  histogram")
     lines = [header, "  " + "-" * (len(header) - 2)]
     for name in sorted(phases, key=lambda n: -phases[n].total):
         stats = phases[name]
-        cpu_cell = ""
-        if show_cpu:
-            cpu_cell = (
-                f" {_format_duration(stats.cpu_total):>9}"
-                if stats.cpu_count else f" {'-':>9}"
-            )
         lines.append(
             f"  {name:<14} {stats.count:>7} "
             f"{_format_duration(stats.total):>10} "
@@ -113,7 +102,7 @@ def format_phase_table(trace: Trace) -> str:
             f"{_format_duration(stats.p50):>9} "
             f"{_format_duration(stats.p90):>9} "
             f"{_format_duration(stats.p99):>9} "
-            f"{_format_duration(stats.max):>9}{cpu_cell}"
+            f"{_format_duration(stats.max):>9}"
             f"  {_sparkline(stats)}"
         )
     return "\n".join(lines)

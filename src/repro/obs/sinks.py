@@ -12,10 +12,9 @@ equivalent trace with :func:`read_trace` (or :func:`read_jsonl` +
 :func:`trace_from_events`), making the format round-trippable for
 offline analysis.
 
-:func:`metrics_dict` flattens a trace into the ``BENCH_*.json`` shape
-used by the benchmark harness: counters plus per-phase timing summaries
-with p50/p90/p99 percentiles (and CPU totals when the trace was
-profiled — see :mod:`repro.obs.prof`).
+:func:`metrics_dict` flattens a trace into the machine-readable view
+that ``repro experiment --json`` prints: counters plus per-phase timing
+summaries with p50/p90/p99 percentiles.
 """
 
 from __future__ import annotations
@@ -26,8 +25,10 @@ from typing import Dict, IO, Iterable, Iterator, List, Union
 from .trace import SpanNode, Trace
 
 #: Schema tag stamped on every event log.  Version 2 added the
-#: ``trace_id`` / ``epoch_wall`` header fields and the optional ``cpu``
-#: / ``prof`` fields on ``end`` events; version-1 logs still read back.
+#: ``trace_id`` / ``epoch_wall`` header fields; version-1 logs still
+#: read back.  Older version-2 logs may carry ``cpu`` / ``prof`` fields
+#: on ``end`` events (a since-removed profiler wrote them); readers
+#: ignore them.
 EVENT_VERSION = 2
 
 #: Header versions :func:`read_jsonl` accepts.
@@ -54,13 +55,6 @@ def trace_events(trace: Trace) -> List[Dict[str, object]]:
         }
         if node.counters:
             end["counters"] = node.counters
-        if node.cpu is not None:
-            end["cpu"] = round(node.cpu, 9)
-        if node.prof:
-            end["prof"] = {
-                key: [calls, round(cpu, 9)]
-                for key, (calls, cpu) in node.prof.items()
-            }
         events.append(end)
 
     for root in trace.roots:
@@ -200,14 +194,6 @@ def trace_from_events(events: Iterable[Dict[str, object]]) -> Trace:
                     f"open span {node.name!r}"
                 )
             node.duration = float(event.get("dur", 0.0))
-            if "cpu" in event:
-                node.cpu = float(event["cpu"])
-            if "prof" in event:
-                node.prof = {
-                    str(key): [int(calls), float(cpu)]
-                    for key, (calls, cpu)
-                    in dict(event["prof"]).items()
-                }
             for name, value in dict(event.get("counters", {})).items():
                 node.counters[name] = int(value)
                 trace.counters[name] = trace.counters.get(name, 0) \
@@ -224,10 +210,10 @@ def trace_from_events(events: Iterable[Dict[str, object]]) -> Trace:
 
 
 def metrics_dict(trace: Trace) -> Dict[str, object]:
-    """The ``BENCH_*.json``-compatible view: counters + phase timings."""
+    """The machine-readable view: counters + phase timings."""
     phases = {}
     for name, stats in sorted(trace.phases().items()):
-        entry = {
+        phases[name] = {
             "count": stats.count,
             "total_s": round(stats.total, 9),
             "mean_s": round(stats.mean, 9),
@@ -237,9 +223,6 @@ def metrics_dict(trace: Trace) -> Dict[str, object]:
             "p90_s": round(stats.p90, 9),
             "p99_s": round(stats.p99, 9),
         }
-        if stats.cpu_count:
-            entry["cpu_s"] = round(stats.cpu_total, 9)
-        phases[name] = entry
     return {
         "counters": dict(sorted(trace.counters.items())),
         "phases": phases,

@@ -32,7 +32,7 @@ class SpanNode:
     """One finished (or still-open) span in the trace tree."""
 
     __slots__ = ("name", "attrs", "started", "duration", "counters",
-                 "children", "cpu", "prof")
+                 "children")
 
     def __init__(self, name: str, attrs: Dict[str, object],
                  started: float) -> None:
@@ -46,14 +46,6 @@ class SpanNode:
         #: Counters incremented while this span was innermost.
         self.counters: Dict[str, int] = {}
         self.children: List["SpanNode"] = []
-        #: CPU seconds spent while this span was open (inclusive of
-        #: children, mirroring ``duration``); None unless a profiler
-        #: from :mod:`repro.obs.prof` observed the span.
-        self.cpu: Optional[float] = None
-        #: Per-function self-CPU attribution while this span was
-        #: innermost: ``{func_key: [calls, cpu_seconds]}``; None unless
-        #: profiled.
-        self.prof: Optional[Dict[str, List[float]]] = None
 
     def walk(self) -> Iterator["SpanNode"]:
         """This node and every descendant, depth-first."""
@@ -78,7 +70,7 @@ class PhaseStats:
     """Wall-time distribution of every span sharing one name."""
 
     __slots__ = ("name", "count", "total", "min", "max", "buckets",
-                 "samples", "cpu_total", "cpu_count")
+                 "samples")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -92,14 +84,9 @@ class PhaseStats:
         #: Every folded duration, in arrival order — the percentile
         #: source.  Bounded by the span count, not hot-loop activity.
         self.samples: List[float] = []
-        #: CPU seconds summed over profiled spans (see
-        #: :mod:`repro.obs.prof`); 0.0 when nothing was profiled.
-        self.cpu_total = 0.0
-        #: How many folded spans carried a CPU measurement.
-        self.cpu_count = 0
 
-    def add(self, duration: float, cpu: Optional[float] = None) -> None:
-        """Fold one span's wall time (and optional CPU time) in."""
+    def add(self, duration: float) -> None:
+        """Fold one span's wall time in."""
         self.count += 1
         self.total += duration
         if duration < self.min:
@@ -109,9 +96,6 @@ class PhaseStats:
         bucket = int(duration * 1e6).bit_length()
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
         self.samples.append(duration)
-        if cpu is not None:
-            self.cpu_total += cpu
-            self.cpu_count += 1
 
     @property
     def mean(self) -> float:
@@ -232,12 +216,7 @@ class Trace:
         #: Trace-wide counter aggregate (sum over all spans plus any
         #: counts recorded outside every span).
         self.counters: Dict[str, int] = {}
-        #: Per-function self-CPU recorded outside any span while a
-        #: profiler was attached (see :mod:`repro.obs.prof`).
-        self.prof: Dict[str, List[float]] = {}
         self._stack: List[SpanNode] = []
-        #: The attached :class:`repro.obs.prof.Profiler`, or None.
-        self._prof = None
 
     # -- recording -----------------------------------------------------
     def span(self, name: str, attrs: Optional[Dict[str, object]] = None
@@ -250,14 +229,10 @@ class Trace:
         else:
             self.roots.append(node)
         self._stack.append(node)
-        if self._prof is not None:
-            self._prof.span_opened(node)
         return _LiveSpan(self, node)
 
     def _close(self, node: SpanNode) -> None:
         node.duration = time.perf_counter() - self.epoch - node.started
-        if self._prof is not None:
-            self._prof.span_closed(node)
         # Pop through any spans left open by exceptions below this one.
         while self._stack:
             popped = self._stack.pop()
@@ -346,7 +321,7 @@ class Trace:
             phase = stats.get(node.name)
             if phase is None:
                 phase = stats[node.name] = PhaseStats(node.name)
-            phase.add(node.duration, node.cpu)
+            phase.add(node.duration)
         return stats
 
 

@@ -17,9 +17,10 @@ to serial on the corpus' millisecond-scale compile tasks):
   ``asyncio`` admission layer with backpressure, per-tenant quotas,
   and micro-batched dispatch.
 
-See ``docs/SERVICE.md`` for the architecture and
-``benchmarks/test_service.py`` (→ ``BENCH_service.json``) for the
-replay benchmark.
+See ``docs/SERVICE.md`` for the architecture,
+``benchmarks/test_service.py`` for the serving-overhead gate, and the
+ledger's ``service-2gp`` workload (``benchmarks/ledger``) for service
+throughput and latency.
 """
 
 from .cache import ShardedResultCache

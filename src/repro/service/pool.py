@@ -7,9 +7,8 @@ front door all dispatch through a :class:`WorkerPool`.
 
 Why not ``ProcessPoolExecutor``?  The corpus' per-loop compiles are a
 few milliseconds each, so cold per-run pool startup and per-call
-pickling dominated — the old fan-out *lost* to serial (0.78x on the
-1-core container, BENCH_parallel_engine.json).  This pool fixes the
-cost model:
+pickling dominated — the old fan-out *lost* to serial (0.78x on a
+1-core host).  This pool fixes the cost model:
 
 * **fork-server start** — workers are created from a ``forkserver``
   (falling back to ``fork`` / ``spawn``) context; with

@@ -211,14 +211,17 @@ class TestResourceTable:
             (table.index["bus"], 2), (table.index[("rd", 0)], 1),
         )
 
-    def test_derived_tables_stay_out_of_pickles(self):
+    @pytest.mark.parametrize("preset", ["2gp", "grid"])
+    def test_derived_tables_stay_out_of_pickles(self, preset):
         # Task payloads carry pickled machines: compiling must not grow
-        # them with the resource table or the copy-plan templates.
-        machine = STANDARD_PRESETS["2gp"]()
+        # them with the resource table, the copy-plan templates or the
+        # point-to-point route memo.
+        machine = STANDARD_PRESETS[preset]()
         before = pickle.dumps(machine)
         for ddg in paper_suite(20, 1998):
             compile_loop(ddg, machine)
-        assert any(machine.resource_table.copy_templates[True])
+        templates = machine.resource_table.copy_templates
+        assert any(templates[True]) or any(templates[False])
         assert pickle.dumps(machine) == before
         clone = pickle.loads(before)
         assert clone == machine

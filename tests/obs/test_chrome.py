@@ -137,15 +137,6 @@ class TestCountersAndCpu:
             for event in loop_events
         )
 
-    def test_cpu_arg_when_profiled(self):
-        with obs.tracing() as trace:
-            with obs.span("busy"):
-                pass
-        trace.roots[0].cpu = 0.5
-        events = obs.chrome_trace_events(trace)
-        busy = [e for e in events if e.get("name") == "busy"]
-        assert busy[0]["args"]["cpu_ms"] == 500.0
-
     def test_microsecond_units(self):
         trace = obs.Trace()
         node = obs.SpanNode("s", {}, 0.5)

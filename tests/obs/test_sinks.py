@@ -103,6 +103,48 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError):
             obs.read_jsonl(source)
 
+    def test_profiled_version_2_log_still_reads(self):
+        # Version-2 logs written with the old profiler attached carry
+        # "cpu" and "prof" on their end events; readers ignore both.
+        source = io.StringIO("\n".join([
+            '{"ev": "trace", "version": 2, "trace_id": "5953dc12db8349eb",'
+            ' "epoch_wall": 1792212679.531893}',
+            '{"ev": "begin", "span": "compile", "t": 0.002109032,'
+            ' "depth": 0, "attrs": {"loop": "intro", "ii": 5}}',
+            '{"ev": "begin", "span": "assign", "t": 0.002413354,'
+            ' "depth": 1, "attrs": {"ii": 5, "succeeded": true}}',
+            '{"ev": "end", "span": "assign", "dur": 0.00784233,'
+            ' "depth": 1, "counters": {"assign.placements": 4,'
+            ' "copies.replans": 18}, "cpu": 0.007841085, "prof":'
+            ' {"~:builtins.len": [52, 9.3556e-05],'
+            ' "ddg/graph.py:215:__len__": [5, 1.9872e-05]}}',
+            '{"ev": "end", "span": "compile", "dur": 0.0125, "depth": 0,'
+            ' "cpu": 0.0124, "prof": {"~:builtins.max": [3, 2.5e-05]}}',
+            '{"ev": "counters", "counters": {"outside": 3}}',
+        ]) + "\n")
+        trace = obs.read_trace(source)
+        assert trace.trace_id == "5953dc12db8349eb"
+        assert trace.epoch_wall == 1792212679.531893
+        compile_span, assign_span = trace.walk()
+        assert compile_span.name == "compile"
+        assert compile_span.attrs == {"loop": "intro", "ii": 5}
+        assert compile_span.duration == 0.0125
+        assert assign_span.attrs == {"ii": 5, "succeeded": True}
+        assert assign_span.started == 0.002413354
+        assert assign_span.duration == 0.00784233
+        assert assign_span.counters == {
+            "assign.placements": 4, "copies.replans": 18,
+        }
+        assert trace.counters == {
+            "assign.placements": 4, "copies.replans": 18, "outside": 3,
+        }
+        assert not hasattr(assign_span, "cpu")
+        assert not hasattr(assign_span, "prof")
+        assert obs.trace_events(trace)[2] == {
+            "ev": "end", "span": "assign", "dur": 0.00784233, "depth": 1,
+            "counters": {"assign.placements": 4, "copies.replans": 18},
+        }
+
 
 class TestMetricsDict:
     def test_shape(self, sample_trace):
