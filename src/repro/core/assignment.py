@@ -14,10 +14,12 @@
    list (Section 4.3.1).  A per-node list of previously tried clusters
    discourages repetition (Section 4.3.2), and a placement budget bounds
    the effort — exhausting it signals the driver to retry at II + 1.
+   A step that begins in a decision state an earlier step already began
+   in proves the attempt is cycling, and ends it at once (see
+   :meth:`_Assigner.run`).
 
 Returns the annotated graph (original ops tagged with clusters, copies
-inserted) or ``None`` when the budget ran out, i.e. no valid assignment
-was found at this II.
+inserted) or ``None`` when no valid assignment was found at this II.
 """
 
 from __future__ import annotations
@@ -85,9 +87,24 @@ class _Assigner:
             c: set() for c in machine.cluster_indices
         }
         self.issue_held: Dict[int, Demand] = {}
-        self.previously_on: Dict[int, Set[int]] = {
-            n: set() for n in ddg.node_ids
-        }
+        # Rule (A) history: node -> bitmask of the clusters it was
+        # placed on since the history was last cleared.
+        self.previously_on: Dict[int, int] = dict.fromkeys(ddg.node_ids, 0)
+        self._all_clusters = (1 << machine.n_clusters) - 1
+        # The decision state packed exactly into one int (see _pack),
+        # packed at the attempt's first eviction and kept current from
+        # then on.  It is None before: every step until then assigns
+        # one more node, so no state can repeat (see _revisits).
+        self.state: Optional[int] = None
+        self._rank = self.order.rank
+        self._history_shift = machine.n_clusters.bit_length()
+        self._width = self._history_shift + machine.n_clusters
+        #: Why :meth:`run` returned None: "cycle", "budget" or
+        #: "abandoned"; for "cycle" also ``(step, period)``.
+        self.stop: Optional[str] = None
+        self.cycle: Optional[Tuple[int, int]] = None
+        # State -> the step that began in it (see :meth:`_revisits`).
+        self._began: Dict[int, int] = {}
         self.budget = max(config.budget_ratio * len(ddg), len(ddg) + 1)
         # Rank-keyed work heap over ``unassigned`` (lazy invalidation:
         # evicted nodes are pushed back, stale pops are skipped).  Ranks
@@ -119,11 +136,29 @@ class _Assigner:
 
     def _record_history(self, node_id: int, cluster: int) -> None:
         """Rule (A) bookkeeping, with the clear-when-full rule."""
-        history = self.previously_on[node_id]
-        history.add(cluster)
-        if len(history) >= self.machine.n_clusters:
-            history.clear()
-            history.add(cluster)
+        old = self.previously_on[node_id]
+        new = old | 1 << cluster
+        if new == self._all_clusters:
+            new = 1 << cluster
+        self.previously_on[node_id] = new
+        if self.state is not None:
+            self.state += (new - old) << (
+                self._rank[node_id] * self._width + self._history_shift
+            )
+
+    def _pack(self) -> int:
+        """The decision state as one int: per node, the field at bit
+        ``rank * _width`` holds its cluster + 1 (0 while unassigned) and,
+        from bit ``_history_shift`` of the field up, its rule (A)
+        history mask."""
+        cluster_of = self.routing.cluster_of
+        state = 0
+        for node_id, rank in self._rank.items():
+            field = (cluster_of.get(node_id, -1) + 1) | (
+                self.previously_on[node_id] << self._history_shift
+            )
+            state |= field << (rank * self._width)
+        return state
 
     # ------------------------------------------------------------------
     # Tentative evaluation
@@ -132,7 +167,7 @@ class _Assigner:
         """Tentatively place ``node_id`` on ``cluster``; roll back after
         measuring the Figure 10 selection inputs."""
         demand = self._op_demand[node_id][cluster]
-        previously_here = cluster in self.previously_on[node_id]
+        previously_here = (self.previously_on[node_id] >> cluster) & 1 == 1
         if demand is None:
             return CandidateInfo(
                 cluster=cluster, feasible=False, shares_scc=False,
@@ -213,6 +248,8 @@ class _Assigner:
         self.issue_held[node_id] = demand
         self.nodes_on[cluster].add(node_id)
         self.unassigned.discard(node_id)
+        if self.state is not None:
+            self.state += (cluster + 1) << (self._rank[node_id] * self._width)
         self._record_history(node_id, cluster)
         self.stats.placements += 1
         obs_count("assign.placements")
@@ -224,11 +261,14 @@ class _Assigner:
         reshaped plan (possible on point-to-point fabrics) does not fit.
         Returns False when recovery is impossible at this II.
         """
+        if self.state is None:
+            self.state = self._pack()
         cluster = self.routing.cluster_of[node_id]
         self.pools.give(self.issue_held.pop(node_id))
         self.nodes_on[cluster].discard(node_id)
         self.routing.unassign_unplanned(node_id)
         self.unassigned.add(node_id)
+        self.state -= (cluster + 1) << (self._rank[node_id] * self._width)
         heapq.heappush(
             self._ready, (self.order.priority_of(node_id), node_id)
         )
@@ -310,6 +350,8 @@ class _Assigner:
         self.routing.assign_unplanned(node_id, cluster)
         self.nodes_on[cluster].add(node_id)
         self.unassigned.discard(node_id)
+        if self.state is not None:
+            self.state += (cluster + 1) << (self._rank[node_id] * self._width)
         for producer in self.routing.affected_producers(node_id):
             if not self._replan_or_evict(producer, protect):
                 return False
@@ -323,10 +365,38 @@ class _Assigner:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
+    def _revisits(self, step: int) -> bool:
+        """Note that ``step`` begins in the current state; True, noting
+        the cycle, when an earlier step began in it too."""
+        if self.state is None:
+            return False
+        first = self._began.setdefault(self.state, step)
+        if first == step:
+            return False
+        self.cycle = (step, step - first)
+        return True
+
     def run(self) -> Optional[AnnotatedDdg]:
-        """Assign every node, or return None on budget exhaustion."""
+        """Assign every node, or return None once the attempt has failed.
+
+        It fails when no cluster can take a node (``stop`` "abandoned"),
+        when the budget runs out ("budget"), or when a step begins in a
+        state that an earlier step began in ("cycle").  The cycle stop is
+        exact: every decision is a function of ``self.state`` alone.
+        The heap yields the min-rank unassigned node; at a step boundary
+        the copy plans and pool counts follow from the cluster map; and
+        every tie-break is a max over unique ranks.  So the steps since
+        the earlier one would repeat until the budget ran out.
+        """
+        step = 0
         while self.unassigned:
+            step += 1
+            if self._revisits(step):
+                self.stop = "cycle"
+                obs_count("assign.cycle_stops")
+                return None
             if self.budget <= 0:
+                self.stop = "budget"
                 obs_count("assign.budget_exhausted")
                 return None
             self.budget -= 1
@@ -353,6 +423,7 @@ class _Assigner:
                 self.commit(node_id, chosen)
                 continue
             if not self.config.iterative:
+                self.stop = "abandoned"
                 obs_count("assign.select.abandoned")
                 return None
             with_conflicts = [
@@ -371,6 +442,7 @@ class _Assigner:
             ]
             forced = select_failure_cluster(with_conflicts)
             if forced is None or not self.force_assign(node_id, forced):
+                self.stop = "abandoned"
                 obs_count("assign.select.abandoned")
                 return None
             obs_count("assign.select.forced")
@@ -414,4 +486,11 @@ def assign_clusters(
             evictions=stats.evictions,
             copies=stats.copies,
         )
+        if assigner.stop is not None:
+            assign_span.note(stop=assigner.stop)
+        if assigner.cycle is not None:
+            assign_span.note(
+                cycle_step=assigner.cycle[0],
+                cycle_period=assigner.cycle[1],
+            )
     return annotated

@@ -202,11 +202,9 @@ def generate_loop(
 
     ddg = Ddg(name=name)
     ids = [ddg.add_node(op, name=f"{op.value}{i}") for i, op in enumerate(opcodes)]
+    makes_value = [produces_value(op) for op in opcodes]
 
     # --- forward dataflow ----------------------------------------------
-    def value_preds(limit: int) -> List[int]:
-        return [ids[j] for j in range(limit) if produces_value(opcodes[j])]
-
     edge_set = set()
 
     def add_edge(src: int, dst: int, distance: int) -> None:
@@ -215,8 +213,11 @@ def generate_loop(
             ddg.add_edge(src, dst, distance=distance)
 
     weights = profile.pred_weights
+    # The value producers before node ``i``, grown as ``i`` advances.
+    pool: List[int] = []
     for i in range(1, n_nodes):
-        pool = value_preds(i)
+        if makes_value[i - 1]:
+            pool.append(ids[i - 1])
         if not pool:
             continue
         n_preds = rng.choices(range(1, len(weights) + 1), weights=weights)[0]
@@ -231,7 +232,7 @@ def generate_loop(
     # (disjointness keeps the drawn SCC count: overlapping chains would
     # merge into one component).  Loads participate too — recurrences
     # through loads model pointer chasing and indexed reuse.
-    interior = [i for i in range(n_nodes) if produces_value(opcodes[i])]
+    interior = [i for i in range(n_nodes) if makes_value[i]]
     lengths = _fit_scc_plan(
         scc_plan, min(len(interior), profile.scc_nodes_cap)
     )
@@ -267,7 +268,7 @@ def generate_loop(
 
     # Guarantee at least one edge (Table 1: min edges = 1).
     if ddg.edge_count() == 0:
-        pool = value_preds(n_nodes - 1)
+        # ``pool`` still holds the value producers before the last node.
         if pool:
             add_edge(pool[-1], ids[n_nodes - 1], 0)
         else:

@@ -1,13 +1,23 @@
 """White-box tests of the assigner's internals: rule (A) history,
-forced placement, conflict counting, eviction cascades."""
+forced placement, conflict counting, eviction cascades, and the cycle
+stop with the premise it rests on."""
 
 import pytest
 
-from repro.core.assignment import AssignmentStats, _Assigner
+from repro.core.assignment import (
+    AssignmentStats,
+    _Assigner,
+    assign_clusters,
+)
+from repro.core.copies import RoutingState
+from repro.core.driver import compile_loop
 from repro.core.variants import HEURISTIC_ITERATIVE
 from repro.ddg import Ddg, Opcode
-from repro.machine import four_cluster_grid
+from repro.ddg.opcodes import fu_class_of
+from repro.machine import four_cluster_grid, two_cluster_gp
+from repro.mrt.pool import ResourcePools
 from repro.obs import tracing
+from repro.workloads import build_kernel, paper_suite
 
 
 def _assigner(ddg, machine, ii):
@@ -26,22 +36,24 @@ def pair_graph():
 
 
 class TestRuleAHistory:
+    # The history is a bitmask over cluster indices: bit c set means the
+    # node was placed on cluster c since the history was last cleared.
     def test_history_records_assignments(self, pair_graph, two_gp):
         assigner = _assigner(pair_graph, two_gp, ii=2)
         assigner.commit(0, 1)
-        assert assigner.previously_on[0] == {1}
+        assert assigner.previously_on[0] == 1 << 1
 
     def test_history_clears_when_full(self, pair_graph, two_gp):
         assigner = _assigner(pair_graph, two_gp, ii=2)
         assigner._record_history(0, 0)
-        assert assigner.previously_on[0] == {0}
+        assert assigner.previously_on[0] == 1 << 0
         assigner._record_history(0, 1)
         # Covered both clusters: cleared down to the latest entry.
-        assert assigner.previously_on[0] == {1}
+        assert assigner.previously_on[0] == 1 << 1
 
     def test_evaluate_reports_previously_here(self, pair_graph, two_gp):
         assigner = _assigner(pair_graph, two_gp, ii=2)
-        assigner.previously_on[0].add(1)
+        assigner.previously_on[0] |= 1 << 1
         info = assigner.evaluate(0, 1)
         assert info.previously_here
         info = assigner.evaluate(0, 0)
@@ -185,3 +197,106 @@ class TestEvictionCascades:
             assert 0 <= assigner.pools.used(key) <= (
                 assigner.pools.capacity(key)
             )
+
+
+def _rebuilt(assigner):
+    """Plans and pool counts a fresh routing state and pools derive from
+    the assigner's cluster map alone."""
+    machine = assigner.machine
+    pools = ResourcePools(machine, assigner.ii)
+    routing = RoutingState(
+        assigner.ddg, machine, pools,
+        share_broadcast=assigner.config.share_broadcast,
+    )
+    issue_demand = machine.resource_table.issue_demand
+    for node_id, cluster in assigner.routing.cluster_of.items():
+        opcode = assigner.ddg.node(node_id).opcode
+        assert pools.take(issue_demand[fu_class_of(opcode)][cluster])
+        routing.assign_unplanned(node_id, cluster)
+    for node_id in assigner.routing.cluster_of:
+        assert routing.replan(node_id)
+    return routing._plans, pools.checkpoint()
+
+
+def _unpacked(assigner):
+    """The cluster map and rule (A) histories decoded from the packed
+    state: equal to the live ones exactly when the packing is exact."""
+    n_clusters = assigner.machine.n_clusters
+    shift = n_clusters.bit_length()
+    width = shift + n_clusters
+    clusters, histories = {}, {}
+    for node_id, rank in assigner.order.rank.items():
+        field = (assigner.state >> (rank * width)) & ((1 << width) - 1)
+        cluster = (field & ((1 << shift) - 1)) - 1
+        if cluster >= 0:
+            clusters[node_id] = cluster
+        histories[node_id] = field >> shift
+    assert assigner.state >> (len(assigner.order.rank) * width) == 0
+    return clusters, histories
+
+
+class TestCycleStop:
+    @pytest.mark.parametrize("machine_factory", [
+        two_cluster_gp, four_cluster_grid,
+    ], ids=["2gp", "grid"])
+    def test_step_boundaries_are_functions_of_the_state(
+        self, machine_factory, monkeypatch
+    ):
+        # The stop's premise: at every step boundary the live plans and
+        # pool counts are what the cluster map alone implies, and once
+        # the attempt has evicted, the packed state decodes to exactly
+        # the cluster map and the histories.
+        checked = {"steps": 0, "after_eviction": 0}
+        revisits = _Assigner._revisits
+
+        def checked_revisits(assigner, step):
+            plans, used = _rebuilt(assigner)
+            assert assigner.routing._plans == plans
+            assert assigner.pools.checkpoint() == used
+            checked["steps"] += 1
+            if assigner.stats.evictions:
+                assert _unpacked(assigner) == (
+                    assigner.routing.cluster_of, assigner.previously_on
+                )
+                checked["after_eviction"] += 1
+            else:
+                assert assigner.state is None
+            return revisits(assigner, step)
+
+        monkeypatch.setattr(_Assigner, "_revisits", checked_revisits)
+        machine = machine_factory()
+        with tracing() as trace:
+            for ddg in paper_suite(60):
+                compile_loop(ddg, machine)
+        assert checked["steps"] == trace.counter("assign.budget_spent") + \
+            trace.counter("assign.budget_exhausted") + \
+            trace.counter("assign.cycle_stops")
+        assert checked["after_eviction"] > 0
+        assert trace.counter("assign.cycle_stops") > 0
+
+    def test_bilinear_blend_stops_on_its_first_repeat(self):
+        machine = two_cluster_gp()
+        ddg = build_kernel("bilinear_blend")
+        assert len(ddg) == 16  # budget 6 x 16 = 96 steps
+        with tracing() as trace:
+            assert assign_clusters(ddg, machine, 2) is None
+        assert trace.counter("assign.cycle_stops") == 1
+        assert trace.counter("assign.budget_exhausted") == 0
+        assert trace.counter("assign.budget_spent") < 96 // 2
+        span, = trace.find("assign")
+        assert span.attrs["stop"] == "cycle"
+        assert span.attrs["cycle_period"] == 2
+        # The step that found the repeat spent no budget.
+        assert span.attrs["cycle_step"] == \
+            trace.counter("assign.budget_spent") + 1
+
+    def test_stop_is_exact_against_the_full_budget(self, monkeypatch):
+        # With the stop disabled the same attempt runs its budget out
+        # and fails too: the cycle stop only removes replayed steps.
+        machine = two_cluster_gp()
+        ddg = build_kernel("bilinear_blend")
+        monkeypatch.setattr(_Assigner, "_revisits", lambda self, step: False)
+        with tracing() as trace:
+            assert assign_clusters(ddg, machine, 2) is None
+        assert trace.counter("assign.budget_exhausted") == 1
+        assert trace.counter("assign.budget_spent") == 96

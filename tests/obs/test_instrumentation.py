@@ -3,7 +3,14 @@ real compilations, and the disabled-mode guarantee."""
 
 import pytest
 
-from repro import compile_loop, obs, two_cluster_gp
+from repro import (
+    HEURISTIC,
+    HEURISTIC_ITERATIVE,
+    compile_loop,
+    four_cluster_grid,
+    obs,
+    two_cluster_gp,
+)
 from repro.analysis import run_experiment
 from repro.workloads import paper_suite
 
@@ -71,6 +78,36 @@ class TestCompileInstrumentation:
             traced = compile_loop(intro_example, two_gp)
         assert traced.ii == baseline.ii
         assert traced.schedule.start == baseline.schedule.start
+
+
+class TestAssignmentStops:
+    def test_every_failed_attempt_says_why(self):
+        # A grid slice that retries: the iterative variant stops on
+        # cycles and on its budget, the non-iterative one abandons.
+        machine = four_cluster_grid()
+        with obs.tracing() as trace:
+            for config in (HEURISTIC_ITERATIVE, HEURISTIC):
+                for ddg in paper_suite(120)[-60:]:
+                    compile_loop(ddg, machine, config)
+        failures = trace.counter("driver.assign_failures")
+        assert failures == trace.counter("assign.budget_exhausted") + \
+            trace.counter("assign.cycle_stops") + \
+            trace.counter("assign.select.abandoned")
+        spans = trace.find("assign")
+        failed = [span for span in spans if not span.attrs["succeeded"]]
+        assert len(failed) == failures
+        stops = [span.attrs["stop"] for span in failed]
+        assert set(stops) == {"cycle", "budget", "abandoned"}
+        assert all(
+            "stop" not in span.attrs
+            for span in spans if span.attrs["succeeded"]
+        )
+        for span in failed:
+            if span.attrs["stop"] == "cycle":
+                assert 1 <= span.attrs["cycle_period"] < \
+                    span.attrs["cycle_step"]
+            else:
+                assert "cycle_step" not in span.attrs
 
 
 class TestExperimentInstrumentation:

@@ -1,12 +1,19 @@
 """Synthetic loop generator: determinism, structure, calibration."""
 
+import hashlib
 import random
 
 import pytest
 
 from repro.ddg import Opcode, find_sccs, rec_mii
 from repro.ddg.opcodes import produces_value
-from repro.workloads import GeneratorProfile, generate_loop, generate_suite
+from repro.workloads import (
+    GeneratorProfile,
+    dumps_corpus,
+    generate_loop,
+    generate_suite,
+    paper_suite,
+)
 from repro.workloads.synthetic import _fit_scc_plan
 
 
@@ -25,6 +32,20 @@ class TestDeterminism:
         first = generate_suite(25, seed=1)
         second = generate_suite(25, seed=2)
         assert any(len(a) != len(b) for a, b in zip(first, second))
+
+
+class TestPinnedSuites:
+    # The full suite, byte for byte: every number in EXPERIMENTS.md and
+    # the ledger's golden outputs are functions of it.
+    @pytest.mark.parametrize("seed, digest", [
+        (1998,
+         "07a8073530a8672928cad7451d15aee7fb17884e50d8927ec59d54d3c98289f3"),
+        (7,
+         "2c2d1ac4c726c38ca4c156d61b93d0a70e65101ef59452e19244393235059e93"),
+    ], ids=["seed1998", "seed7"])
+    def test_paper_suite_digest(self, seed, digest):
+        text = dumps_corpus(paper_suite(1327, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestStructuralInvariants:
