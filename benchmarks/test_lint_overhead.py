@@ -29,13 +29,8 @@ from conftest import print_report
 MAX_OVERHEAD = 0.10
 REPEATS = 7
 
-#: The dataflow-family-only gate (the tentpole's fixed-point analyses)
-#: as the default ``--lint`` gate runs it: DF705 re-derives MII from
-#: scratch and is opt-in like SCHED490/CERT6xx, so it sits outside the
-#: overhead budget (``select`` implies enablement; ``disable`` wins).
-DF_CONFIG = LintConfig(
-    select=frozenset({"DF7"}), disable=frozenset({"DF705"})
-)
+#: The dataflow-family-only gate (the fixed-point analyses).
+DF_CONFIG = LintConfig(select=frozenset({"DF7"}))
 
 
 def _timed(fn) -> float:

@@ -56,6 +56,49 @@ def check_certificate(cert: Certificate, ddg, machine) -> List[CertIssue]:
     string) is reported as that section's failure instead of aborting
     the whole check.
     """
+    return _run_sections(cert, ddg, machine, _ALL_SECTIONS)
+
+
+#: The sections that judge a schedule on its own: the cluster
+#: assignment and copy routing of its annotated graph (CERT603),
+#: per-edge timing (CERT604) and per-slot occupancy (CERT605).
+SCHEDULE_SECTIONS = frozenset({"CERT603", "CERT604", "CERT605"})
+
+_ALL_SECTIONS = frozenset(
+    {"CERT600", "CERT601", "CERT602", "CERT606"} | SCHEDULE_SECTIONS
+)
+
+
+def check_schedule_sections(
+    cert: Certificate, ddg, machine
+) -> List[CertIssue]:
+    """Run only :data:`SCHEDULE_SECTIONS` over ``cert``.
+
+    ``ddg`` may be the annotated graph itself: these sections read the
+    graph only for opcode and value-production facts, which copies and
+    original operations both carry.  The MII claims and the register
+    allocation are not judged, so a certificate built for a bare
+    schedule may leave those witnesses empty.
+    """
+    return _run_sections(cert, ddg, machine, SCHEDULE_SECTIONS)
+
+
+def emission_failure(exc: BaseException) -> CertIssue:
+    """The CERT603 issue for an artifact the emitter could not describe.
+
+    Emitting a certificate reads the annotated graph's cluster map and
+    copy metadata directly, so a malformed artifact (an unassigned
+    node, an out-of-range cluster, an illegal copy hop, a copy that
+    forgot its value) raises there before any witness exists.  Callers
+    report that as one failure of the assignment section.
+    """
+    return CertIssue(
+        "CERT603", "certificate",
+        f"certificate emission failed: {exc!r}",
+    )
+
+
+def _run_sections(cert, ddg, machine, codes) -> List[CertIssue]:
     issues: List[CertIssue] = []
     sections = (
         ("CERT600", "graph", _check_graph),
@@ -67,6 +110,8 @@ def check_certificate(cert: Certificate, ddg, machine) -> List[CertIssue]:
         ("CERT606", "regalloc", _check_regalloc),
     )
     for code, location, section in sections:
+        if code not in codes:
+            continue
         try:
             section(cert, ddg, machine, issues)
         except Exception as exc:  # noqa: BLE001 - containment by design
@@ -344,12 +389,19 @@ def _check_graph(cert: Certificate, ddg, machine, issues) -> None:
                 f"original dependence (distance {distance}) dropped by "
                 f"the annotated graph ({count} missing)",
             ))
+    fed = {src for src, _, _ in cert.graph.edges}
     for copy_id in copies:
         if copy_in_edges.get(copy_id, 0) != 1:
             add(CertIssue(
                 "CERT600", f"copy {copy_id}",
                 f"copy has {copy_in_edges.get(copy_id, 0)} feed edges, "
                 f"expected exactly 1",
+            ))
+        if copy_id not in fed:
+            add(CertIssue(
+                "CERT600", f"copy {copy_id}",
+                "orphaned copy: it feeds no edge, so its transfer is "
+                "never read",
             ))
 
 
@@ -651,17 +703,19 @@ def _check_assignment(cert: Certificate, ddg, machine, issues) -> None:
         dst_cluster = cluster_of.get(dst)
         if src_cluster is None or dst_cluster is None:
             continue  # already reported above
-        if src_cluster == dst_cluster:
-            continue
         if src in copies:
             # A copy may only feed clusters it writes to — including the
-            # source cluster of the next copy in a chain.
+            # source cluster of the next copy in a chain.  Its own
+            # cluster is never one of them: a consumer there reads a
+            # register the copy does not write.
             if dst_cluster not in copies[src].targets:
                 add(CertIssue(
                     "CERT603", f"edge {src}->{dst}",
                     f"copy feeds cluster {dst_cluster} but only targets "
                     f"{list(copies[src].targets)}",
                 ))
+            continue
+        if src_cluster == dst_cluster:
             continue
         if produces.get(src, True):
             add(CertIssue(
@@ -773,9 +827,9 @@ def _check_timing(cert: Certificate, ddg, machine, issues) -> None:
         if slack < 0:
             add(CertIssue(
                 "CERT604", f"edge {src}->{dst}",
-                f"dependence violated: start[{dst}]={start[dst]} + "
-                f"{ii}*{distance} < start[{src}]={start[src]} + "
-                f"latency {latency_of[src]}",
+                f"dependence (distance {distance}) violated: "
+                f"start[{dst}]={start[dst]} + {ii}*{distance} < "
+                f"start[{src}]={start[src]} + latency {latency_of[src]}",
             ))
         if slack != cert.schedule.edge_slack[index]:
             add(CertIssue(

@@ -149,6 +149,35 @@ def certificate_for(
     )
 
 
+def schedule_certificate(schedule: Schedule) -> Certificate:
+    """The witnesses that judge ``schedule`` on its own.
+
+    Graph, assignment and schedule witnesses exactly as
+    :func:`certificate_for` emits them, for the schedule's annotated
+    graph; the MII claims and the register allocation stay empty, so
+    only :data:`~repro.certify.check.SCHEDULE_SECTIONS` may judge the
+    result (:func:`repro.scheduling.check_schedule` does).
+    """
+    annotated = schedule.annotated
+    machine = annotated.machine
+    res_keys = _resource_strings(annotated)
+    return Certificate(
+        loop=annotated.ddg.name or "loop",
+        machine=machine.name or "machine",
+        ii=schedule.ii,
+        mii=0,
+        recmii=RecMiiWitness(value=0),
+        resmii=ResMiiWitness(value=0),
+        sched_recmii=RecMiiWitness(value=0),
+        sched_resources=ResMiiWitness(value=0),
+        graph=_graph_witness(annotated.ddg),
+        assignment=_assignment_witness(annotated, res_keys),
+        schedule=_schedule_witness(annotated, schedule, res_keys,
+                                   _capacity_strings(machine)),
+        regalloc=RegallocWitness(unroll=0),
+    )
+
+
 # ----------------------------------------------------------------------
 # Recurrence witnesses
 # ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ The result is a :class:`CertifiedArtifact` — certificate, verifier
 issues, and the optional exact verdict — which
 :func:`artifact_diagnostics` bridges into the lint diagnostic stream so
 certificate failures render through the same text/JSON/SARIF renderers
-as every other finding.
+as every other finding.  A loop too malformed to emit a certificate
+for is reported as one CERT603 issue, never raised.
 
 :class:`CertifyConfig` is frozen and picklable, so it crosses the
 parallel engine's process boundary exactly like
@@ -18,11 +19,11 @@ parallel engine's process boundary exactly like
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .. import obs
 from ..lint.diagnostics import SEVERITY_ERROR, SEVERITY_WARNING, Diagnostic
-from .check import CertIssue, check_certificate
+from .check import CertIssue, check_certificate, emission_failure
 from .emit import emit_certificate
 from .exact import (
     STATUS_BUDGET,
@@ -38,29 +39,56 @@ from .witness import Certificate
 #: optimization, not a wrong compile.
 CODE_LOOSE_II = "CERT690"
 
-#: Artifact family each checker section reports against (mirrors the
-#: lint families so mixed reports group naturally).
-SECTION_ARTIFACTS = {
-    "CERT600": "annotated",
-    "CERT601": "ddg",
-    "CERT602": "machine",
-    "CERT603": "annotated",
-    "CERT604": "schedule",
-    "CERT605": "schedule",
-    "CERT606": "regalloc",
-    CODE_LOOSE_II: "schedule",
-}
 
-#: Human-readable rule slugs per checker section.
-SECTION_RULES = {
-    "CERT600": "cert-graph-fidelity",
-    "CERT601": "cert-recurrence-witness",
-    "CERT602": "cert-resource-witness",
-    "CERT603": "cert-copy-routing",
-    "CERT604": "cert-timing",
-    "CERT605": "cert-occupancy",
-    "CERT606": "cert-lifetimes",
-    CODE_LOOSE_II: "cert-loose-ii",
+class CertRule(NamedTuple):
+    """How one certify code reports: rule slug, artifact family (the
+    lint families' names, so mixed reports group naturally), default
+    severity and what the code proves."""
+
+    name: str
+    artifact: str
+    severity: str
+    description: str
+
+
+#: Every diagnostic code the certify gate emits, in code order.
+CERT_RULES = {
+    "CERT600": CertRule(
+        "cert-graph-fidelity", "annotated", SEVERITY_ERROR,
+        "annotated graph witness is a faithful extension of the input "
+        "DDG, and every copy is fed once and read",
+    ),
+    "CERT601": CertRule(
+        "cert-recurrence-witness", "ddg", SEVERITY_ERROR,
+        "RecMII witness cycle exists, is maximal, and attains its bound",
+    ),
+    "CERT602": CertRule(
+        "cert-resource-witness", "machine", SEVERITY_ERROR,
+        "ResMII counting evidence matches an independent recount",
+    ),
+    "CERT603": CertRule(
+        "cert-copy-routing", "annotated", SEVERITY_ERROR,
+        "every node sits on a real cluster and every cross-cluster "
+        "value flow rides a legal witnessed copy route",
+    ),
+    "CERT604": CertRule(
+        "cert-timing", "schedule", SEVERITY_ERROR,
+        "per-edge timing slack witnesses are correct and non-negative",
+    ),
+    "CERT605": CertRule(
+        "cert-occupancy", "schedule", SEVERITY_ERROR,
+        "per-(resource, row) occupancy slots match capacity and recount",
+    ),
+    "CERT606": CertRule(
+        "cert-lifetimes", "regalloc", SEVERITY_ERROR,
+        "lifetime intervals and MVE register assignment are "
+        "overlap-free",
+    ),
+    CODE_LOOSE_II: CertRule(
+        "cert-loose-ii", "schedule", SEVERITY_WARNING,
+        "exact bounded oracle found a valid schedule below the "
+        "achieved II",
+    ),
 }
 
 
@@ -91,11 +119,17 @@ DEFAULT_CERTIFY = CertifyConfig()
 
 @dataclass(frozen=True)
 class CertifiedArtifact:
-    """One compile's certificate plus its verification outcome."""
+    """One compile's certificate plus its verification outcome.
 
-    certificate: Certificate
+    ``certificate`` is None when the compiled loop was too malformed to
+    emit one; ``issues`` then holds the single CERT603 emission failure
+    and ``loop`` names the loop.
+    """
+
+    certificate: Optional[Certificate]
     issues: Tuple[CertIssue, ...]
     exact: Optional[ExactResult] = None
+    loop: str = ""
 
     @property
     def ok(self) -> bool:
@@ -118,17 +152,29 @@ class CertifiedArtifact:
 def certify_compiled(
     compiled, config: CertifyConfig = DEFAULT_CERTIFY
 ) -> CertifiedArtifact:
-    """Emit and verify the certificate of one compiled loop."""
+    """Emit and verify the certificate of one compiled loop.
+
+    Never raises on a malformed artifact: an emitter failure becomes
+    one error-severity CERT603 issue naming the exception.
+    """
+    loop = compiled.ddg.name or "loop"
     with obs.span("certify", loop=compiled.ddg.name):
-        certificate = emit_certificate(compiled)
-        issues = tuple(
-            check_certificate(certificate, compiled.ddg, compiled.machine)
-        )
+        try:
+            certificate = emit_certificate(compiled)
+        except Exception as exc:  # noqa: BLE001 - reported, not raised
+            certificate = None
+            issues = (emission_failure(exc),)
+        else:
+            issues = tuple(
+                check_certificate(
+                    certificate, compiled.ddg, compiled.machine
+                )
+            )
         obs.count("certify.checked")
         if issues:
             obs.count("certify.failures", len(issues))
         exact = None
-        if config.exact:
+        if config.exact and certificate is not None:
             exact = probe_tightness(
                 certificate, compiled.ddg, compiled.machine,
                 config.budget(),
@@ -139,7 +185,7 @@ def certify_compiled(
                 obs.count("certify.exact_budget_exhausted")
             if exact.status == STATUS_LOOSE:
                 obs.count("certify.loose_ii")
-    return CertifiedArtifact(certificate, issues, exact)
+    return CertifiedArtifact(certificate, issues, exact, loop)
 
 
 def artifact_diagnostics(artifact: CertifiedArtifact) -> List[Diagnostic]:
@@ -149,15 +195,15 @@ def artifact_diagnostics(artifact: CertifiedArtifact) -> List[Diagnostic]:
     ``loose`` exact verdict becomes a warning-severity CERT690 citing
     the II the oracle scheduled at.
     """
-    loop = artifact.certificate.loop
+    loop = artifact.loop or artifact.certificate.loop
     diagnostics = [
         Diagnostic(
             code=issue.code,
             severity=SEVERITY_ERROR,
             message=issue.message,
-            rule=SECTION_RULES.get(issue.code, "certificate"),
+            rule=CERT_RULES[issue.code].name,
             loop=loop,
-            artifact=SECTION_ARTIFACTS.get(issue.code, "certificate"),
+            artifact=CERT_RULES[issue.code].artifact,
             location=issue.location,
         )
         for issue in artifact.issues
@@ -173,9 +219,9 @@ def artifact_diagnostics(artifact: CertifiedArtifact) -> List[Diagnostic]:
                     f"the exact oracle found a valid schedule at "
                     f"II={exact.probed_ii}"
                 ),
-                rule=SECTION_RULES[CODE_LOOSE_II],
+                rule=CERT_RULES[CODE_LOOSE_II].name,
                 loop=loop,
-                artifact=SECTION_ARTIFACTS[CODE_LOOSE_II],
+                artifact=CERT_RULES[CODE_LOOSE_II].artifact,
                 hint=(
                     "the heuristic scheduler missed a feasible schedule "
                     "under this cluster assignment"

@@ -604,7 +604,7 @@ def _add_lint_select_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--rule", action="append", default=None, metavar="CODE",
         help="run only rules matching a code or family prefix "
-             "(repeatable), e.g. --rule DF705 or --rule DF7; selected "
+             "(repeatable), e.g. --rule DF704 or --rule DF7; selected "
              "default-off rules run too",
     )
     parser.add_argument(

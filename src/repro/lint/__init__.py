@@ -1,12 +1,12 @@
-"""``repro.lint`` — pipeline-wide static analysis with stable codes.
+"""``repro.lint`` — static analysis of the compiler's inputs.
 
-Every invariant the assign->schedule->regalloc pipeline relies on is
-re-derived from scratch by an independent rule, registered under a
-stable diagnostic code grouped by artifact family (``DDG1xx``,
-``MACH2xx``, ``ASSIGN3xx``, ``SCHED4xx``, ``REG5xx``, ``CERT6xx``,
-``DF7xx``).  See ``docs/LINTING.md`` for the full catalog
-and ``docs/DATAFLOW.md`` for the fixed-point engine the DF7xx family
-is built on.
+Every invariant the pipeline assumes of its inputs is re-derived from
+scratch by an independent rule, registered under a stable diagnostic
+code grouped by family (``DDG1xx``, ``MACH2xx``, ``SCHED4xx``,
+``DF7xx``).  See ``docs/LINTING.md`` for the full catalog and
+``docs/DATAFLOW.md`` for the fixed-point engine the DF7xx family is
+built on.  The compiled loop itself is checked by :mod:`repro.certify`
+(``--certify``), not here.
 
 Entry points:
 
@@ -15,22 +15,18 @@ Entry points:
 * :func:`lint_compiled` — lint an already compiled loop (what the
   ``--lint`` pipeline gate runs);
 * :func:`lint_machine` — machine description alone;
-* :func:`df_mii_floor` / :func:`pressure_floor` — the static bounds as
-  a library (exact-backend pruning, ROADMAP item 1);
+* :func:`pressure_floor` — the static register-pressure bound as a
+  library;
 * :func:`render` — text / JSON / SARIF 2.1.0 output.
 """
 
 from .dataflow import (
     DataflowProblem,
     DataflowResult,
-    df_mii_floor,
-    df_rec_mii,
-    df_res_mii,
     pressure_floor,
     solve,
     solve_ddg,
 )
-
 from .diagnostics import (
     CODE_COMPILE_FAILURE,
     CODE_RULE_CRASH,
@@ -85,9 +81,6 @@ __all__ = [
     "SEVERITY_INFO",
     "SEVERITY_WARNING",
     "all_rules",
-    "df_mii_floor",
-    "df_rec_mii",
-    "df_res_mii",
     "format_json",
     "format_sarif",
     "format_text",

@@ -16,8 +16,7 @@ the transfer functions themselves depend on II.  This module provides
 * concrete analyses built on the engine: cyclic liveness
   (:func:`live_values` / :func:`dead_values`), inter-cluster
   reachability closure (:func:`cluster_reachability`), modulo-II
-  longest paths (:func:`longest_paths`), and the static bounds
-  :func:`df_mii_floor` (a sound MII tightening) and
+  longest paths (:func:`longest_paths`), and the static bound
   :func:`pressure_floor` (a per-cluster register lower bound).
 
 The engine consumes the compiled CSR views of :mod:`repro.ddg.view`
@@ -26,16 +25,14 @@ its own SCC machinery (:mod:`repro.lint._graph`): the DF rules are lint
 rules, and re-deriving structure independently of the pipeline is the
 point.
 
-Soundness of the static bounds
-------------------------------
-All lower bounds here are *relaxations*: they ignore some constraints a
-real schedule must satisfy, so they can only under-approximate the true
-minimum.  ``df_mii_floor`` counts issue slots of operations whose
-relative kernel rows are already *forced* by zero-slack recurrences
-(see :func:`forced_row_groups`); ``pressure_floor`` lower-bounds each
-value's lifetime by the longest dependence path to its consumers.  Both
-are cross-checked against the real pipeline by the differential tests
-in ``tests/lint/test_dataflow.py``.
+Soundness of the static bound
+-----------------------------
+``pressure_floor`` is a *relaxation*: it lower-bounds each value's
+lifetime by the longest dependence path to its consumers and ignores
+every other constraint a real schedule must satisfy, so it can only
+under-approximate the true register demand.  It is cross-checked
+against the real pipeline by the differential tests in
+``tests/lint/test_dataflow.py``.
 """
 
 from __future__ import annotations
@@ -467,203 +464,6 @@ def longest_paths(
     if not result.converged:
         return None
     return result.values
-
-
-def df_rec_mii(ddg) -> int:
-    """Recurrence MII, re-derived through the dataflow engine.
-
-    Binary search over candidate IIs; a candidate is feasible iff the
-    widening longest-path analysis converges with every node as a
-    source (no positive cycle anywhere).  Positive cycles live entirely
-    inside SCCs, so each nontrivial component is searched over its own
-    subgraph — the ``--lint`` gate runs this per compiled loop, and
-    probing the whole graph per candidate would dominate the budget.
-    Deliberately independent of :mod:`repro.ddg.mii` — agreement
-    between the two is a differential test, not an import.
-    """
-    view = ddg.view()
-    edges = view.edge_array
-    if not edges:
-        return 0
-    succs: Dict[int, List[int]] = {}
-    for spec in edges:
-        succs.setdefault(spec[0], []).append(spec[1])
-    bound = 0
-    for component in strongly_connected_components(
-        list(view.node_ids), succs
-    ):
-        if len(component) == 1 and component[0] not in view.self_loops:
-            continue
-        members = sorted(component)
-        member_set = set(members)
-        scc_edges = [
-            spec for spec in edges
-            if spec[0] in member_set and spec[1] in member_set
-        ]
-        upper = max(sum(view.latency[n] for n in members), 1)
-        if longest_paths(members, scc_edges, members, upper) is None:
-            raise ValueError(
-                "dependence cycle with zero total distance: "
-                "no II makes the kernel feasible"
-            )
-        # A component already feasible at the running bound cannot
-        # raise it; skip its search outright.
-        if longest_paths(members, scc_edges, members, bound) is not None:
-            continue
-        low, high = bound, upper  # infeasible at low, feasible at high
-        while high - low > 1:
-            mid = (low + high) // 2
-            if longest_paths(members, scc_edges, members, mid) is None:
-                low = mid
-            else:
-                high = mid
-        bound = high
-    return bound
-
-
-def df_res_mii(ddg, machine) -> int:
-    """Resource MII, re-derived: per-class demand over capacity."""
-    demand: Dict[object, int] = {}
-    for node in ddg.nodes:
-        if node.is_copy:
-            continue
-        demand[node.fu_class] = demand.get(node.fu_class, 0) + 1
-    if not demand:
-        return 1
-    if machine.general_purpose:
-        total = sum(demand.values())
-        width = machine.total_width
-        if width <= 0:
-            raise ValueError("machine has no function units")
-        return max(1, -(-total // width))
-    bound = 1
-    for fu_class, count in demand.items():
-        capacity = machine.issue_capacity(fu_class)
-        if capacity <= 0:
-            raise ValueError(f"machine cannot execute {fu_class} ops")
-        bound = max(bound, -(-count // capacity))
-    return bound
-
-
-# ----------------------------------------------------------------------
-# Forced kernel rows and the MII floor
-# ----------------------------------------------------------------------
-def forced_row_groups(
-    ddg, ii: int
-) -> Optional[List[Dict[int, int]]]:
-    """Groups of nodes whose *relative* kernel rows ``ii`` forces.
-
-    Within an SCC, nodes ``u`` and ``v`` are mutually tight at ``ii``
-    when ``lp(u->v) + lp(v->u) == 0``: the schedule inequalities pin
-    ``start[v] - start[u]`` to exactly ``lp(u->v)``, so the two occupy
-    kernel rows a fixed ``lp(u->v) mod II`` apart.  Mutual tightness is
-    transitive (path concatenation), so it partitions each SCC into
-    groups; each group is returned as ``{node: forced offset}`` with an
-    arbitrary member anchored at 0.  Returns ``None`` when some SCC has
-    a positive cycle at ``ii`` (infeasible outright).
-    """
-    view = ddg.view()
-    succs: Dict[int, List[int]] = {}
-    for src, dst, _lat, _dist in view.edge_array:
-        succs.setdefault(src, []).append(dst)
-    groups: List[Dict[int, int]] = []
-    for component in strongly_connected_components(
-        list(view.node_ids), succs
-    ):
-        if len(component) == 1 and component[0] not in view.self_loops:
-            continue
-        members = sorted(component)
-        member_set = set(members)
-        scc_edges = [
-            spec for spec in view.edge_array
-            if spec[0] in member_set and spec[1] in member_set
-        ]
-        lp: Dict[int, Dict[int, float]] = {}
-        for source in members:
-            row = longest_paths(members, scc_edges, (source,), ii)
-            if row is None:
-                return None
-            lp[source] = row
-        grouped: Set[int] = set()
-        for anchor in members:
-            if anchor in grouped:
-                continue
-            group = {
-                node: int(lp[anchor][node])
-                for node in members
-                if lp[anchor][node] != NEG_INF
-                and lp[node][anchor] != NEG_INF
-                and lp[anchor][node] + lp[node][anchor] == 0
-            }
-            grouped.update(group)
-            groups.append(group)
-    return groups
-
-
-def _forced_rows_fit(ddg, machine, ii: int) -> bool:
-    """Can the rows forced at ``ii`` fit the machine's issue rows?
-
-    A sound relaxation of the full scheduling problem: only *machine-
-    wide* per-row capacity is checked (cluster assignment can shuffle
-    ops between clusters but cannot mint issue slots), different forced
-    groups may still slide relative to each other (so their counts are
-    never added), and copies are exempt from issue rows (the paper's
-    copies consume communication resources only) but do contend for a
-    broadcast bus row slot.
-    """
-    groups = forced_row_groups(ddg, ii)
-    if groups is None:
-        return False
-    bus_capacity = (
-        machine.interconnect.channel_resources().get("bus")
-        if machine.interconnect.broadcast else None
-    )
-    for group in groups:
-        rows: Dict[Tuple[int, object], int] = {}
-        bus_rows: Dict[int, int] = {}
-        for node_id, offset in group.items():
-            node = ddg.node(node_id)
-            row = offset % ii
-            if node.is_copy:
-                if bus_capacity is not None:
-                    bus_rows[row] = bus_rows.get(row, 0) + 1
-                continue
-            key = (row, "gp" if machine.general_purpose else node.fu_class)
-            rows[key] = rows.get(key, 0) + 1
-        for (row, fu_class), used in rows.items():
-            capacity = (
-                machine.total_width if fu_class == "gp"
-                else machine.issue_capacity(fu_class)
-            )
-            if used > capacity:
-                return False
-        if bus_capacity is not None:
-            for row, used in bus_rows.items():
-                if used > bus_capacity:
-                    return False
-    return True
-
-
-def df_mii_floor(ddg, machine, max_tighten: int = 8) -> int:
-    """A sound static lower bound on the initiation interval.
-
-    Starts from ``max(RecMII, ResMII)`` (both re-derived here, not
-    imported from the pipeline) and tightens upward: any candidate II
-    whose forced-row groups overflow a machine-wide issue row is proven
-    infeasible, so the floor rises to the next candidate.  Tightening
-    stops after ``max_tighten`` steps — every returned value is backed
-    by an explicit infeasibility proof for all smaller IIs, so the
-    result never exceeds the true minimum (the property the exact-
-    oracle differential test pins).
-    """
-    base = max(df_rec_mii(ddg), df_res_mii(ddg, machine), 1)
-    floor = base
-    for _ in range(max(0, max_tighten)):
-        if _forced_rows_fit(ddg, machine, floor):
-            return floor
-        floor += 1
-        obs_count("lint.df_mii_tightened")
-    return floor
 
 
 # ----------------------------------------------------------------------

@@ -37,10 +37,8 @@ from .registry import DEFAULT_CONFIG, LintConfig, applicable_rules
 class LintTarget:
     """The artifacts available to the rules for one lint unit.
 
-    ``cache`` memoizes expensive derived artifacts (rebuilt reservation
-    tables, MVE allocations) across rules of one target; tests may
-    pre-seed it to exercise consistency rules against corrupted
-    artifacts.
+    ``cache`` memoizes derived artifacts (the cyclic liveness map)
+    across rules of one target; tests may pre-seed it.
     """
 
     name: str = ""
@@ -232,10 +230,11 @@ def lint_loop_deep(
 
     Runs the DDG rules first; when they find errors the pipeline phases
     are skipped (the graph is not trustworthy enough to compile).
-    Otherwise the loop is compiled for ``machine`` and the annotated
-    graph, schedule, and register allocation are linted too.  A compile
-    failure surfaces as a ``LINT002`` diagnostic rather than an
-    exception so corpus-wide runs keep going.
+    Otherwise the loop is compiled for ``machine`` and the rules that
+    read a schedule (SCHED406, DF704) run too; the compiled loop's
+    correctness is ``repro certify``'s job.  A compile failure
+    surfaces as a ``LINT002`` diagnostic rather than an exception so
+    corpus-wide runs keep going.
     """
     report = lint_target(
         LintTarget(name=ddg.name or "loop", ddg=ddg, machine=machine),

@@ -1,18 +1,19 @@
 """Rule registry and per-run configuration.
 
-A *rule* re-derives one pipeline invariant from scratch and reports
-findings.  Rules are registered with the :func:`rule` decorator under a
-stable code grouped by artifact family:
+A *rule* re-derives one invariant of the compiler's inputs (or one
+property the certificate checker does not decide) from scratch and
+reports findings.  Rules are registered with the :func:`rule` decorator
+under a stable code grouped by family:
 
 ========== ======================================================
 ``DDG1xx``    graph well-formedness of the input DDG
 ``MACH2xx``   machine-description consistency
-``ASSIGN3xx`` legality of the cluster-annotated graph
-``SCHED4xx``  modulo-schedule constraints and modulo properties
-``REG5xx``    lifetime / MVE register-allocation consistency
-``CERT6xx``   compilation-certificate verification
+``SCHED4xx``  schedule-shape warning and the reference differential
 ``DF7xx``     fixed-point dataflow analyses over cyclic kernels
 ========== ======================================================
+
+The compiled loop itself — annotated graph, schedule, register
+allocation — is judged by :mod:`repro.certify`, not by lint rules.
 
 A rule's check function receives ``(target, config)`` and yields
 :class:`Finding` records; the engine wraps them into
@@ -32,16 +33,11 @@ from .diagnostics import SEVERITIES
 FAMILIES = {
     "DDG1": "DDG well-formedness",
     "MACH2": "machine description",
-    "ASSIGN3": "annotated-graph legality",
-    "SCHED4": "modulo-schedule constraints",
-    "REG5": "register lifetime / MVE consistency",
-    "CERT6": "certificate verification",
+    "SCHED4": "schedule shape and reference differential",
     "DF7": "cyclic-kernel dataflow analysis",
 }
 
-_CODE = re.compile(
-    r"^(DDG1|MACH2|ASSIGN3|SCHED4|REG5|CERT6|DF7)\d\d$"
-)
+_CODE = re.compile(r"^(DDG1|MACH2|SCHED4|DF7)\d\d$")
 
 
 class Finding(NamedTuple):
@@ -151,7 +147,7 @@ def applicable_rules(
     Rule selection depends only on the config's select/enable/disable
     sets and the target's artifact availability, so the filtered tuple
     is memoized across targets — the ``--lint`` gate lints one target
-    per compiled loop and would otherwise re-filter 40+ rules each
+    per compiled loop and would otherwise re-filter every rule each
     time.
     """
     key = (config.disable, config.enable, config.select, available)
@@ -173,12 +169,9 @@ def rules_in_family(prefix: str) -> List[Rule]:
 def _load_rule_modules() -> None:
     """Import every rules module so the registry is fully populated."""
     from . import (  # noqa: F401  (imported for registration side effect)
-        rules_assign,
-        rules_cert,
         rules_ddg,
         rules_df,
         rules_machine,
-        rules_reg,
         rules_sched,
     )
 
@@ -189,7 +182,7 @@ class LintConfig:
 
     ``disable`` wins over everything; ``enable`` opts default-off rules
     in.  ``select``, when non-empty, restricts the run to rules whose
-    code matches one of its entries — exactly (``DF705``) or by family
+    code matches one of its entries — exactly (``DF704``) or by family
     prefix (``DF7``, ``SCHED4``); a selected rule runs even when it is
     default-off (selection implies enablement, disable still wins).
     ``severity`` maps rule codes to overridden severities.  The config

@@ -58,22 +58,33 @@ def format_json(report: LintReport) -> str:
     return json.dumps(to_json_doc(report), indent=2, sort_keys=True)
 
 
+def _sarif_rule(code, name, description, severity, family, artifact):
+    return {
+        "id": code,
+        "name": name,
+        "shortDescription": {"text": description},
+        "defaultConfiguration": {"level": SARIF_LEVELS[severity]},
+        "properties": {"family": family, "artifact": artifact},
+    }
+
+
 def _sarif_rules() -> List[Dict]:
-    """``tool.driver.rules`` entries for every registered rule."""
+    """``tool.driver.rules``: every registered lint rule, then every
+    code the certify checker reports (both render through here)."""
+    from ..certify.gate import CERT_RULES
+
     return [
-        {
-            "id": rule.code,
-            "name": rule.name,
-            "shortDescription": {"text": rule.description},
-            "defaultConfiguration": {
-                "level": SARIF_LEVELS[rule.default_severity],
-            },
-            "properties": {
-                "family": rule.family,
-                "artifact": rule.artifact,
-            },
-        }
+        _sarif_rule(
+            rule.code, rule.name, rule.description,
+            rule.default_severity, rule.family, rule.artifact,
+        )
         for rule in all_rules()
+    ] + [
+        _sarif_rule(
+            code, cert.name, cert.description, cert.severity, "CERT6",
+            cert.artifact,
+        )
+        for code, cert in CERT_RULES.items()
     ]
 
 

@@ -2,24 +2,22 @@
 
 These rules run the fixed-point analyses of :mod:`repro.lint.dataflow`
 against whatever artifacts the target carries: cyclic liveness on the
-bare graph, copy reachability before and after cluster assignment, and
-the static register-pressure / MII lower bounds against the finished
-schedule.  Everything is a *proof*, not an observation — when DF704 or
-DF705 fires, no schedule (at that II, or at all) could have avoided it.
+bare graph, copy reachability before cluster assignment, and the
+static register-pressure lower bound against the finished schedule.
+Everything is a *proof*, not an observation — when DF704 fires, no
+schedule at that II could have avoided it.  Whether the copies the
+assignment inserted deliver every value is the certificate checker's
+question (CERT600/CERT603), not lint's.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List
+from typing import Dict, Iterator, List
 
 from .dataflow import (
-    BoolLattice,
-    DataflowProblem,
     cached_live_values,
     cluster_reachability,
-    df_mii_floor,
     pressure_floor,
-    solve,
 )
 from .registry import Finding, rule
 
@@ -115,7 +113,7 @@ def check_unreachable_consumers(target, config) -> Iterator[Finding]:
         if src == dst or not view.produces_value[src]:
             continue
         if src not in feasible or dst not in feasible:
-            continue  # copies: routed already, DF703's job
+            continue  # copies: routed already, certify's job
         src_clusters = feasible[src]
         if any(
             cu in senders[cv]
@@ -133,118 +131,6 @@ def check_unreachable_consumers(target, config) -> Iterator[Finding]:
             hint="add interconnect links or units so producer and "
                  "consumer share a reachable cluster pair",
         )
-
-
-@rule(
-    "DF703",
-    "copy-reach",
-    "error",
-    "copy chain fails to deliver a value to its consumers",
-    requires=("annotated",),
-    artifact="annotated",
-)
-def check_copy_reach(target, config) -> Iterator[Finding]:
-    """Reaching-copies analysis of the cluster-annotated graph.
-
-    Re-derives, independently of ``AnnotatedDdg.validate``, that every
-    copy is fed by a value path from the value it claims to transport,
-    that its hops exist on the interconnect, that its value is consumed
-    somewhere, and that every consumer reads the value in a cluster
-    some carrier actually delivers to.
-    """
-    annotated = target.annotated
-    ddg = annotated.ddg
-    machine = annotated.machine
-    view = ddg.view()
-    cluster_of = annotated.cluster_of
-    copy_targets = annotated.copy_targets
-    copy_value_of = annotated.copy_value_of
-
-    for copy_id in annotated.copy_nodes:
-        if not view.out_edges[copy_id]:
-            yield Finding(
-                location=f"node {copy_id}",
-                message=(
-                    f"copy {_node_label(ddg, copy_id)!r} is never "
-                    f"consumed on any of its target clusters"
-                ),
-                hint="the assignment inserted a useless copy",
-            )
-        src_cluster = cluster_of[copy_id]
-        for target_cluster in copy_targets.get(copy_id, ()):
-            if not machine.interconnect.reachable(
-                src_cluster, target_cluster
-            ):
-                yield Finding(
-                    location=f"node {copy_id}",
-                    message=(
-                        f"copy {_node_label(ddg, copy_id)!r} hops "
-                        f"cluster {src_cluster} -> {target_cluster}, "
-                        f"which the interconnect cannot carry"
-                    ),
-                    hint="copies must ride one-hop reachable channels",
-                )
-
-    carriers_of: Dict[int, List[int]] = {}
-    for copy_id, value_id in copy_value_of.items():
-        carriers_of.setdefault(value_id, []).append(copy_id)
-    for value_id, copies in sorted(carriers_of.items()):
-        carriers = frozenset([value_id, *copies])
-        # Fast path: when the value's own out-edges feed every copy
-        # directly (the common one-hop broadcast shape), each copy is
-        # trivially fed and the fixed point is not worth setting up.
-        direct = {dst for dst, _distance in view.out_specs[value_id]}
-        if all(copy_id in direct for copy_id in copies):
-            fed = dict.fromkeys(carriers, True)
-        else:
-            # Flow edges among carriers only; the Bool transfer is
-            # identity, so synthesizing specs from the CSR out-lists
-            # avoids scanning the whole edge array per value.
-            chain_edges = [
-                (carrier, dst, 0, 0)
-                for carrier in carriers
-                for dst, _distance in view.out_specs[carrier]
-                if dst in carriers and dst != carrier
-            ]
-            fed = solve(
-                sorted(carriers),
-                chain_edges,
-                DataflowProblem(
-                    lattice=BoolLattice,
-                    init=lambda node, root=value_id: node == root,
-                ),
-            ).values
-        for copy_id in copies:
-            if not fed[copy_id]:
-                yield Finding(
-                    location=f"node {copy_id}",
-                    message=(
-                        f"copy {_node_label(ddg, copy_id)!r} claims to "
-                        f"carry {_node_label(ddg, value_id)!r} but no "
-                        f"value path feeds it"
-                    ),
-                    hint="the copy chain is disconnected from its value",
-                )
-        for carrier in sorted(carriers):
-            delivered: FrozenSet[int] = (
-                frozenset(copy_targets.get(carrier, ()))
-                if ddg.node(carrier).is_copy
-                else frozenset((cluster_of[carrier],))
-            )
-            for dst, _distance in view.out_specs[carrier]:
-                if dst in carriers or dst == carrier:
-                    continue
-                if cluster_of[dst] in delivered:
-                    continue
-                yield Finding(
-                    location=f"edge {carrier}->{dst}",
-                    message=(
-                        f"consumer {_node_label(ddg, dst)!r} reads "
-                        f"{_node_label(ddg, value_id)!r} on cluster "
-                        f"{cluster_of[dst]}, which no carrier delivers to"
-                    ),
-                    hint="insert a copy into the consumer's cluster",
-                )
 
 
 @rule(
@@ -269,7 +155,7 @@ def check_register_pressure(target, config) -> Iterator[Finding]:
         return
     floors = pressure_floor(schedule.annotated, schedule.ii)
     if floors is None:
-        return  # an infeasible II is SCHED4xx territory
+        return  # an infeasible II is certify's territory
     for cluster_index, floor in sorted(floors.items()):
         capacity = machine.cluster(cluster_index).register_file
         if capacity and floor > capacity:
@@ -282,41 +168,3 @@ def check_register_pressure(target, config) -> Iterator[Finding]:
                 hint="no schedule at this II fits; raise the II or "
                      "grow the register file",
             )
-
-
-@rule(
-    "DF705",
-    "ii-below-floor",
-    "error",
-    "achieved II is below the static dataflow MII floor",
-    requires=("schedule",),
-    artifact="schedule",
-    default_enabled=False,
-)
-def check_ii_floor(target, config) -> Iterator[Finding]:
-    """Cross-check the schedule's II against :func:`df_mii_floor`.
-
-    The floor is a sound lower bound on any feasible II for the
-    annotated graph, so a schedule beneath it means either the
-    scheduler violated a constraint or the floor's proof is wrong —
-    both are bugs worth an error.  Like ``SCHED490`` and the CERT6xx
-    family, the rule re-derives MII from scratch per loop, so it is
-    opt-in (``--enable DF705`` or ``--rule DF7``) rather than part of
-    the default ``--lint`` gate's budget.
-    """
-    schedule = target.schedule
-    machine = target.effective_machine
-    floor = target.cache.get("df_mii_floor")
-    if floor is None:
-        floor = df_mii_floor(schedule.annotated.ddg, machine)
-        target.cache["df_mii_floor"] = floor
-    if schedule.ii < floor:
-        yield Finding(
-            location=f"ii {schedule.ii}",
-            message=(
-                f"schedule II {schedule.ii} is below the dataflow MII "
-                f"floor {floor}"
-            ),
-            hint="the floor is a proven lower bound; one of the two "
-                 "computations is wrong",
-        )

@@ -1,209 +1,19 @@
-"""``SCHED4xx`` — modulo-schedule constraints and modulo properties.
+"""``SCHED4xx`` — schedule-shape warnings and the reference differential.
 
-The first three rules are the historical independent validator
-(:mod:`repro.scheduling.verify`) re-expressed with stable codes; the
-resource rule now accounts with the *same* compiled demand profiles the
-scheduler's reservation table uses (:meth:`compile_demand`), so the
-validator and the hot path can no longer drift apart silently.  The
-remaining rules check modulo properties (schedule domain, II sanity,
-pipeline depth), the MRT's double-entry occupancy bookkeeping, and — on
-demand — a differential cross-check against the frozen slow-reference
-pipeline.
+The schedule's constraints themselves (dependences, per-row resource
+capacities, the annotated graph's structure) are judged by the
+independent certificate checker, :mod:`repro.certify.check`, which
+``--certify`` and :func:`repro.scheduling.check_schedule` run.  What
+stays here is what that checker does not decide: a warning for runaway
+start cycles and, on demand, a differential cross-check against the
+frozen slow-reference pipeline.
 """
 
 from __future__ import annotations
 
 import zlib
 
-from ..mrt.table import ModuloReservationTable
 from .registry import Finding, rule
-
-
-def _rebuilt_mrt(target):
-    """Rebuild (once per target) the reservation table of a schedule.
-
-    Every operation is placed with ``check=False`` so oversubscribed
-    rows accumulate instead of raising; the placement problems found on
-    the way are cached alongside.  Tests may pre-seed
-    ``target.cache["mrt"]`` with a corrupted table to exercise the
-    consistency rules.
-    """
-    if "mrt" in target.cache:
-        return target.cache["mrt"], target.cache.get("mrt_problems", [])
-    schedule = target.schedule
-    annotated = schedule.annotated
-    problems = []
-    table = None
-    if schedule.ii >= 1:
-        table = ModuloReservationTable(annotated.machine, schedule.ii)
-        ddg = annotated.ddg
-        start_map = schedule.start
-        cluster_of = annotated.cluster_of
-        resources_of = annotated.resources_of
-        # A non-copy node's demand — and whether the table can compile
-        # it — depends only on (opcode, cluster): memoize the resolved
-        # keys together with that verdict so the rebuild is O(distinct
-        # demands) derivation work.  Copies route per node.
-        resource_memo = {}
-        demand_verdict = {}
-        for node in ddg.nodes:
-            node_id = node.node_id
-            start = start_map.get(node_id)
-            if start is None:
-                continue  # SCHED404 reports the missing placement
-            if node.is_copy:
-                try:
-                    keys = resources_of(node_id)
-                except (ValueError, KeyError) as exc:
-                    problems.append(
-                        (node_id,
-                         f"resource demand underivable: {exc}")
-                    )
-                    continue
-                key_tuple = tuple(keys)
-                verdict = demand_verdict.get(key_tuple)
-                if verdict is None:
-                    try:
-                        # Same pre-compiled demand profile the
-                        # scheduler probes with; a key unknown to the
-                        # table surfaces here.
-                        table.compile_demand(key_tuple)
-                        verdict = True
-                    except KeyError as exc:
-                        verdict = f"unknown resource key: {exc}"
-                    demand_verdict[key_tuple] = verdict
-            else:
-                try:
-                    memo_key = (node.opcode, cluster_of[node_id])
-                except KeyError as exc:
-                    problems.append(
-                        (node_id,
-                         f"resource demand underivable: {exc}")
-                    )
-                    continue
-                entry = resource_memo.get(memo_key)
-                if entry is None:
-                    try:
-                        keys = resources_of(node_id)
-                    except (ValueError, KeyError) as exc:
-                        entry = (
-                            None,
-                            f"resource demand underivable: {exc}",
-                        )
-                    else:
-                        try:
-                            table.compile_demand(keys)
-                            entry = (keys, True)
-                        except KeyError as exc:
-                            entry = (
-                                keys,
-                                f"unknown resource key: {exc}",
-                            )
-                    resource_memo[memo_key] = entry
-                keys, verdict = entry
-            if verdict is not True:
-                problems.append((node_id, verdict))
-                continue
-            table.place(node_id, keys, start, check=False)
-    target.cache["mrt"] = table
-    target.cache["mrt_problems"] = problems
-    return table, problems
-
-
-@rule(
-    "SCHED401", "dependence-violation", "error",
-    "a dependence inequality start(dst) >= start(src) + latency(src) "
-    "- II*distance is violated",
-    requires=["schedule"], artifact="schedule",
-)
-def check_dependences(target, config):
-    schedule = target.schedule
-    ddg = schedule.annotated.ddg
-    ii = schedule.ii
-    for edge in ddg.edges:
-        src_start = schedule.start.get(edge.src)
-        dst_start = schedule.start.get(edge.dst)
-        if src_start is None or dst_start is None:
-            continue  # SCHED404 reports the missing placement
-        lower = src_start + ddg.latency(edge.src) - ii * edge.distance
-        if dst_start < lower:
-            yield Finding(
-                location=f"edge {edge.src}->{edge.dst}",
-                message=(
-                    f"{ddg.node(edge.src)} -> {ddg.node(edge.dst)} "
-                    f"(distance {edge.distance}): start "
-                    f"{dst_start} < required {lower}"
-                ),
-            )
-
-
-@rule(
-    "SCHED402", "resource-oversubscription", "error",
-    "a kernel row uses more slots of some resource pool than its "
-    "per-cycle capacity",
-    requires=["schedule"], artifact="schedule",
-)
-def check_resources(target, config):
-    table, _ = _rebuilt_mrt(target)
-    if table is None:
-        return
-    for key, row, used, capacity in table.oversubscriptions():
-        yield Finding(
-            location=f"row {row}",
-            message=(
-                f"resource {key!r} oversubscribed in kernel row "
-                f"{row}: {used} > {capacity}"
-            ),
-        )
-
-
-@rule(
-    "SCHED403", "annotated-structure", "error",
-    "the scheduled annotated graph fails its structural legality "
-    "re-validation",
-    requires=["schedule"], artifact="schedule",
-)
-def check_structure(target, config):
-    schedule = target.schedule
-    try:
-        schedule.annotated.validate()
-    except ValueError as exc:
-        yield Finding(location="annotated", message=str(exc))
-
-
-@rule(
-    "SCHED404", "schedule-domain-mismatch", "error",
-    "the start map and the node set disagree (unscheduled node, or a "
-    "start entry for a node that does not exist)",
-    requires=["schedule"], artifact="schedule",
-)
-def check_schedule_domain(target, config):
-    schedule = target.schedule
-    node_ids = set(schedule.annotated.ddg.node_ids)
-    start_ids = set(schedule.start)
-    for node_id in sorted(node_ids - start_ids):
-        yield Finding(
-            location=f"node {node_id}",
-            message=f"node {node_id} has no start cycle",
-        )
-    for node_id in sorted(start_ids - node_ids):
-        yield Finding(
-            location=f"node {node_id}",
-            message=f"start map covers unknown node {node_id}",
-        )
-
-
-@rule(
-    "SCHED405", "invalid-ii", "error",
-    "an initiation interval below 1 has no kernel rows",
-    requires=["schedule"], artifact="schedule",
-)
-def check_ii(target, config):
-    if target.schedule.ii < 1:
-        yield Finding(
-            location="ii",
-            message=f"II is {target.schedule.ii}, must be >= 1",
-        )
 
 
 @rule(
@@ -231,36 +41,6 @@ def check_schedule_span(target, config):
                 f"serial-chain bound {serial_bound}"
             ),
             hint="check for pathologically late start cycles",
-        )
-
-
-@rule(
-    "SCHED407", "mrt-occupancy-divergence", "error",
-    "the reservation table's counter-based occupancy (the probe fast "
-    "path) disagrees with its holder lists (the REPRO_MRT_VALIDATE "
-    "re-walk path)",
-    requires=["schedule"], artifact="schedule",
-)
-def check_mrt_consistency(target, config):
-    table, _ = _rebuilt_mrt(target)
-    if table is None:
-        return
-    for problem in table.consistency_errors():
-        yield Finding(location="mrt", message=problem)
-
-
-@rule(
-    "SCHED408", "unknown-resource-demand", "error",
-    "an operation's resource demand cannot be derived or refers to a "
-    "pool the machine does not provide",
-    requires=["schedule"], artifact="schedule",
-)
-def check_resource_demands(target, config):
-    _, problems = _rebuilt_mrt(target)
-    for node_id, problem in problems:
-        yield Finding(
-            location=f"node {node_id}",
-            message=f"node {node_id}: {problem}",
         )
 
 

@@ -24,7 +24,6 @@ per scheduling attempt with :meth:`compile_demand` and probe with
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Hashable, Iterable, List, Set, Tuple
 
 from ..machine.machine import Machine, ResourceKey
@@ -34,11 +33,6 @@ OpId = Hashable
 #: One key's pre-resolved probe inputs: (row-usage array, capacity, slots
 #: demanded).  See :meth:`ModuloReservationTable.compile_demand`.
 DemandProfile = List[Tuple[List[int], int, int]]
-
-#: Debug flag: force full availability re-validation inside every
-#: ``place`` call even when the caller opted out (``check=False``).
-_FORCE_VALIDATE = bool(os.environ.get("REPRO_MRT_VALIDATE"))
-
 
 class ModuloReservationTable:
     """Per-cycle-row resource occupancy of a kernel of length II."""
@@ -131,17 +125,12 @@ class ModuloReservationTable:
 
         ``check=False`` skips the availability re-validation for callers
         that already probed (the scheduler displaces every conflicting op
-        before placing, so the fit is guaranteed); set the
-        ``REPRO_MRT_VALIDATE`` environment variable to force validation
-        everywhere when debugging.  The independent schedule validator
-        (:mod:`repro.scheduling.verify`) re-checks capacities regardless.
+        before placing, so the fit is guaranteed).
         """
         if op_id in self._held:
             raise ValueError(f"operation {op_id!r} is already placed")
         key_list = keys if type(keys) is list else list(keys)
-        if (check or _FORCE_VALIDATE) and not self.available(
-            key_list, cycle
-        ):
+        if check and not self.available(key_list, cycle):
             raise RuntimeError(
                 f"resources for {op_id!r} unavailable at cycle {cycle}"
             )
@@ -175,74 +164,6 @@ class ModuloReservationTable:
     def placed_ops(self) -> List[OpId]:
         """All operations currently holding slots."""
         return list(self._held)
-
-    def oversubscriptions(
-        self,
-    ) -> List[Tuple[ResourceKey, int, int, int]]:
-        """Rows whose counter-based occupancy exceeds capacity.
-
-        Returns ``(key, row, used, capacity)`` tuples sorted by key
-        string then row.  Normal scheduling never oversubscribes (every
-        ``place`` probes first); the independent validator rebuilds a
-        table with ``check=False`` placements and reads this off.
-        """
-        over: List[Tuple[ResourceKey, int, int, int]] = []
-        for key, usage in self._usage.items():
-            capacity = self._capacity[key]
-            if max(usage) <= capacity:
-                continue
-            for row, used in enumerate(usage):
-                if used > capacity:
-                    over.append((key, row, used, capacity))
-        over.sort(key=lambda item: (str(item[0]), item[1]))
-        return over
-
-    def consistency_errors(self) -> List[str]:
-        """Disagreements between the two occupancy books.
-
-        Occupancy is tracked twice — integer counters (``_usage``, the
-        probe fast path) and holder lists (``_slots``, the
-        displacement/validation path that ``REPRO_MRT_VALIDATE``
-        re-walks).  They must agree at all times; a divergence means a
-        placement/removal bug.  Returns human-readable descriptions,
-        empty when consistent.
-        """
-        # Fast clean path: compare the books without sorting or string
-        # building (the lint gate runs this on every compiled loop, and
-        # consistent tables are the overwhelmingly common case).  Two
-        # checks suffice: (a) every holder list matches its counter —
-        # this catches any divergence located where a holder list
-        # exists; (b) the books' totals agree — a counter inflated
-        # where *no* holder list exists leaves the counter total ahead,
-        # and any cancelling holder-heavy spot is already caught by (a).
-        slots = self._slots
-        usage_map = self._usage
-        clean = all(
-            key in usage_map and usage_map[key][row] == len(holders)
-            for (key, row), holders in slots.items()
-        ) and sum(
-            sum(usage) for usage in usage_map.values()
-        ) == sum(len(holders) for holders in slots.values())
-        if clean:
-            return []
-        problems: List[str] = []
-        for key, usage in sorted(self._usage.items(), key=str):
-            for row, counted in enumerate(usage):
-                holders = len(self._slots.get((key, row), []))
-                if counted != holders:
-                    problems.append(
-                        f"resource {key!r} row {row}: counter says "
-                        f"{counted}, holder list says {holders}"
-                    )
-        for (key, row), holders in sorted(
-            self._slots.items(), key=str
-        ):
-            if key not in self._usage:
-                problems.append(
-                    f"holder list for unknown resource {key!r} "
-                    f"row {row} ({len(holders)} holder(s))"
-                )
-        return problems
 
     def utilization(self) -> Dict[ResourceKey, float]:
         """Fraction of each resource's kernel slots in use."""

@@ -93,7 +93,7 @@ def allocate_mve(
     """Allocate registers for ``schedule`` by MVE + first-fit packing.
 
     ``lifetimes`` lets a caller that already extracted the schedule's
-    lifetimes (the REG5xx lint rules do) skip the second extraction.
+    lifetimes (the certificate emitter does) skip the second extraction.
     """
     ii = schedule.ii
     if lifetimes is None:

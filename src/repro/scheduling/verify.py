@@ -1,14 +1,13 @@
 """Independent modulo-schedule validity checking.
 
-Since the introduction of :mod:`repro.lint` this module is a thin
-compatibility wrapper: the actual constraint re-derivation lives in the
-``SCHED4xx`` rule family (dependence inequalities, per-row resource
-capacities via the reservation table's compiled demand profiles,
-structural legality of the annotated graph).  ``check_schedule`` runs
-those rules and maps each error-severity diagnostic back onto the
-historical :class:`Violation` kinds, so every pre-existing caller and
-test keeps working unchanged — now with stable diagnostic codes
-attached.
+``check_schedule`` judges a schedule with the independent certificate
+checker (:mod:`repro.certify.check`): the schedule's annotated graph,
+cluster map and start cycles are emitted as certificate witnesses and
+run through the checker's assignment (CERT603), timing (CERT604) and
+occupancy (CERT605) sections.  Each issue becomes one
+:class:`Violation` of the matching historical kind, carrying the CERT
+code, so ``compile_loop(verify=True)``, the ``--certify`` gate and the
+tests that validate schedules share one checker.
 """
 
 from __future__ import annotations
@@ -18,15 +17,11 @@ from typing import List
 
 from .schedule import Schedule
 
-#: Historical violation kind for each gating schedule-rule code.
+#: Historical violation kind of each schedule-judging certify section.
 _KIND_OF_CODE = {
-    "SCHED401": "dependence",
-    "SCHED402": "resource",
-    "SCHED403": "structure",
-    "SCHED404": "structure",
-    "SCHED405": "structure",
-    "SCHED407": "resource",
-    "SCHED408": "resource",
+    "CERT603": "structure",
+    "CERT604": "dependence",
+    "CERT605": "resource",
 }
 
 
@@ -36,8 +31,8 @@ class Violation:
 
     kind: str
     detail: str
-    #: Stable diagnostic code (``SCHED4xx``); empty for hand-built
-    #: violations from before the lint subsystem existed.
+    #: Stable diagnostic code (``CERT603``–``CERT605``); empty for
+    #: hand-built violations.
     code: str = ""
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -48,28 +43,26 @@ class Violation:
 
 def check_schedule(schedule: Schedule) -> List[Violation]:
     """Return every constraint violation of ``schedule`` (empty = valid)."""
-    from ..lint.engine import LintTarget, lint_target
-    from ..lint.registry import LintConfig, all_rules
+    # Imported here: the certificate emitter imports this package.
+    from ..certify.check import check_schedule_sections, emission_failure
+    from ..certify.emit import schedule_certificate
 
-    # Gating rules only: every SCHED4xx rule that defaults to error
-    # severity.  Warnings/infos (pipeline-depth heuristics), other
-    # families, and the expensive differential cross-check never made a
-    # schedule invalid here.
-    keep = set(_KIND_OF_CODE)
-    config = LintConfig(
-        disable=frozenset(
-            rule.code for rule in all_rules() if rule.code not in keep
+    annotated = schedule.annotated
+    try:
+        certificate = schedule_certificate(schedule)
+    except Exception as exc:  # noqa: BLE001 - a malformed schedule
+        issues = [emission_failure(exc)]
+    else:
+        issues = check_schedule_sections(
+            certificate, annotated.ddg, annotated.machine
         )
-    )
-    report = lint_target(LintTarget(schedule=schedule), config)
     return [
         Violation(
-            kind=_KIND_OF_CODE.get(diag.code, "structure"),
-            detail=diag.message,
-            code=diag.code,
+            kind=_KIND_OF_CODE[issue.code],
+            detail=f"{issue.location}: {issue.message}",
+            code=issue.code,
         )
-        for diag in report.diagnostics
-        if diag.code in keep and diag.is_error
+        for issue in issues
     ]
 
 

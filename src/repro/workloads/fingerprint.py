@@ -80,12 +80,22 @@ def config_fingerprint(config) -> str:
 
 
 def lint_fingerprint(lint_config) -> Optional[str]:
-    """Hex digest of a lint gate's configuration (None when no gate)."""
+    """Hex digest of a lint gate: its configuration and the registered
+    rule catalog (None when no gate).
+
+    The catalog is part of the identity because a cached outcome
+    replays the codes the rules of its day emitted; an entry recorded
+    before a rule was added or deleted must not be replayed after.
+    """
     if lint_config is None:
         return None
+    from ..lint.registry import all_rules
+
     return _digest({
+        "rules": [rule.code for rule in all_rules()],
         "disable": sorted(lint_config.disable),
         "enable": sorted(lint_config.enable),
+        "select": sorted(lint_config.select),
         "severity": dict(sorted(lint_config.severity.items())),
         "strict": lint_config.strict,
         "sample": lint_config.differential_sample,

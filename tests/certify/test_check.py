@@ -229,6 +229,69 @@ class TestSeededDefects:
         issues = check_certificate(forged, ddg, two_gp)
         assert "CERT606" in codes(issues)
 
+    def test_orphaned_copy(self, two_gp):
+        # A declared copy that feeds no edge: fed, routed and resourced
+        # correctly, yet nothing ever reads what it transfers.
+        for ddg in bundled_corpus():
+            compiled = compile_loop(ddg, two_gp)
+            if compiled.copy_count:
+                break
+        else:  # pragma: no cover - corpus always has copies
+            pytest.fail("no corpus loop with copies")
+        cert = emit_certificate(compiled)
+        copy = cert.assignment.copies[0]
+        forged = dataclasses.replace(
+            cert,
+            graph=dataclasses.replace(
+                cert.graph,
+                edges=tuple(
+                    edge for edge in cert.graph.edges
+                    if edge[0] != copy.copy_id
+                ),
+            ),
+        )
+        issues = check_certificate(forged, ddg, two_gp)
+        assert any(
+            issue.code == "CERT600" and "orphaned copy" in issue.message
+            and issue.location == f"copy {copy.copy_id}"
+            for issue in issues
+        )
+
+    def test_copy_read_on_its_own_cluster(self, two_gp):
+        # A consumer moved onto the copy's source cluster reads a
+        # register the copy never writes.
+        for ddg in bundled_corpus():
+            compiled = compile_loop(ddg, two_gp)
+            cert = emit_certificate(compiled)
+            copies = {c.copy_id: c for c in cert.assignment.copies}
+            feed = next(
+                (
+                    (src, dst) for src, dst, _ in cert.graph.edges
+                    if src in copies and dst not in copies
+                ),
+                None,
+            )
+            if feed is not None:
+                break
+        else:  # pragma: no cover - corpus always has copies
+            pytest.fail("no corpus loop with copies")
+        copy, consumer = copies[feed[0]], feed[1]
+        cluster_of = dict(cert.assignment.cluster_of)
+        cluster_of[consumer] = copy.src_cluster
+        forged = dataclasses.replace(
+            cert,
+            assignment=dataclasses.replace(
+                cert.assignment,
+                cluster_of=tuple(sorted(cluster_of.items())),
+            ),
+        )
+        issues = check_certificate(forged, ddg, two_gp)
+        assert any(
+            issue.code == "CERT603"
+            and issue.location == f"edge {copy.copy_id}->{consumer}"
+            for issue in issues
+        )
+
     def test_dropped_dependence(self, compiled_intro):
         cert = emit_certificate(compiled_intro)
         forged = dataclasses.replace(

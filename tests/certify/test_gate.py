@@ -54,6 +54,39 @@ class TestCertifyCompiled:
         assert "II=1" in diags[0].message
 
 
+class TestMalformedArtifacts:
+    """The gate reports, never raises, on a loop it cannot describe."""
+
+    def test_missing_copy_value_is_one_cert603(self, grid):
+        from repro.workloads import build_kernel
+
+        compiled = compile_loop(build_kernel("lk1_hydro"), grid)
+        copy_id = compiled.annotated.copy_nodes[0]
+        del compiled.annotated.copy_value_of[copy_id]
+        artifact = certify_compiled(compiled)
+        assert artifact.certificate is None
+        assert [issue.code for issue in artifact.issues] == ["CERT603"]
+        assert f"KeyError({copy_id})" in artifact.issues[0].message
+        (diagnostic,) = artifact_diagnostics(artifact)
+        assert diagnostic.is_error
+        assert diagnostic.loop == "lk1_hydro"
+
+    def test_strict_gate_turns_it_into_compilation_error(
+        self, intro_example, two_gp, monkeypatch
+    ):
+        import repro.certify.gate as gate_mod
+
+        def unassigned(compiled):
+            raise KeyError(0)
+
+        monkeypatch.setattr(gate_mod, "emit_certificate", unassigned)
+        with pytest.raises(CompilationError, match="CERT603"):
+            compile_loop(
+                intro_example, two_gp,
+                certify_config=CertifyConfig(strict=True),
+            )
+
+
 class TestDriverGate:
     def test_certificate_attached(self, intro_example, two_gp):
         compiled = compile_loop(

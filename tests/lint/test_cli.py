@@ -164,12 +164,12 @@ class TestCompileGate:
         path.write_text("ld: load\nsum: alu <- ld\n")
         rc = main([
             "compile", str(path), "--lint", "strict",
-            "--severity", "REG503=error",
+            "--severity", "DF701=error",
         ])
         captured = capsys.readouterr()
         assert rc == 1
         assert "lint gate rejected" in captured.err
-        assert "REG503" in captured.err
+        assert "DF701" in captured.err
 
 
 class TestExperimentGate:

@@ -100,14 +100,14 @@ class TestLintReport:
             diagnostics=[
                 self._diag("DDG101", "error"),
                 self._diag("DDG102", "warning"),
-                self._diag("REG503", "info"),
+                self._diag("DF701", "info"),
             ],
             n_targets=1, rules_run=3,
         )
         assert [d.code for d in report.errors] == ["DDG101"]
         assert [d.code for d in report.warnings] == ["DDG102"]
-        assert [d.code for d in report.infos] == ["REG503"]
-        assert report.codes() == ["DDG101", "DDG102", "REG503"]
+        assert [d.code for d in report.infos] == ["DF701"]
+        assert report.codes() == ["DDG101", "DDG102", "DF701"]
         assert not report.ok
         assert report.exit_code == 1
 
@@ -150,9 +150,9 @@ class TestDeepLint:
         graph.add_edge(b, a, distance=0)
         report = lint_loop_deep(graph, two_gp)
         assert [d.code for d in report.errors] == ["DDG103"]
-        # No SCHED/REG diagnostics: the pipeline never ran.
+        # No schedule-level diagnostics: the pipeline never ran.
         assert not any(
-            d.code.startswith(("SCHED4", "REG5", "ASSIGN3"))
+            d.code.startswith(("SCHED4", "DF704"))
             for d in report.diagnostics
         )
 

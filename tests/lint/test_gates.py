@@ -11,12 +11,13 @@ from repro.workloads.fingerprint import lint_fingerprint
 from repro.core import CompilationError, compile_loop
 from repro.ddg import Ddg, Opcode
 from repro.lint import DEFAULT_CONFIG, LintConfig
+from repro.lint.registry import RULES, invalidate_rule_caches, rule
 from repro.workloads import paper_suite
 
 
 @pytest.fixture
 def dead_value_loop():
-    """A loop whose ALU result is never read (REG503 info)."""
+    """A loop whose ALU result is never read (DF701 info)."""
     graph = Ddg(name="dead-value")
     load = graph.add_node(Opcode.LOAD, name="ld")
     alu = graph.add_node(Opcode.ALU, name="sum")
@@ -39,22 +40,22 @@ class TestDriverGate:
         self, dead_value_loop, two_gp
     ):
         config = LintConfig(
-            strict=True, severity={"REG503": "error"}
+            strict=True, severity={"DF701": "error"}
         )
         with pytest.raises(CompilationError) as exc:
             compile_loop(dead_value_loop, two_gp, lint_config=config)
         assert "lint gate rejected" in str(exc.value)
-        assert "REG503" in str(exc.value)
+        assert "DF701" in str(exc.value)
 
     def test_lenient_gate_records_but_compiles(
         self, dead_value_loop, two_gp
     ):
-        config = LintConfig(severity={"REG503": "error"})
+        config = LintConfig(severity={"DF701": "error"})
         compiled = compile_loop(
             dead_value_loop, two_gp, lint_config=config
         )
         assert not compiled.lint_report.ok
-        assert "REG503" in compiled.lint_report.codes()
+        assert "DF701" in compiled.lint_report.codes()
 
 
 class TestExperimentGate:
@@ -78,7 +79,7 @@ class TestExperimentGate:
         self, dead_value_loop, two_gp
     ):
         config = LintConfig(
-            strict=True, severity={"REG503": "error"}
+            strict=True, severity={"DF701": "error"}
         )
         result = run_experiment(
             [dead_value_loop], two_gp, lint_config=config
@@ -99,11 +100,11 @@ class TestEngineGate:
     ):
         result = run_experiment(
             [dead_value_loop], two_gp,
-            lint_config=LintConfig(severity={"REG503": "error"}),
+            lint_config=LintConfig(severity={"DF701": "error"}),
         )
         (outcome,) = result.outcomes
         assert outcome.lint_errors >= 1
-        assert "REG503" in outcome.lint_codes
+        assert "DF701" in outcome.lint_codes
 
     def test_fingerprint_distinguishes_configs(self):
         assert lint_fingerprint(None) is None
@@ -112,6 +113,20 @@ class TestEngineGate:
         assert a is not None and b is not None
         assert a != b
         assert lint_fingerprint(LintConfig()) == a
+        assert lint_fingerprint(LintConfig(select=frozenset({"DF7"}))) != a
+        # The rule catalog is part of the identity: a cached outcome
+        # replays the codes its day's rules emitted, so registering (or
+        # deleting) a rule must change the fingerprint.
+        rule(
+            "DF799", "fingerprint-probe", "info", "registered by a test",
+            requires=["graph"], artifact="ddg",
+        )(lambda target, config: ())
+        try:
+            assert lint_fingerprint(DEFAULT_CONFIG) != a
+        finally:
+            del RULES["DF799"]
+            invalidate_rule_caches()
+        assert lint_fingerprint(DEFAULT_CONFIG) == a
 
     def test_cache_key_varies_with_lint_config(
         self, chain3, two_gp, tmp_path
@@ -130,17 +145,17 @@ class TestEngineGate:
         outcome = LoopOutcome(
             loop_name="x", unified_ii=3, clustered_ii=4, copies=2,
             lint_errors=1, lint_warnings=2,
-            lint_codes=("DDG102", "SCHED402"),
+            lint_codes=("DDG102", "DF704"),
         )
         cache.put("key", dataclasses.asdict(outcome))
         loaded = LoopOutcome.from_doc(cache.get("key"))
         assert loaded == outcome
-        assert loaded.lint_codes == ("DDG102", "SCHED402")
+        assert loaded.lint_codes == ("DDG102", "DF704")
 
     def test_cached_run_replays_lint_fields(
         self, dead_value_loop, two_gp, tmp_path
     ):
-        lint_config = LintConfig(severity={"REG503": "error"})
+        lint_config = LintConfig(severity={"DF701": "error"})
         options = EngineOptions(cache_dir=str(tmp_path), resume=True)
         first = run_experiment(
             [dead_value_loop], two_gp, lint_config=lint_config,

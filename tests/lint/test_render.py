@@ -15,6 +15,7 @@ from repro.lint import (
     to_json_doc,
     to_sarif,
 )
+from repro.certify.gate import CERT_RULES
 from repro.lint.diagnostics import Diagnostic
 
 #: Draft-07 subset of the SARIF 2.1.0 schema covering everything the
@@ -56,8 +57,7 @@ SARIF_SCHEMA = {
                                                     "type": "string",
                                                     "pattern": (
                                                         "^(DDG1|MACH2|"
-                                                        "ASSIGN3|SCHED4|"
-                                                        "REG5|CERT6|"
+                                                        "SCHED4|CERT6|"
                                                         "DF7)"
                                                         "[0-9]{2}$"
                                                     ),
@@ -140,8 +140,8 @@ def dirty_report():
                 location="edge 0->1@0",
             ),
             Diagnostic(
-                code="REG503", severity="info", message="dead",
-                rule="dead-value", loop="bad", artifact="regalloc",
+                code="DF701", severity="info", message="dead",
+                rule="dead-value", loop="bad", artifact="ddg",
                 location="node 2",
             ),
         ],
@@ -191,7 +191,8 @@ class TestSarif:
         assert sarif["version"] == "2.1.0"
         driver = sarif["runs"][0]["tool"]["driver"]
         assert driver["name"] == "repro-lint"
-        assert len(driver["rules"]) == len(all_rules())
+        # Every lint rule, then every code the certify checker reports.
+        assert len(driver["rules"]) == len(all_rules()) + len(CERT_RULES)
         results = sarif["runs"][0]["results"]
         assert [r["level"] for r in results] == [
             "error", "warning", "note",

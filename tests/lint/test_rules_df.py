@@ -4,11 +4,12 @@ Each test plants exactly one defect class and asserts the matching
 stable code fires (and nothing else from the family).  Where sibling
 families would legitimately fire on the same corrupt artifact, the run
 is scoped with ``LintConfig(select=...)`` — which doubles as coverage
-for prefix selection.
+for prefix selection.  Copy chains that fail to deliver a value are
+certify's to catch (``tests/certify/test_defect_matrix.py``).
 """
 
 from repro.core import compile_loop
-from repro.ddg import AnnotatedDdg, Ddg, Opcode, build_ddg
+from repro.ddg import Ddg, Opcode, build_ddg
 from repro.lint import LintConfig, LintTarget, lint_target
 from repro.machine import (
     ClusterSpec,
@@ -90,113 +91,6 @@ class TestUnreachableConsumer:
         assert report.ok and not report.diagnostics
 
 
-class TestCopyReach:
-    def _machine(self):
-        return Machine(
-            clusters=(
-                ClusterSpec(0, gp_units(4)),
-                ClusterSpec(1, gp_units(4)),
-            ),
-            interconnect=PointToPointInterconnect(links=[(0, 1)]),
-            name="pair-p2p",
-        )
-
-    def test_df703_unfed_copy(self):
-        # The copy claims to carry 'a' but no value path feeds it.
-        graph = Ddg(name="orphan-copy")
-        a = graph.add_node(Opcode.ALU, name="a")
-        cp = graph.add_node(Opcode.COPY, name="cp")
-        b = graph.add_node(Opcode.ALU, name="b")
-        graph.add_edge(cp, b)
-        annotated = AnnotatedDdg(
-            ddg=graph,
-            machine=self._machine(),
-            cluster_of={a: 0, cp: 0, b: 1},
-            copy_targets={cp: (1,)},
-            copy_value_of={cp: a},
-        )
-        report = lint_target(
-            LintTarget(name=graph.name, annotated=annotated),
-            LintConfig(select=frozenset({"DF703"})),
-        )
-        assert _codes(report.errors) == ["DF703"]
-        assert any(
-            "no value path feeds it" in d.message for d in report.errors
-        )
-
-    def test_df703_undelivered_consumer(self):
-        # Consumer reads on cluster 1 but the chain's only carrier
-        # delivers into cluster 0.
-        graph = Ddg(name="undelivered")
-        a = graph.add_node(Opcode.ALU, name="a")
-        b = graph.add_node(Opcode.ALU, name="b")
-        graph.add_edge(a, b)
-        annotated = AnnotatedDdg(
-            ddg=graph,
-            machine=self._machine(),
-            cluster_of={a: 0, b: 1},
-        )
-        # No copies at all: nothing carries 'a' into cluster 1.  The
-        # chain analysis keys off copy_value_of, so register a phantom
-        # copy-free chain by faking one unconsumed copy of 'a'.
-        cp = graph.add_node(Opcode.COPY, name="cp")
-        graph.add_edge(a, cp)
-        annotated.cluster_of[cp] = 0
-        annotated.copy_targets[cp] = (0,)
-        annotated.copy_value_of[cp] = a
-        report = lint_target(
-            LintTarget(name=graph.name, annotated=annotated),
-            LintConfig(select=frozenset({"DF703"})),
-        )
-        codes = _codes(report.errors)
-        assert codes == ["DF703"]
-        assert any(
-            "which no carrier delivers to" in d.message
-            for d in report.errors
-        )
-
-    def test_df703_unreachable_hop(self):
-        graph = Ddg(name="bad-hop")
-        a = graph.add_node(Opcode.ALU, name="a")
-        cp = graph.add_node(Opcode.COPY, name="cp")
-        b = graph.add_node(Opcode.ALU, name="b")
-        graph.add_edge(a, cp)
-        graph.add_edge(cp, b)
-        machine = Machine(
-            clusters=(
-                ClusterSpec(0, gp_units(4)),
-                ClusterSpec(1, gp_units(4)),
-                ClusterSpec(2, gp_units(4)),
-            ),
-            interconnect=PointToPointInterconnect(links=[(0, 1)]),
-            name="triple",
-        )
-        annotated = AnnotatedDdg(
-            ddg=graph,
-            machine=machine,
-            cluster_of={a: 0, cp: 0, b: 2},
-            copy_targets={cp: (2,)},
-            copy_value_of={cp: a},
-        )
-        report = lint_target(
-            LintTarget(name=graph.name, annotated=annotated),
-            LintConfig(select=frozenset({"DF703"})),
-        )
-        assert _codes(report.errors) == ["DF703"]
-        assert any(
-            "interconnect cannot carry" in d.message
-            for d in report.errors
-        )
-
-    def test_df703_clean_on_compiled_corpus_loop(self, chain3, two_gp):
-        compiled = compile_loop(chain3, two_gp)
-        report = lint_target(
-            LintTarget(name=chain3.name, annotated=compiled.annotated),
-            LintConfig(select=frozenset({"DF703"})),
-        )
-        assert report.ok and not report.diagnostics
-
-
 class TestRegisterPressure:
     def _tiny_regfile_machine(self, registers):
         return Machine(
@@ -231,30 +125,5 @@ class TestRegisterPressure:
         report = lint_target(
             LintTarget(name=chain3.name, schedule=compiled.schedule),
             LintConfig(select=frozenset({"DF704"})),
-        )
-        assert report.ok and not report.diagnostics
-
-
-class TestIiBelowFloor:
-    def test_df705_fires_on_cached_floor_mismatch(
-        self, compiled_chain
-    ):
-        # Pre-seed the memoized floor above the achieved II: the rule
-        # must trust the (corrupted) cache and flag the schedule.
-        target = LintTarget(
-            name="chain3", schedule=compiled_chain.schedule
-        )
-        target.cache["df_mii_floor"] = compiled_chain.ii + 1
-        report = lint_target(
-            target, LintConfig(select=frozenset({"DF705"}))
-        )
-        assert _codes(report.errors) == ["DF705"]
-
-    def test_df705_clean_on_real_compile(self, compiled_chain):
-        report = lint_target(
-            LintTarget(
-                name="chain3", schedule=compiled_chain.schedule
-            ),
-            LintConfig(select=frozenset({"DF705"})),
         )
         assert report.ok and not report.diagnostics

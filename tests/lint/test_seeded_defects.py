@@ -1,17 +1,16 @@
-"""Seeded-defect fixtures: one corrupted artifact per rule family.
+"""Seeded-defect fixtures: one corrupted input per rule family.
 
 Each test plants exactly one defect, lints the artifact, and asserts
 the run reports *exactly* the expected stable code with a nonzero exit
--- the acceptance contract for the diagnostic catalog.
+-- the acceptance contract for the diagnostic catalog.  Defects in a
+compiled loop (annotated graph, schedule, register allocation) are
+certify's: ``tests/certify/test_defect_matrix.py`` seeds those.
 """
 
-from repro.ddg import Ddg, Opcode, trivial_annotation
+from repro.ddg import Ddg, Opcode
 from repro.lint import LintTarget, lint_target
 from repro.machine import Machine
 from repro.machine.interconnect import BusInterconnect
-from repro.regalloc.lifetimes import Lifetime
-from repro.regalloc.mve import MveAllocation
-from repro.scheduling import Schedule, modulo_schedule
 
 
 def _error_codes(report):
@@ -44,53 +43,5 @@ class TestSeededDefects:
             LintTarget(name=machine.name, machine=machine)
         )
         assert _error_codes(report) == ["MACH206"]
-        assert len(report.errors) == 1
-        assert report.exit_code != 0
-
-    def test_assign_family_unassigned_node(self, chain3, uni8):
-        annotated = trivial_annotation(chain3, uni8)
-        missing = chain3.node_ids[1]
-        del annotated.cluster_of[missing]
-        report = lint_target(
-            LintTarget(name=chain3.name, annotated=annotated)
-        )
-        assert _error_codes(report) == ["ASSIGN301"]
-        assert len(report.errors) == 1
-        assert f"node {missing}" == report.errors[0].location
-        assert report.exit_code != 0
-
-    def test_sched_family_oversubscribed_row(self, uni8):
-        graph = Ddg(name="wide")
-        nodes = [graph.add_node(Opcode.ALU) for _ in range(9)]
-        annotated = trivial_annotation(graph, uni8)
-        # Nine ALU ops in row 0 of an 8-wide machine.
-        schedule = Schedule(
-            annotated=annotated, ii=2, start={n: 0 for n in nodes}
-        )
-        report = lint_target(
-            LintTarget(name=graph.name, schedule=schedule)
-        )
-        assert _error_codes(report) == ["SCHED402"]
-        assert len(report.errors) == 1
-        assert "row 0" in report.errors[0].message
-        assert report.exit_code != 0
-
-    def test_reg_family_negative_lifetime(self, chain3, uni8):
-        schedule = modulo_schedule(
-            trivial_annotation(chain3, uni8), ii=2
-        )
-        assert schedule is not None
-        target = LintTarget(name=chain3.name, schedule=schedule)
-        # Seed the memo caches with a corrupted lifetime set (value
-        # read before it is produced) and a matching benign allocation,
-        # exactly the hook the REG rules document for tests.
-        target.cache["lifetimes"] = [
-            Lifetime(producer=0, cluster=0, birth=5, death=3)
-        ]
-        target.cache["allocation"] = MveAllocation(
-            ii=schedule.ii, unroll=1
-        )
-        report = lint_target(target)
-        assert _error_codes(report) == ["REG504"]
         assert len(report.errors) == 1
         assert report.exit_code != 0

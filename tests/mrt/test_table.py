@@ -129,15 +129,6 @@ class TestUncheckedPlacement:
         mrt.remove("late")
         assert mrt.available([ISSUE], 4) is False  # row 0 still full
 
-    def test_forced_validation_env(self, uni8, monkeypatch):
-        import repro.mrt.table as table
-        monkeypatch.setattr(table, "_FORCE_VALIDATE", True)
-        mrt = ModuloReservationTable(uni8, ii=4)
-        for i in range(8):
-            mrt.place(f"op{i}", [ISSUE], cycle=0)
-        with pytest.raises(RuntimeError):
-            mrt.place("late", [ISSUE], cycle=0, check=False)
-
 
 class TestSlotHygiene:
     def test_remove_drops_empty_holder_lists(self, mrt):

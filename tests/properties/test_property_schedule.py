@@ -5,17 +5,26 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import reference_compile_loop
+from repro.certify import certify_compiled
 from repro.core import ALL_VARIANTS, compile_loop
 from repro.ddg import mii, rec_mii
 from repro.machine import (
-    four_cluster_grid,
-    two_cluster_fs,
+    PAPER_GRID_MIX,
+    STANDARD_PRESETS,
+    heterogeneous_gp,
+    ring_machine,
     two_cluster_gp,
 )
 from repro.scheduling import check_schedule
 from repro.workloads import GeneratorProfile, generate_loop
 
-MACHINES = [two_cluster_gp(), two_cluster_fs(), four_cluster_grid()]
+#: Every named preset, plus a 5-cluster ring and a lopsided bused pair.
+MACHINES = [
+    *(build() for build in STANDARD_PRESETS.values()),
+    ring_machine(5, PAPER_GRID_MIX),
+    heterogeneous_gp([6, 2], buses=2, ports=1),
+]
 
 
 @st.composite
@@ -69,6 +78,21 @@ class TestScheduleProperties:
         for config in ALL_VARIANTS:
             result = compile_loop(ddg, machine, config=config)
             assert check_schedule(result.schedule) == []
+
+
+class TestEveryMachine:
+    @given(st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=25, deadline=None)
+    def test_certified_and_identical_to_reference(self, seed):
+        ddg = generate_loop(random.Random(seed), GeneratorProfile())
+        for machine in MACHINES:
+            result = compile_loop(ddg, machine)
+            artifact = certify_compiled(result)
+            assert artifact.ok, (machine.name, artifact.issues[:3])
+            reference = reference_compile_loop(ddg, machine)
+            assert result.ii == reference.ii, machine.name
+            assert result.copy_count == reference.copy_count, machine.name
+            assert result.schedule.start == reference.start, machine.name
 
 
 class TestDeterminismProperty:

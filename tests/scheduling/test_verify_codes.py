@@ -1,8 +1,10 @@
 """Stable diagnostic codes on the independent schedule checker.
 
-Each defect class produces exactly one violation carrying its stable
-``SCHED4xx`` code, and ``assert_valid`` surfaces the code in its
-message -- so tests match on codes, not prose.
+Each defect class produces exactly one violation carrying the stable
+code of the certify section that caught it (``CERT603`` assignment,
+``CERT604`` timing, ``CERT605`` occupancy), and ``assert_valid``
+surfaces the code in its message -- so tests match on codes, not
+prose.
 """
 
 import pytest
@@ -23,7 +25,7 @@ class TestOversubscribedRow:
         )
         violations = check_schedule(schedule)
         assert len(violations) == 1
-        assert violations[0].code == "SCHED402"
+        assert violations[0].code == "CERT605"
         assert violations[0].kind == "resource"
 
 
@@ -41,7 +43,7 @@ class TestViolatedBackEdge:
         )
         violations = check_schedule(schedule)
         assert len(violations) == 1
-        assert violations[0].code == "SCHED401"
+        assert violations[0].code == "CERT604"
         assert violations[0].kind == "dependence"
         assert "distance 1" in violations[0].detail
 
@@ -52,19 +54,20 @@ class TestStructurallyInvalidGraph:
 
         compiled = compile_loop(chain3, two_gp)
         annotated = compiled.schedule.annotated
-        # Tear one node off its cluster onto the other: the value now
-        # crosses clusters with no copy, failing structural validation.
+        # Tear the chain's sink off its cluster onto the other: its one
+        # incoming value now crosses clusters with no copy.
         victim = next(
             e.dst for e in annotated.ddg.edges
             if annotated.cluster_of[e.src] == annotated.cluster_of[e.dst]
             and annotated.ddg.node(e.src).produces_value
+            and not annotated.ddg.out_edges(e.dst)
         )
         annotated.cluster_of[victim] = (
             1 - annotated.cluster_of[victim]
         )
         violations = [
             v for v in check_schedule(compiled.schedule)
-            if v.code == "SCHED403"
+            if v.code == "CERT603"
         ]
         assert len(violations) == 1
         assert violations[0].kind == "structure"
@@ -81,7 +84,7 @@ class TestCodesInMessages:
         )
         with pytest.raises(AssertionError) as exc:
             assert_valid(schedule)
-        assert "SCHED402" in str(exc.value)
+        assert "CERT605" in str(exc.value)
         assert "resource" in str(exc.value)
 
     def test_handmade_violation_str_without_code(self):
@@ -89,5 +92,5 @@ class TestCodesInMessages:
         assert str(v) == "[resource] d"
 
     def test_violation_str_with_code(self):
-        v = Violation(kind="dependence", detail="d", code="SCHED401")
-        assert str(v) == "[dependence:SCHED401] d"
+        v = Violation(kind="dependence", detail="d", code="CERT604")
+        assert str(v) == "[dependence:CERT604] d"
