@@ -3,11 +3,9 @@
 Runs the bundled corpus experiment on both preset machines (the same two
 configurations the CI lint job covers) with and without the ``--lint``
 gate, takes best-of-N wall times per leg, and asserts the gate adds less
-than 10% overhead across the two machines combined.  A third leg runs
-the gate scoped to the DF7xx dataflow family alone, so the fixed-point
-analyses' cost is tracked separately under the same budget.  The lint
-legs must also come back clean — an overhead number measured over a
-corpus the gate rejects would be meaningless.
+than 10% overhead across the two machines combined.  The lint leg must
+also come back clean — an overhead number measured over a corpus the
+gate rejects would be meaningless.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/test_lint_overhead.py -q``
 """
@@ -20,7 +18,7 @@ import time
 import pytest
 
 from repro.analysis import run_experiment
-from repro.lint import DEFAULT_CONFIG, LintConfig
+from repro.lint import DEFAULT_CONFIG
 from repro.machine import four_cluster_grid, two_cluster_gp
 from repro.workloads import bundled_corpus
 
@@ -28,9 +26,6 @@ from conftest import print_report
 
 MAX_OVERHEAD = 0.10
 REPEATS = 7
-
-#: The dataflow-family-only gate (the fixed-point analyses).
-DF_CONFIG = LintConfig(select=frozenset({"DF7"}))
 
 
 def _timed(fn) -> float:
@@ -55,7 +50,6 @@ def test_lint_gate_overhead_under_10_percent():
     per_machine = []
     plain_total = 0.0
     linted_total = 0.0
-    dataflow_total = 0.0
     for machine in machines:
         def plain():
             run_experiment(loops, machine)
@@ -65,72 +59,49 @@ def test_lint_gate_overhead_under_10_percent():
                 loops, machine, lint_config=DEFAULT_CONFIG
             )
 
-        def dataflow():
-            return run_experiment(
-                loops, machine, lint_config=DF_CONFIG
-            )
-
-        # Warm all legs off the clock (imports, memoized rule tables);
-        # the warm lint runs double as the clean-gate checks.
+        # Warm both legs off the clock (imports, memoized rule tables);
+        # the warm lint run doubles as the clean-gate check.
         plain()
         result = linted()
         assert result.total_lint_errors == 0, (
             f"lint gate rejected the bundled corpus on {machine.name}: "
             f"{result.lint_code_counts()}"
         )
-        df_result = dataflow()
-        assert df_result.total_lint_errors == 0, (
-            f"DF gate rejected the bundled corpus on {machine.name}: "
-            f"{df_result.lint_code_counts()}"
-        )
-        # Interleave the legs so clock-speed drift hits all equally;
+        # Interleave the legs so clock-speed drift hits both equally;
         # the best-of floor of each leg is the comparable number.
-        plain_s = linted_s = dataflow_s = None
+        plain_s = linted_s = None
         for _ in range(REPEATS):
             p = _timed(plain)
             l = _timed(linted)
-            d = _timed(dataflow)
             plain_s = p if plain_s is None else min(plain_s, p)
             linted_s = l if linted_s is None else min(linted_s, l)
-            dataflow_s = d if dataflow_s is None else min(dataflow_s, d)
         overhead = (linted_s - plain_s) / plain_s
-        df_overhead = (dataflow_s - plain_s) / plain_s
         per_machine.append(
             {
                 "machine": machine.name,
                 "plain_s": round(plain_s, 6),
                 "linted_s": round(linted_s, 6),
-                "dataflow_s": round(dataflow_s, 6),
                 "overhead": round(overhead, 4),
-                "dataflow_overhead": round(df_overhead, 4),
             }
         )
         plain_total += plain_s
         linted_total += linted_s
-        dataflow_total += dataflow_s
 
     combined = (linted_total - plain_total) / plain_total
-    dataflow_combined = (dataflow_total - plain_total) / plain_total
     print_report(
         f"Lint-gate overhead — {len(loops)} corpus loops, "
         f"best of {REPEATS}",
         "\n".join(
             f"{entry['machine']}: plain {entry['plain_s']:.3f}s   "
             f"linted {entry['linted_s']:.3f}s   "
-            f"dataflow {entry['dataflow_s']:.3f}s   "
             f"overhead {100 * entry['overhead']:.1f}%"
             for entry in per_machine
         ),
         f"combined: plain {plain_total:.3f}s   "
         f"linted {linted_total:.3f}s   "
         f"overhead {100 * combined:.1f}% "
-        f"(dataflow leg {100 * dataflow_combined:.1f}%, "
-        f"budget {100 * MAX_OVERHEAD:.0f}%)",
+        f"(budget {100 * MAX_OVERHEAD:.0f}%)",
         "corpus clean under the gate",
-    )
-    assert dataflow_combined < MAX_OVERHEAD, (
-        f"the DF7xx pass alone adds {100 * dataflow_combined:.1f}% "
-        f"to the corpus compile, budget is {100 * MAX_OVERHEAD:.0f}%"
     )
     assert combined < MAX_OVERHEAD, (
         f"--lint adds {100 * combined:.1f}% to the corpus compile "

@@ -438,6 +438,21 @@ def _severity_overrides(args: argparse.Namespace) -> Dict[str, str]:
     return severity
 
 
+def _certify_severity(args: argparse.Namespace) -> Dict[str, str]:
+    """``repro certify``'s ``--severity`` map, limited to the codes it
+    can report: the certify codes and LINT002 (a compile failure)."""
+    from .certify.gate import CERT_RULES
+    from .lint.diagnostics import CODE_COMPILE_FAILURE, SEVERITIES
+
+    severity = _severity_overrides(args)
+    for code, level in severity.items():
+        if code not in CERT_RULES and code != CODE_COMPILE_FAILURE:
+            raise SystemExit(f"unknown certify code {code!r}")
+        if level not in SEVERITIES:
+            raise SystemExit(f"unknown severity {level!r} for {code}")
+    return severity
+
+
 def _certify_config_from_args(args: argparse.Namespace):
     """Build a :class:`repro.certify.CertifyConfig` from parsed flags."""
     from .certify.gate import CertifyConfig
@@ -457,18 +472,12 @@ def _lint_config_from_args(args: argparse.Namespace):
     """Build a :class:`repro.lint.LintConfig` from parsed lint flags."""
     from .lint import LintConfig
 
-    severity = _severity_overrides(args)
-    enable = set(getattr(args, "enable", None) or [])
-    if getattr(args, "differential", False):
-        enable.add("SCHED490")
     try:
         return LintConfig(
             disable=frozenset(getattr(args, "disable", None) or []),
-            enable=frozenset(enable),
             select=frozenset(getattr(args, "rule", None) or []),
-            severity=severity,
+            severity=_severity_overrides(args),
             strict=getattr(args, "lint", None) == "strict",
-            differential_sample=getattr(args, "sample", 1),
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -550,8 +559,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
     machine = _machine(args.machine)
     variant = VARIANTS[args.variant]
+    severity = _certify_severity(args)
     loops = _lint_loops(args)
-    severity = _severity_overrides(args)
     certify_config = _certify_config_from_args(args)
     report = LintReport()
     if args.workers >= 2 and len(loops) > 1:
@@ -591,11 +600,6 @@ def _add_lint_select_flags(parser: argparse.ArgumentParser) -> None:
         help="disable a rule (repeatable), e.g. --disable DDG105",
     )
     parser.add_argument(
-        "--enable", action="append", default=None, metavar="CODE",
-        help="enable a default-off rule (repeatable), "
-             "e.g. --enable SCHED490",
-    )
-    parser.add_argument(
         "--severity", action="append", default=None,
         metavar="CODE=LEVEL",
         help="override a rule's severity (error/warning/info), "
@@ -604,18 +608,7 @@ def _add_lint_select_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--rule", action="append", default=None, metavar="CODE",
         help="run only rules matching a code or family prefix "
-             "(repeatable), e.g. --rule DF704 or --rule DF7; selected "
-             "default-off rules run too",
-    )
-    parser.add_argument(
-        "--differential", action="store_true",
-        help="shorthand for --enable SCHED490 (cross-check against "
-             "the frozen slow-reference pipeline)",
-    )
-    parser.add_argument(
-        "--sample", type=int, default=1, metavar="N",
-        help="run the differential rule on one loop in N (default "
-             "every sampled loop)",
+             "(repeatable), e.g. --rule DDG103 or --rule MACH2",
     )
 
 

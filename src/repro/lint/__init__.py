@@ -2,11 +2,9 @@
 
 Every invariant the pipeline assumes of its inputs is re-derived from
 scratch by an independent rule, registered under a stable diagnostic
-code grouped by family (``DDG1xx``, ``MACH2xx``, ``SCHED4xx``,
-``DF7xx``).  See ``docs/LINTING.md`` for the full catalog and
-``docs/DATAFLOW.md`` for the fixed-point engine the DF7xx family is
-built on.  The compiled loop itself is checked by :mod:`repro.certify`
-(``--certify``), not here.
+code grouped by family (``DDG1xx``, ``MACH2xx``, ``SCHED4xx``).  See
+``docs/LINTING.md`` for the full catalog.  The compiled loop itself is
+checked by :mod:`repro.certify` (``--certify``), not here.
 
 Entry points:
 
@@ -15,18 +13,9 @@ Entry points:
 * :func:`lint_compiled` — lint an already compiled loop (what the
   ``--lint`` pipeline gate runs);
 * :func:`lint_machine` — machine description alone;
-* :func:`pressure_floor` — the static register-pressure bound as a
-  library;
 * :func:`render` — text / JSON / SARIF 2.1.0 output.
 """
 
-from .dataflow import (
-    DataflowProblem,
-    DataflowResult,
-    pressure_floor,
-    solve,
-    solve_ddg,
-)
 from .diagnostics import (
     CODE_COMPILE_FAILURE,
     CODE_RULE_CRASH,
@@ -68,8 +57,6 @@ __all__ = [
     "CODE_COMPILE_FAILURE",
     "CODE_RULE_CRASH",
     "DEFAULT_CONFIG",
-    "DataflowProblem",
-    "DataflowResult",
     "Diagnostic",
     "FAMILIES",
     "Finding",
@@ -89,13 +76,10 @@ __all__ = [
     "lint_loop_deep",
     "lint_machine",
     "lint_target",
-    "pressure_floor",
     "render",
     "rule",
     "rules_in_family",
     "run_lint",
-    "solve",
-    "solve_ddg",
     "to_json_doc",
     "to_sarif",
 ]

@@ -1,9 +1,11 @@
-"""Tiny graph helpers used by the lint rules.
+"""Tiny graph helpers used by the DDG lint rules.
 
-The rules re-derive every invariant from scratch, so this module keeps
-its own iterative SCC / cycle machinery instead of reusing the pipeline's
-compiled views (:mod:`repro.ddg.view`) — a divergence between the two
-implementations is exactly what the lint layer exists to catch.
+The DDG rules must run on graphs nothing has validated: one assembled
+or mutated outside the :class:`~repro.ddg.graph.Ddg` constructors may hold
+dangling edges, and the pipeline's compiled views
+(:mod:`repro.ddg.view`) fail to build on such a graph.  So the rules
+read only the raw node and edge lists, and this module gives them an
+iterative SCC / cycle finder over plain adjacency dicts.
 """
 
 from __future__ import annotations

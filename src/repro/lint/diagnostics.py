@@ -1,7 +1,7 @@
 """Diagnostic records emitted by the static-analysis rules.
 
 Every finding is a :class:`Diagnostic` with a *stable* rule code
-(``DDG103``, ``DF704``, ...) so tooling, CI gates, and test
+(``DDG103``, ``MACH203``, ...) so tooling, CI gates, and test
 assertions can match on codes instead of free-form prose.  Severities
 follow the usual three-level model; only ``error`` makes a lint run
 fail (nonzero exit, strict-gate abort).

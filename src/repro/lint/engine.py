@@ -12,7 +12,7 @@ builders used by the CLI and the ``--lint`` pipeline gates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from .. import obs
@@ -37,8 +37,8 @@ from .registry import DEFAULT_CONFIG, LintConfig, applicable_rules
 class LintTarget:
     """The artifacts available to the rules for one lint unit.
 
-    ``cache`` memoizes derived artifacts (the cyclic liveness map)
-    across rules of one target; tests may pre-seed it.
+    ``cache`` memoizes derived artifacts across the rules of one target:
+    DDG103 and DDG104 share the graph's cyclic components through it.
     """
 
     name: str = ""
@@ -144,13 +144,21 @@ def lint_target(
     target: LintTarget, config: LintConfig = DEFAULT_CONFIG
 ) -> LintReport:
     """Run every applicable enabled rule over one target."""
+    return _run_rules(
+        target, config, applicable_rules(config, frozenset(target.available))
+    )
+
+
+def _run_rules(
+    target: LintTarget, config: LintConfig, rules: Sequence
+) -> LintReport:
+    """Run ``rules`` over one target into a one-target report."""
     report = LintReport(n_targets=1)
-    rules = applicable_rules(config, frozenset(target.available))
     diagnostics = report.diagnostics
     with obs.span("lint", target=target.name):
         # The rule loop is the ``--lint`` gate's per-loop hot path:
-        # _run_rule is inlined here so a finding-free rule (the common
-        # case) costs one generator drain and nothing else.
+        # a finding-free rule (the common case) costs one generator
+        # drain and nothing else.
         for rule in rules:
             try:
                 findings = list(rule.check(target, config))
@@ -228,18 +236,18 @@ def lint_loop_deep(
 ) -> LintReport:
     """Lint one loop through the whole pipeline.
 
-    Runs the DDG rules first; when they find errors the pipeline phases
-    are skipped (the graph is not trustworthy enough to compile).
-    Otherwise the loop is compiled for ``machine`` and the rules that
-    read a schedule (SCHED406, DF704) run too; the compiled loop's
-    correctness is ``repro certify``'s job.  A compile failure
-    surfaces as a ``LINT002`` diagnostic rather than an exception so
-    corpus-wide runs keep going.
+    Runs the DDG rules first; when they find errors the loop is not
+    compiled (the graph is not trustworthy enough).  Otherwise the loop
+    is compiled for ``machine`` and the rules that read a schedule
+    (SCHED406) run on it; the compiled loop's correctness is ``repro
+    certify``'s job.  The machine rules are not run here: they read
+    nothing of the loop, so :func:`lint_corpus_deep` (and ``repro lint
+    --workers``) run them once per run through :func:`lint_machine`.
+    A compile failure surfaces as a ``LINT002`` diagnostic rather than
+    an exception so corpus-wide runs keep going.
     """
-    report = lint_target(
-        LintTarget(name=ddg.name or "loop", ddg=ddg, machine=machine),
-        config,
-    )
+    name = ddg.name or "loop"
+    report = lint_target(LintTarget(name=name, ddg=ddg), config)
     if not report.ok:
         return report
     from ..core.driver import CompilationError, compile_loop
@@ -254,35 +262,22 @@ def lint_loop_deep(
         obs.count("lint.compile_failures")
         report.diagnostics.append(
             compile_failure(
-                ddg.name or "loop", exc,
+                name, exc,
                 severity=config.severity.get(
                     CODE_COMPILE_FAILURE, SEVERITY_ERROR
                 ),
             )
         )
         return report
-    # The shallow target already ran the pipeline-level differential
-    # rule; keep the deep pass from compiling everything a third time.
-    deep_config = replace(
-        config, disable=config.disable | {"SCHED490"}
-    )
-    deep = lint_target(
-        LintTarget(
-            name=ddg.name or "loop",
-            annotated=compiled.annotated,
-            schedule=compiled.schedule,
-        ),
-        deep_config,
-    )
-    # The machine, DDG, and graph-level dataflow families already ran
-    # on the shallow target; drop their duplicates from the deep pass
-    # (the annotated graph re-exposes the same artifacts).
-    deep.diagnostics = [
-        d for d in deep.diagnostics
-        if not d.code.startswith(("DDG1", "MACH2", "DF701", "DF702"))
+    target = LintTarget(name=name, schedule=compiled.schedule)
+    schedule_rules = [
+        rule
+        for rule in applicable_rules(config, frozenset(target.available))
+        if "schedule" in rule.requires
     ]
-    report.extend(deep)
-    report.n_targets -= 1  # one loop, not two targets
+    scheduled = _run_rules(target, config, schedule_rules)
+    report.diagnostics.extend(scheduled.diagnostics)
+    report.rules_run += scheduled.rules_run
     return report
 
 

@@ -8,8 +8,7 @@ under a stable code grouped by family:
 ========== ======================================================
 ``DDG1xx``    graph well-formedness of the input DDG
 ``MACH2xx``   machine-description consistency
-``SCHED4xx``  schedule-shape warning and the reference differential
-``DF7xx``     fixed-point dataflow analyses over cyclic kernels
+``SCHED4xx``  schedule-shape warning
 ========== ======================================================
 
 The compiled loop itself — annotated graph, schedule, register
@@ -27,17 +26,20 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple
 
-from .diagnostics import SEVERITIES
+from .diagnostics import CODE_COMPILE_FAILURE, CODE_RULE_CRASH, SEVERITIES
 
 #: Rule families and what they inspect.
 FAMILIES = {
     "DDG1": "DDG well-formedness",
     "MACH2": "machine description",
-    "SCHED4": "schedule shape and reference differential",
-    "DF7": "cyclic-kernel dataflow analysis",
+    "SCHED4": "schedule shape",
 }
 
-_CODE = re.compile(r"^(DDG1|MACH2|SCHED4|DF7)\d\d$")
+_CODE = re.compile(r"^(DDG1|MACH2|SCHED4)\d\d$")
+
+#: Codes the engine itself emits (rule crash, compile failure); they
+#: may be demoted with ``severity`` like any rule's code.
+_META_CODES = (CODE_RULE_CRASH, CODE_COMPILE_FAILURE)
 
 
 class Finding(NamedTuple):
@@ -65,9 +67,6 @@ class Rule:
     check: CheckFn
     #: Artifact family reported in diagnostics (``ddg``/``machine``/...).
     artifact: str
-    #: Default-off rules (e.g. the expensive differential cross-check)
-    #: run only when explicitly enabled.
-    default_enabled: bool = True
 
     @property
     def family(self) -> str:
@@ -82,7 +81,7 @@ RULES: Dict[str, Rule] = {}
 #: Memoized sorted view of ``RULES`` (rebuilt on registration).
 _SORTED_RULES: "List[Rule]" = []
 
-#: Memoized (disable, enable, available) -> applicable rule tuple.
+#: Memoized (disable, select, available) -> applicable rule tuple.
 _APPLICABLE: Dict[tuple, tuple] = {}
 
 
@@ -99,7 +98,6 @@ def rule(
     description: str,
     requires: Iterable[str],
     artifact: str,
-    default_enabled: bool = True,
 ) -> Callable[[CheckFn], CheckFn]:
     """Register a check function under a stable diagnostic code."""
     if not _CODE.match(code):
@@ -119,7 +117,6 @@ def rule(
             requires=frozenset(requires),
             check=check,
             artifact=artifact,
-            default_enabled=default_enabled,
         )
         return check
 
@@ -144,13 +141,13 @@ def applicable_rules(
 ) -> tuple:
     """Enabled rules whose requirements ``available`` satisfies.
 
-    Rule selection depends only on the config's select/enable/disable
-    sets and the target's artifact availability, so the filtered tuple
+    Rule selection depends only on the config's select/disable sets
+    and the target's artifact availability, so the filtered tuple
     is memoized across targets — the ``--lint`` gate lints one target
     per compiled loop and would otherwise re-filter every rule each
     time.
     """
-    key = (config.disable, config.enable, config.select, available)
+    key = (config.disable, config.select, available)
     cached = _APPLICABLE.get(key)
     if cached is None:
         cached = tuple(
@@ -170,7 +167,6 @@ def _load_rule_modules() -> None:
     """Import every rules module so the registry is fully populated."""
     from . import (  # noqa: F401  (imported for registration side effect)
         rules_ddg,
-        rules_df,
         rules_machine,
         rules_sched,
     )
@@ -180,24 +176,22 @@ def _load_rule_modules() -> None:
 class LintConfig:
     """Per-run rule selection and severity policy.
 
-    ``disable`` wins over everything; ``enable`` opts default-off rules
-    in.  ``select``, when non-empty, restricts the run to rules whose
-    code matches one of its entries — exactly (``DF704``) or by family
-    prefix (``DF7``, ``SCHED4``); a selected rule runs even when it is
-    default-off (selection implies enablement, disable still wins).
-    ``severity`` maps rule codes to overridden severities.  The config
-    is immutable and picklable so it can ride into experiment worker
-    processes unchanged.
+    ``disable`` wins over everything.  ``select``, when non-empty,
+    restricts the run to rules whose code matches one of its entries —
+    exactly (``DDG103``) or by family prefix (``DDG1``, ``SCHED4``).
+    ``severity`` maps rule codes to overridden severities.  A code that
+    names no registered rule (nor, for ``disable`` and ``severity``,
+    the engine's LINT001/LINT002) raises ``ValueError``, so a misspelt
+    or deleted code fails loudly instead of silently selecting nothing.
+    The config is immutable and picklable so it can ride into
+    experiment worker processes unchanged.
     """
 
     disable: FrozenSet[str] = frozenset()
-    enable: FrozenSet[str] = frozenset()
     select: FrozenSet[str] = frozenset()
     severity: "Dict[str, str]" = field(default_factory=dict)
     #: Strict gates treat lint errors as compilation failures.
     strict: bool = False
-    #: The differential rule checks one loop in ``sample`` (>= 1).
-    differential_sample: int = 1
 
     def __post_init__(self) -> None:
         for code, severity in self.severity.items():
@@ -205,20 +199,25 @@ class LintConfig:
                 raise ValueError(
                     f"unknown severity {severity!r} for {code}"
                 )
-        if self.differential_sample < 1:
-            raise ValueError("differential_sample must be >= 1")
+        if not (self.disable or self.select or self.severity):
+            return
+        codes = [rule.code for rule in all_rules()]
+        for code in sorted(self.disable | set(self.severity)):
+            if code not in codes and code not in _META_CODES:
+                raise ValueError(f"unknown lint code {code!r}")
+        for prefix in sorted(self.select):
+            if not any(code.startswith(prefix) for code in codes):
+                raise ValueError(
+                    f"{prefix!r} is not a prefix of any lint rule code"
+                )
 
     def is_enabled(self, rule: Rule) -> bool:
         """Whether ``rule`` runs under this configuration."""
         if rule.code in self.disable:
             return False
-        if self.select:
-            return any(
-                rule.code.startswith(prefix) for prefix in self.select
-            )
-        if not rule.default_enabled:
-            return rule.code in self.enable
-        return True
+        return not self.select or any(
+            rule.code.startswith(prefix) for prefix in self.select
+        )
 
     def severity_for(self, rule: Rule) -> str:
         """Effective severity of ``rule`` under this configuration."""

@@ -12,22 +12,7 @@ from typing import Dict, Tuple
 
 from ..ddg.opcodes import latency_of
 from ._graph import adjacency, cyclic_components
-from .dataflow import _object_memo
 from .registry import Finding, rule
-
-#: id(graph) -> (weakref, cyclic components).  The decomposition only
-#: depends on the graph, so sweeps linting one loop against several
-#: machines run Tarjan once.
-_CYCLIC_CACHE: Dict[int, tuple] = {}
-
-
-def _compute_cyclic_components(graph):
-    succs = adjacency(
-        (edge.src, edge.dst)
-        for edge in graph.edges
-        if edge.src in graph and edge.dst in graph
-    )
-    return cyclic_components(graph.node_ids, succs)
 
 
 def _edge_label(graph, edge) -> str:
@@ -43,8 +28,14 @@ def _full_cyclic_components(target):
     absent) components instead of over the whole graph.
     """
     if "ddg_cyclic" not in target.cache:
-        target.cache["ddg_cyclic"] = _object_memo(
-            _CYCLIC_CACHE, target.graph, _compute_cyclic_components
+        graph = target.graph
+        succs = adjacency(
+            (edge.src, edge.dst)
+            for edge in graph.edges
+            if edge.src in graph and edge.dst in graph
+        )
+        target.cache["ddg_cyclic"] = cyclic_components(
+            graph.node_ids, succs
         )
     return target.cache["ddg_cyclic"]
 

@@ -1,12 +1,10 @@
 """Cluster specifications.
 
 A *cluster* pairs a register file with a group of function units
-(paper Figure 1).  By default the register file itself is unbounded —
-the paper evaluates II degradation, not register pressure — but a
-finite ``register_file`` size may be declared so the static register-
-pressure rules (``DF704``) can prove a loop unschedulable.  The ports
-that connect the register file to the inter-cluster communication
-fabric are explicit, counted resources:
+(paper Figure 1).  The register file itself is unbounded — the paper
+evaluates II degradation, not register pressure.  The ports that
+connect the register file to the inter-cluster communication fabric
+are explicit, counted resources:
 
 * ``read_ports`` — how many values the cluster can send per cycle,
 * ``write_ports`` — how many values the cluster can receive per cycle.
@@ -28,17 +26,12 @@ class ClusterSpec:
     units: UnitMix
     read_ports: int = 1
     write_ports: int = 1
-    #: Registers in this cluster's file; 0 means unbounded (the paper's
-    #: model).  Finite sizes arm the DF704 register-pressure rule.
-    register_file: int = 0
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError("cluster index must be >= 0")
         if self.read_ports < 0 or self.write_ports < 0:
             raise ValueError("port counts must be >= 0")
-        if self.register_file < 0:
-            raise ValueError("register_file must be >= 0 (0 = unbounded)")
 
     @property
     def width(self) -> int:

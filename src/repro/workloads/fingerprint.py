@@ -94,11 +94,9 @@ def lint_fingerprint(lint_config) -> Optional[str]:
     return _digest({
         "rules": [rule.code for rule in all_rules()],
         "disable": sorted(lint_config.disable),
-        "enable": sorted(lint_config.enable),
         "select": sorted(lint_config.select),
         "severity": dict(sorted(lint_config.severity.items())),
         "strict": lint_config.strict,
-        "sample": lint_config.differential_sample,
     })
 
 

@@ -115,10 +115,10 @@ class TestRuleSelection:
     def test_rule_prefix_scopes_the_run(
         self, defective_loop_file, capsys
     ):
-        # The loop carries a DDG103 defect, but a DF7-only run must
+        # The loop carries a DDG103 defect, but a MACH2-only run must
         # not see it...
         rc = main([
-            "lint", defective_loop_file, "--fast", "--rule", "DF7",
+            "lint", defective_loop_file, "--fast", "--rule", "MACH2",
         ])
         capsys.readouterr()
         assert rc == 0
@@ -129,23 +129,65 @@ class TestRuleSelection:
         capsys.readouterr()
         assert rc == 1
 
-    def test_rule_accepts_exact_codes_and_repeats(
-        self, defective_loop_file, capsys
-    ):
+    def test_rule_accepts_exact_codes_and_repeats(self, tmp_path, capsys):
+        # The DDG103 cycle plus an isolated node (DDG105).
+        path = tmp_path / "cycle-and-island.loop"
+        path.write_text(DEFECTIVE_LOOP + "c: alu\n")
         rc = main([
-            "lint", defective_loop_file, "--fast", "--format", "json",
-            "--rule", "DDG103", "--rule", "DF701",
+            "lint", str(path), "--fast", "--format", "json",
+            "--rule", "DDG103", "--rule", "DDG105",
         ])
         doc = json.loads(capsys.readouterr().out)
         assert rc == 1
         by_severity = {}
         for d in doc["diagnostics"]:
             by_severity.setdefault(d["severity"], set()).add(d["code"])
-        # Both selected codes ran -- and nothing else did: the cycle is
-        # a DDG103 error, and its never-stored values are DF701 infos.
         assert by_severity == {
-            "error": {"DDG103"}, "info": {"DF701"},
+            "error": {"DDG103"}, "warning": {"DDG105"},
         }
+
+
+class TestUnknownCodes:
+    """A code no rule answers to exits with a one-line message
+    instead of silently linting nothing."""
+
+    def _rejects(self, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert code in message
+
+    def test_rule_flag(self, clean_loop_file):
+        self._rejects(
+            ["lint", clean_loop_file, "--fast", "--rule", "DF74"], "DF74"
+        )
+
+    def test_disable_flag(self, clean_loop_file):
+        self._rejects(
+            ["lint", clean_loop_file, "--fast", "--disable", "DF701"],
+            "DF701",
+        )
+
+    def test_severity_flag(self, clean_loop_file):
+        self._rejects(
+            ["lint", clean_loop_file, "--fast",
+             "--severity", "SCHED490=warning"],
+            "SCHED490",
+        )
+
+    def test_certify_severity_flag(self, clean_loop_file):
+        # certify reports CERT6xx and LINT002 only; a lint code is
+        # as unknown to it as a typo.
+        self._rejects(
+            ["certify", clean_loop_file, "--severity", "DDG103=warning"],
+            "DDG103",
+        )
+        rc = main([
+            "certify", clean_loop_file, "--fast",
+            "--severity", "CERT690=info", "--severity", "LINT002=warning",
+        ])
+        assert rc == 0
 
 
 class TestCompileGate:
@@ -158,18 +200,18 @@ class TestCompileGate:
         assert "lint:" in out
 
     def test_strict_gate_rejects(self, tmp_path, capsys):
-        # Promote the dead-value info rule to an error: the ALU result
-        # is never read, so the strict gate must refuse the compile.
-        path = tmp_path / "dead.loop"
-        path.write_text("ld: load\nsum: alu <- ld\n")
+        # Promote the isolated-node warning to an error: the ALU has
+        # no edges, so the strict gate must refuse the compile.
+        path = tmp_path / "island.loop"
+        path.write_text("ld: load\nst: store <- ld\nidle: alu\n")
         rc = main([
             "compile", str(path), "--lint", "strict",
-            "--severity", "DF701=error",
+            "--severity", "DDG105=error",
         ])
         captured = capsys.readouterr()
         assert rc == 1
         assert "lint gate rejected" in captured.err
-        assert "DF701" in captured.err
+        assert "DDG105" in captured.err
 
 
 class TestExperimentGate:

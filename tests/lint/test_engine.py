@@ -6,6 +6,7 @@ from repro.core import CompilationError
 from repro.lint import (
     CODE_COMPILE_FAILURE,
     CODE_RULE_CRASH,
+    DEFAULT_CONFIG,
     LintConfig,
     LintReport,
     LintTarget,
@@ -22,6 +23,13 @@ from repro.lint.registry import (
     all_rules,
     invalidate_rule_caches,
 )
+from repro.machine import (
+    ClusterSpec,
+    Machine,
+    PointToPointInterconnect,
+    gp_units,
+)
+from repro.service.tasks import lint_loop
 
 
 class TestTargetAvailability:
@@ -41,8 +49,8 @@ class TestTargetAvailability:
         assert target.effective_machine is compiled_chain.machine
 
     def test_schedule_exposes_machine_but_not_graph(self, compiled_chain):
-        # A schedule-only target runs the SCHED/REG rules (plus the
-        # machine family) without re-running the DDG family: the
+        # A schedule-only target carries its machine (the schedule's
+        # annotated graph names it) but not the input graph: the
         # annotated graph differs from the input graph (copies).
         target = LintTarget(schedule=compiled_chain.schedule)
         assert target.available == {"machine", "schedule"}
@@ -100,14 +108,14 @@ class TestLintReport:
             diagnostics=[
                 self._diag("DDG101", "error"),
                 self._diag("DDG102", "warning"),
-                self._diag("DF701", "info"),
+                self._diag("DDG106", "info"),
             ],
             n_targets=1, rules_run=3,
         )
         assert [d.code for d in report.errors] == ["DDG101"]
         assert [d.code for d in report.warnings] == ["DDG102"]
-        assert [d.code for d in report.infos] == ["DF701"]
-        assert report.codes() == ["DDG101", "DDG102", "DF701"]
+        assert [d.code for d in report.infos] == ["DDG106"]
+        assert report.codes() == ["DDG101", "DDG102", "DDG106"]
         assert not report.ok
         assert report.exit_code == 1
 
@@ -152,8 +160,7 @@ class TestDeepLint:
         assert [d.code for d in report.errors] == ["DDG103"]
         # No schedule-level diagnostics: the pipeline never ran.
         assert not any(
-            d.code.startswith(("SCHED4", "DF704"))
-            for d in report.diagnostics
+            d.code.startswith("SCHED4") for d in report.diagnostics
         )
 
     def test_compile_failure_becomes_lint002(
@@ -173,3 +180,63 @@ class TestDeepLint:
         assert report.ok
         # machine target + one logical target per loop
         assert report.n_targets == 3
+
+
+class TestDeepLintReportsOnce:
+    """Deep lint runs the machine rules once per run, the graph rules
+    once per loop, and only the schedule rules on the compiled loop."""
+
+    @staticmethod
+    def _stranded_machine():
+        """Cluster 1 is off the fabric: the only link joins 0 and 2,
+        so the pairs 0-1 and 1-2 are unroutable (two MACH203s).  Loops
+        still compile; the assigner never routes through cluster 1."""
+        return Machine(
+            clusters=tuple(ClusterSpec(i, gp_units(2)) for i in range(3)),
+            interconnect=PointToPointInterconnect(links=[(0, 2)]),
+            name="stranded",
+        )
+
+    def test_crashing_graph_rule_reported_once_per_loop(
+        self, chain3, accumulator, two_gp
+    ):
+        def explode(target, config):
+            raise RuntimeError("boom")
+
+        RULES["DDG199"] = Rule(
+            code="DDG199", name="crash-test", default_severity="error",
+            description="always crashes", requires=frozenset({"graph"}),
+            check=explode, artifact="ddg",
+        )
+        invalidate_rule_caches()
+        try:
+            # Demoted, the crash no longer stops the loop compiling.
+            config = LintConfig(severity={CODE_RULE_CRASH: "warning"})
+            report = lint_corpus_deep([chain3, accumulator], two_gp, config)
+        finally:
+            del RULES["DDG199"]
+            invalidate_rule_caches()
+        crashes = [
+            d.loop for d in report.diagnostics if d.code == CODE_RULE_CRASH
+        ]
+        assert sorted(crashes) == sorted([chain3.name, accumulator.name])
+        assert report.ok
+
+    def test_stranded_cluster_reported_once_per_run(
+        self, chain3, accumulator
+    ):
+        machine = self._stranded_machine()
+        report = lint_corpus_deep([chain3, accumulator], machine)
+        unroutable = [
+            (d.loop, d.location)
+            for d in report.diagnostics if d.code == "MACH203"
+        ]
+        assert unroutable == [
+            ("stranded", "clusters 0<->1"), ("stranded", "clusters 1<->2"),
+        ]
+        # Both loops compiled: no LINT002, and no other finding either.
+        assert report.codes() == ["MACH203"]
+        # The pool task of ``repro lint --workers`` is one loop's
+        # share: no machine findings (the parent lints the machine).
+        loop_report = lint_loop((chain3, machine, DEFAULT_CONFIG, None))
+        assert loop_report.diagnostics == []

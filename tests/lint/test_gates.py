@@ -16,12 +16,14 @@ from repro.workloads import paper_suite
 
 
 @pytest.fixture
-def dead_value_loop():
-    """A loop whose ALU result is never read (DF701 info)."""
-    graph = Ddg(name="dead-value")
+def island_loop():
+    """A loop with an ALU no edge touches (DDG105 warning); it still
+    compiles, so promoting DDG105 to an error exercises the gates."""
+    graph = Ddg(name="island")
     load = graph.add_node(Opcode.LOAD, name="ld")
-    alu = graph.add_node(Opcode.ALU, name="sum")
-    graph.add_edge(load, alu, distance=0)
+    store = graph.add_node(Opcode.STORE, name="st")
+    graph.add_edge(load, store, distance=0)
+    graph.add_node(Opcode.ALU, name="idle")
     return graph
 
 
@@ -37,25 +39,25 @@ class TestDriverGate:
         assert compile_loop(chain3, two_gp).lint_report is None
 
     def test_strict_gate_rejects_promoted_error(
-        self, dead_value_loop, two_gp
+        self, island_loop, two_gp
     ):
         config = LintConfig(
-            strict=True, severity={"DF701": "error"}
+            strict=True, severity={"DDG105": "error"}
         )
         with pytest.raises(CompilationError) as exc:
-            compile_loop(dead_value_loop, two_gp, lint_config=config)
+            compile_loop(island_loop, two_gp, lint_config=config)
         assert "lint gate rejected" in str(exc.value)
-        assert "DF701" in str(exc.value)
+        assert "DDG105" in str(exc.value)
 
     def test_lenient_gate_records_but_compiles(
-        self, dead_value_loop, two_gp
+        self, island_loop, two_gp
     ):
-        config = LintConfig(severity={"DF701": "error"})
+        config = LintConfig(severity={"DDG105": "error"})
         compiled = compile_loop(
-            dead_value_loop, two_gp, lint_config=config
+            island_loop, two_gp, lint_config=config
         )
         assert not compiled.lint_report.ok
-        assert "DF701" in compiled.lint_report.codes()
+        assert "DDG105" in compiled.lint_report.codes()
 
 
 class TestExperimentGate:
@@ -76,13 +78,13 @@ class TestExperimentGate:
         }
 
     def test_strict_lint_failure_recorded(
-        self, dead_value_loop, two_gp
+        self, island_loop, two_gp
     ):
         config = LintConfig(
-            strict=True, severity={"DF701": "error"}
+            strict=True, severity={"DDG105": "error"}
         )
         result = run_experiment(
-            [dead_value_loop], two_gp, lint_config=config
+            [island_loop], two_gp, lint_config=config
         )
         assert result.n_failed == 1
         assert "lint gate rejected" in result.outcomes[0].error
@@ -96,15 +98,15 @@ class TestExperimentGate:
 
 class TestEngineGate:
     def test_inline_engine_honours_lint_config(
-        self, dead_value_loop, two_gp
+        self, island_loop, two_gp
     ):
         result = run_experiment(
-            [dead_value_loop], two_gp,
-            lint_config=LintConfig(severity={"DF701": "error"}),
+            [island_loop], two_gp,
+            lint_config=LintConfig(severity={"DDG105": "error"}),
         )
         (outcome,) = result.outcomes
         assert outcome.lint_errors >= 1
-        assert "DF701" in outcome.lint_codes
+        assert "DDG105" in outcome.lint_codes
 
     def test_fingerprint_distinguishes_configs(self):
         assert lint_fingerprint(None) is None
@@ -113,18 +115,18 @@ class TestEngineGate:
         assert a is not None and b is not None
         assert a != b
         assert lint_fingerprint(LintConfig()) == a
-        assert lint_fingerprint(LintConfig(select=frozenset({"DF7"}))) != a
+        assert lint_fingerprint(LintConfig(select=frozenset({"DDG1"}))) != a
         # The rule catalog is part of the identity: a cached outcome
         # replays the codes its day's rules emitted, so registering (or
         # deleting) a rule must change the fingerprint.
         rule(
-            "DF799", "fingerprint-probe", "info", "registered by a test",
+            "SCHED499", "fingerprint-probe", "info", "registered by a test",
             requires=["graph"], artifact="ddg",
         )(lambda target, config: ())
         try:
             assert lint_fingerprint(DEFAULT_CONFIG) != a
         finally:
-            del RULES["DF799"]
+            del RULES["SCHED499"]
             invalidate_rule_caches()
         assert lint_fingerprint(DEFAULT_CONFIG) == a
 
@@ -145,24 +147,24 @@ class TestEngineGate:
         outcome = LoopOutcome(
             loop_name="x", unified_ii=3, clustered_ii=4, copies=2,
             lint_errors=1, lint_warnings=2,
-            lint_codes=("DDG102", "DF704"),
+            lint_codes=("DDG102", "SCHED406"),
         )
         cache.put("key", dataclasses.asdict(outcome))
         loaded = LoopOutcome.from_doc(cache.get("key"))
         assert loaded == outcome
-        assert loaded.lint_codes == ("DDG102", "DF704")
+        assert loaded.lint_codes == ("DDG102", "SCHED406")
 
     def test_cached_run_replays_lint_fields(
-        self, dead_value_loop, two_gp, tmp_path
+        self, island_loop, two_gp, tmp_path
     ):
-        lint_config = LintConfig(severity={"DF701": "error"})
+        lint_config = LintConfig(severity={"DDG105": "error"})
         options = EngineOptions(cache_dir=str(tmp_path), resume=True)
         first = run_experiment(
-            [dead_value_loop], two_gp, lint_config=lint_config,
+            [island_loop], two_gp, lint_config=lint_config,
             options=options,
         )
         second = run_experiment(
-            [dead_value_loop], two_gp, lint_config=lint_config,
+            [island_loop], two_gp, lint_config=lint_config,
             options=options,
         )
         assert second.cache_hits == 1

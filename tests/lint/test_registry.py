@@ -13,7 +13,7 @@ from repro.lint import (
 )
 
 CODE_PATTERN = re.compile(
-    r"^(DDG1|MACH2|SCHED4|DF7)\d\d$"
+    r"^(DDG1|MACH2|SCHED4)\d\d$"
 )
 
 KNOWN_ARTIFACTS = {"graph", "machine", "annotated", "schedule"}
@@ -36,7 +36,7 @@ class TestRegistry:
     def test_rule_count_is_stable(self):
         # Adding a rule is fine -- bump this count alongside the
         # docs/LINTING.md catalog so they cannot drift apart.
-        assert len(all_rules()) == 19
+        assert len(all_rules()) == 15
 
     def test_family_property_matches_prefix(self):
         for rule in all_rules():
@@ -52,49 +52,33 @@ class TestRegistry:
             assert rule.name
             assert rule.description
 
-    def test_default_off_rules(self):
-        # The differential cross-check is the one opt-in rule: it
-        # compiles every loop twice more.
-        off = {r.code for r in all_rules() if not r.default_enabled}
-        assert off == {"SCHED490"}
-
 
 class TestLintConfig:
     def _rule(self, code):
         return next(r for r in all_rules() if r.code == code)
 
     def test_default_runs_default_on_rules(self):
-        assert DEFAULT_CONFIG.is_enabled(self._rule("DDG101"))
-        assert not DEFAULT_CONFIG.is_enabled(self._rule("SCHED490"))
-
-    def test_enable_opts_default_off_rules_in(self):
-        config = LintConfig(enable=frozenset({"SCHED490"}))
-        assert config.is_enabled(self._rule("SCHED490"))
-
-    def test_disable_wins_over_enable(self):
-        config = LintConfig(
-            disable=frozenset({"SCHED490"}),
-            enable=frozenset({"SCHED490"}),
-        )
-        assert not config.is_enabled(self._rule("SCHED490"))
+        # Every registered rule is on by default.
+        assert all(DEFAULT_CONFIG.is_enabled(r) for r in all_rules())
 
     def test_select_restricts_to_prefix(self):
-        config = LintConfig(select=frozenset({"DF7"}))
-        assert config.is_enabled(self._rule("DF701"))
-        assert not config.is_enabled(self._rule("DDG101"))
+        config = LintConfig(select=frozenset({"DDG1"}))
+        assert config.is_enabled(self._rule("DDG101"))
+        assert not config.is_enabled(self._rule("MACH201"))
 
     def test_select_matches_exact_code(self):
-        config = LintConfig(select=frozenset({"DF704"}))
-        assert config.is_enabled(self._rule("DF704"))
-        assert not config.is_enabled(self._rule("DF701"))
+        config = LintConfig(select=frozenset({"DDG103"}))
+        assert config.is_enabled(self._rule("DDG103"))
+        assert not config.is_enabled(self._rule("DDG101"))
 
     def test_select_implies_enablement_but_disable_wins(self):
-        config = LintConfig(select=frozenset({"SCHED490"}))
-        assert config.is_enabled(self._rule("SCHED490"))
+        config = LintConfig(select=frozenset({"SCHED406"}))
+        assert config.is_enabled(self._rule("SCHED406"))
         config = LintConfig(
-            select=frozenset({"DF7"}), disable=frozenset({"DF701"})
+            select=frozenset({"DDG1"}), disable=frozenset({"DDG101"})
         )
-        assert not config.is_enabled(self._rule("DF701"))
+        assert not config.is_enabled(self._rule("DDG101"))
+        assert config.is_enabled(self._rule("DDG102"))
 
     def test_severity_override(self):
         config = LintConfig(severity={"DDG105": "error"})
@@ -105,9 +89,22 @@ class TestLintConfig:
         with pytest.raises(ValueError):
             LintConfig(severity={"DDG101": "fatal"})
 
-    def test_bad_differential_sample_rejected(self):
-        with pytest.raises(ValueError):
-            LintConfig(differential_sample=0)
+    @pytest.mark.parametrize("field", ["disable", "severity"])
+    def test_unknown_code_rejected(self, field):
+        # A deleted code (DF701) or a typo must not pass silently.
+        for code in ("DF701", "DDG10"):
+            value = (
+                {code: "warning"} if field == "severity"
+                else frozenset({code})
+            )
+            with pytest.raises(ValueError, match=code):
+                LintConfig(**{field: value})
+
+    def test_select_must_prefix_a_rule(self):
+        for entry in ("DF74", "DF7", "LINT001", "DDG1x"):
+            with pytest.raises(ValueError, match=entry):
+                LintConfig(select=frozenset({entry}))
+        assert LintConfig(select=frozenset({"MACH", "SCHED406"}))
 
     def test_config_is_hashable_and_picklable(self):
         import pickle

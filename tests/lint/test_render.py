@@ -57,8 +57,7 @@ SARIF_SCHEMA = {
                                                     "type": "string",
                                                     "pattern": (
                                                         "^(DDG1|MACH2|"
-                                                        "SCHED4|CERT6|"
-                                                        "DF7)"
+                                                        "SCHED4|CERT6)"
                                                         "[0-9]{2}$"
                                                     ),
                                                 },
@@ -140,8 +139,8 @@ def dirty_report():
                 location="edge 0->1@0",
             ),
             Diagnostic(
-                code="DF701", severity="info", message="dead",
-                rule="dead-value", loop="bad", artifact="ddg",
+                code="DDG106", severity="info", message="latency",
+                rule="latency-table-mismatch", loop="bad", artifact="ddg",
                 location="node 2",
             ),
         ],

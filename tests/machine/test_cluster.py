@@ -33,20 +33,6 @@ class TestClusterSpec:
         with pytest.raises(ValueError):
             ClusterSpec(index=0, units=gp_units(1), read_ports=-1)
 
-    def test_register_file_defaults_to_unbounded(self):
-        cluster = ClusterSpec(index=0, units=gp_units(4))
-        assert cluster.register_file == 0  # the paper's model
-
-    def test_finite_register_file(self):
-        cluster = ClusterSpec(
-            index=0, units=gp_units(4), register_file=32
-        )
-        assert cluster.register_file == 32
-
-    def test_negative_register_file_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterSpec(index=0, units=gp_units(1), register_file=-1)
-
     def test_frozen(self):
         cluster = ClusterSpec(index=0, units=gp_units(4))
         with pytest.raises(AttributeError):

@@ -1,7 +1,12 @@
-"""Stable content hashing of loop DDGs."""
+"""Stable content hashing of loop DDGs and gate configurations."""
 
+import dataclasses
+
+from repro.certify import CertifyConfig
 from repro.ddg import Ddg, Opcode, build_ddg
+from repro.lint import LintConfig
 from repro.workloads import ddg_fingerprint, paper_suite
+from repro.workloads.fingerprint import certify_fingerprint, lint_fingerprint
 
 
 def _chain(name=""):
@@ -60,3 +65,36 @@ class TestDdgFingerprint:
         digest = ddg_fingerprint(_chain())
         assert len(digest) == 64
         int(digest, 16)  # parses as hex
+
+
+def _changed(value):
+    """Another valid value of ``value``'s type (every gate field's
+    default is one of these types)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, frozenset):
+        return value | {"DDG105"}
+    if isinstance(value, dict):
+        return {**value, "DDG105": "info"}
+    raise TypeError(f"no changed value known for {value!r}")
+
+
+class TestGateFingerprints:
+    def test_every_field_changes_the_digest(self):
+        # A cached outcome replays its gate's verdict, so a field the
+        # digest ignored would replay one config's verdict for another.
+        # Fields come from the dataclass itself: a new one is covered.
+        for config_type, fingerprint in (
+            (LintConfig, lint_fingerprint),
+            (CertifyConfig, certify_fingerprint),
+        ):
+            base = config_type()
+            for field in dataclasses.fields(config_type):
+                changed = dataclasses.replace(
+                    base, **{field.name: _changed(getattr(base, field.name))}
+                )
+                assert fingerprint(changed) != fingerprint(base), (
+                    f"{config_type.__name__}.{field.name}"
+                )
