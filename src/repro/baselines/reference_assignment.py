@@ -15,14 +15,15 @@ production pipeline rather than duplicated.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Union
 
 from ..core.annotate import build_annotated
 from ..core.assignment import AssignmentStats
 from ..core.copies import (
     CopyPlan,
     CopyRoutingError,
-    RoutingSnapshot,
+    CopyTemplate,
     plan_copies,
 )
 from ..core.ordering import AssignmentOrder
@@ -136,6 +137,19 @@ class ReferencePools:
 # ----------------------------------------------------------------------
 # Routing state (seed: graph-derived adjacency, unmemoized replanning)
 # ----------------------------------------------------------------------
+@dataclass
+class RoutingSnapshot:
+    """Rollback point for :class:`ReferenceRoutingState` (pools
+    snapshot separate)."""
+
+    cluster_of: Dict[int, int]
+    #: Producer -> plan: a :class:`CopyPlan` in this reference (the type
+    #: also admits the optimized phase's :class:`CopyTemplate`).
+    plans: Dict[int, Union[CopyTemplate, CopyPlan]]
+    #: -1 in this reference's snapshots, which it restores itself.
+    total_copies: int = -1
+
+
 class ReferenceRoutingState:
     """The seed routing state: value adjacency rebuilt from the graph."""
 

@@ -5,7 +5,9 @@
 1. **Order** — nodes of the most constraining SCCs first, SMS order
    within each set (:mod:`repro.core.ordering`).
 2. **Tentative assignment and selection** — the next unassigned node is
-   tentatively placed on every cluster inside a pools/routing transaction;
+   tentatively placed on every cluster by a read-only probe, which
+   replays the implied copy replans on a scratch copy of the pools
+   (:meth:`RoutingState.probe <repro.core.copies.RoutingState.probe>`);
    the outcomes feed the Figure 10 selection chain
    (:mod:`repro.core.selection`), and the winner is committed.
 3. **Iteration** — when no cluster is feasible, the Figure 11 chain picks
@@ -35,7 +37,7 @@ from ..obs.trace import count as obs_count, span as obs_span
 from ..machine.machine import Demand, Machine
 from ..mrt.pool import ResourcePools
 from .annotate import build_annotated
-from .copies import RoutingState
+from .copies import ProducerFacts, RoutingState
 from .ordering import AssignmentOrder, build_assignment_order
 from .prediction import prediction_satisfied
 from .selection import (
@@ -44,6 +46,11 @@ from .selection import (
     select_failure_cluster,
 )
 from .variants import HEURISTIC_ITERATIVE, AssignmentConfig
+
+
+#: What every candidate cluster of one step's node shares (see
+#: :meth:`_Assigner._step_facts`).
+StepFacts = Tuple[ProducerFacts, int, int]
 
 
 @dataclass
@@ -124,16 +131,6 @@ class _Assigner:
     # ------------------------------------------------------------------
     # Small helpers
     # ------------------------------------------------------------------
-    def _scc_partner_on(self, node_id: int, cluster: int) -> bool:
-        """Is another member of the node's SCC already on ``cluster``?"""
-        scc = self.order.scc_of(node_id)
-        if scc is None:
-            return False
-        return any(
-            other != node_id and other in self.nodes_on[cluster]
-            for other in scc.nodes
-        )
-
     def _record_history(self, node_id: int, cluster: int) -> None:
         """Rule (A) bookkeeping, with the clear-when-full rule."""
         old = self.previously_on[node_id]
@@ -163,9 +160,41 @@ class _Assigner:
     # ------------------------------------------------------------------
     # Tentative evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, node_id: int, cluster: int) -> CandidateInfo:
-        """Tentatively place ``node_id`` on ``cluster``; roll back after
-        measuring the Figure 10 selection inputs."""
+    def _step_facts(self, node_id: int) -> StepFacts:
+        """What every candidate cluster of the unassigned ``node_id``
+        shares at this step: its producers' :data:`ProducerFacts`, the
+        copies their plans hold now, and the bitmask of the clusters
+        holding another member of its SCC."""
+        producers = self.routing.producer_facts(node_id)
+        held = 0
+        for _, _, _, plan, _ in producers:
+            if plan is not None:
+                held += len(plan.specs)
+        cluster_of = self.routing.cluster_of
+        scc_mask = 0
+        scc = self.order.scc_of(node_id)
+        if scc is not None:
+            for other in scc.nodes:
+                cluster = cluster_of.get(other)
+                if cluster is not None and other != node_id:
+                    scc_mask |= 1 << cluster
+        return producers, held, scc_mask
+
+    def evaluate(
+        self,
+        node_id: int,
+        cluster: int,
+        facts: Optional[StepFacts] = None,
+    ) -> CandidateInfo:
+        """The Figure 10 selection inputs of placing the unassigned
+        ``node_id`` on ``cluster``, measured without changing any state.
+
+        The placement's issue slot and copy replans are replayed on a
+        scratch copy of the pools (:meth:`RoutingState.probe`), stopping
+        at the first plan that fails; free resources and MRC are read
+        from the scratch counts.  ``facts`` is :meth:`_step_facts`'s for
+        ``node_id``, gathered here when not given.
+        """
         demand = self._op_demand[node_id][cluster]
         previously_here = (self.previously_on[node_id] >> cluster) & 1 == 1
         if demand is None:
@@ -174,42 +203,48 @@ class _Assigner:
                 prediction_ok=False, new_copies=0, free_resources=0,
                 previously_here=previously_here, op_fits=False,
             )
-        pools = self.pools
-        routing = self.routing
+        if facts is None:
+            facts = self._step_facts(node_id)
+        producers, held, scc_mask = facts
         feasible = False
         prediction_ok = True
         new_copies = 0
         free_resources = 0
-        op_fits = pools.fits(demand)
+        op_fits = self.pools.fits(demand)
         # When the op's own slot is full the placement fails before any
-        # copy is planned: no transaction needed.
+        # copy is planned.
         if op_fits:
-            pools_snap = pools.checkpoint()
-            routing_snap = routing.snapshot()
-            copies_before = routing.total_copies()
-            pools.take(demand)
-            routing.assign_unplanned(node_id, cluster)
-            feasible = all(
-                routing.replan(producer)
-                for producer in routing.affected_producers(node_id)
+            scratch = self.pools.copy()
+            scratch.take(demand)
+            failures, copies = self.routing.probe(
+                node_id, cluster, producers, scratch
             )
+            feasible = not failures
             if feasible:
-                new_copies = routing.total_copies() - copies_before
+                new_copies = sum(copies) - held
                 if self.config.predict_copies:
+                    # The producers on ``cluster`` once the node is
+                    # placed (the node and its producers already there)
+                    # count with their tentative copies and waits.
+                    tentative = {
+                        producer: (rc, waiting)
+                        for (producer, home, _, _, waiting), rc
+                        in zip(producers, copies)
+                        if home == cluster or producer == node_id
+                    }
                     prediction_ok = prediction_satisfied(
                         self.machine,
-                        routing,
-                        pools,
+                        self.routing,
+                        scratch,
                         cluster,
-                        self.nodes_on[cluster] | {node_id},
+                        self.nodes_on[cluster],
+                        tentative,
                     )
-                free_resources = pools.free_cluster_slots(cluster)
-            pools.restore(pools_snap)
-            routing.restore(routing_snap)
+                free_resources = scratch.free_cluster_slots(cluster)
         return CandidateInfo(
             cluster=cluster,
             feasible=feasible,
-            shares_scc=self._scc_partner_on(node_id, cluster),
+            shares_scc=(scc_mask >> cluster) & 1 == 1,
             prediction_ok=prediction_ok,
             new_copies=new_copies,
             free_resources=free_resources,
@@ -217,24 +252,29 @@ class _Assigner:
             op_fits=op_fits,
         )
 
-    def count_conflicts(self, node_id: int, cluster: int) -> int:
+    def count_conflicts(
+        self,
+        node_id: int,
+        cluster: int,
+        facts: Optional[StepFacts] = None,
+    ) -> int:
         """Figure 11 line 4: assigned neighbors whose required copies fail
         when ``node_id`` is put on ``cluster`` (resource shortages of the
-        node's own slot are handled separately by eviction)."""
+        node's own slot are handled separately by eviction).
+
+        Replays every copy replan of the placement on a scratch copy of
+        the pools without the node's issue slot, counting each failure;
+        a failed producer's old demand stays released for the producers
+        after it.  No state changes.  ``facts`` as in :meth:`evaluate`.
+        """
         if self._op_demand[node_id][cluster] is None:
             return len(self.ddg.node_ids)  # structurally impossible
-        routing = self.routing
-        pools_snap = self.pools.checkpoint()
-        routing_snap = routing.snapshot()
-        routing.assign_unplanned(node_id, cluster)
-        conflicts = sum(
-            1
-            for producer in routing.affected_producers(node_id)
-            if not routing.replan(producer)
+        if facts is None:
+            facts = self._step_facts(node_id)
+        failures, _ = self.routing.probe(
+            node_id, cluster, facts[0], self.pools.copy(), stop=False
         )
-        self.pools.restore(pools_snap)
-        routing.restore(routing_snap)
-        return conflicts
+        return failures
 
     # ------------------------------------------------------------------
     # Committing and evicting
@@ -405,8 +445,9 @@ class _Assigner:
                 _, node_id = heapq.heappop(self._ready)
                 if node_id in self.unassigned:
                     break
+            facts = self._step_facts(node_id)
             candidates = [
-                self.evaluate(node_id, cluster)
+                self.evaluate(node_id, cluster, facts)
                 for cluster in self.machine.cluster_indices
             ]
             obs_count("assign.evaluations", len(candidates))
@@ -427,16 +468,8 @@ class _Assigner:
                 obs_count("assign.select.abandoned")
                 return None
             with_conflicts = [
-                CandidateInfo(
-                    cluster=c.cluster,
-                    feasible=c.feasible,
-                    shares_scc=c.shares_scc,
-                    prediction_ok=c.prediction_ok,
-                    new_copies=c.new_copies,
-                    free_resources=c.free_resources,
-                    previously_here=c.previously_here,
-                    op_fits=c.op_fits,
-                    conflicts=self.count_conflicts(node_id, c.cluster),
+                c._replace(
+                    conflicts=self.count_conflicts(node_id, c.cluster, facts)
                 )
                 for c in candidates
             ]

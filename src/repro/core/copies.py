@@ -25,7 +25,7 @@ keyed on the home cluster and a bitmask of the needed clusters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..ddg.graph import Ddg
 from ..machine.machine import Demand, Machine, ResourceKey
@@ -148,16 +148,15 @@ class CopyTemplate(NamedTuple):
     demand: Demand
 
 
-@dataclass
-class RoutingSnapshot:
-    """Rollback point for :class:`RoutingState` (pools snapshot separate)."""
-
-    cluster_of: Dict[int, int]
-    #: Producer -> plan: a :class:`CopyTemplate` here, a
-    #: :class:`CopyPlan` in the frozen reference (repro.baselines).
-    plans: Dict[int, Union[CopyTemplate, CopyPlan]]
-    #: -1 in the frozen reference's snapshots, which it restores itself.
-    total_copies: int = -1
+#: What a tentative placement of one unassigned node starts from, per
+#: producer whose plan it may change (see :meth:`RoutingState.producer_facts`):
+#: the producer, its cluster (None while unassigned), the bitmask of the
+#: clusters holding its assigned consumers, its current plan (None while
+#: it needs no copies), and how many of its consumers stay unassigned
+#: once the node is placed.
+ProducerFacts = Tuple[
+    Tuple[int, Optional[int], int, Optional[CopyTemplate], int], ...
+]
 
 
 class RoutingState:
@@ -180,8 +179,8 @@ class RoutingState:
         self.share_broadcast = share_broadcast
         self.cluster_of: Dict[int, int] = {}
         # Producer -> its current (non-empty) plan.  Insertion order
-        # numbers the copy nodes of the annotated graph, so rollback
-        # restores a copy of the dict rather than undoing changes.
+        # numbers the copy nodes of the annotated graph; tentative
+        # placements only read it (see :meth:`probe`).
         self._plans: Dict[int, CopyTemplate] = {}
         self._total_copies = 0
         # Value-edge adjacency — producer -> consumers and consumer ->
@@ -194,6 +193,19 @@ class RoutingState:
         self._produces_value = view.produces_value
         self._value_consumers = view.value_consumers
         self._value_producers = view.value_producers
+        # Node -> the producers whose plan may change when it (re)moves.
+        self._affected: Dict[int, Tuple[int, ...]] = {
+            node_id: (
+                (node_id,) if view.produces_value[node_id] else ()
+            ) + view.value_producers[node_id]
+            for node_id in view.node_ids
+        }
+        # Producer -> its consumers not in ``cluster_of`` (the paper's
+        # UnassignedSuccessors), kept by assign/unassign_unplanned.
+        self._unassigned_consumers: Dict[int, int] = {
+            node_id: len(consumers)
+            for node_id, consumers in view.value_consumers.items()
+        }
         # Home cluster -> needed-cluster bitmask -> template, shared by
         # every assignment on this machine.  Only routable shapes are
         # memoized (a CopyRoutingError is re-derived, and counted, on
@@ -219,11 +231,7 @@ class RoutingState:
 
     def unassigned_value_consumers(self, producer: int) -> int:
         """The paper's ``UnassignedSuccessors(N_i)`` term."""
-        return sum(
-            1
-            for consumer in self._value_consumers[producer]
-            if consumer not in self.cluster_of
-        )
+        return self._unassigned_consumers[producer]
 
     def _needed_mask(self, producer: int, home: int) -> int:
         """Bitmask of the clusters other than ``home`` holding an
@@ -265,15 +273,10 @@ class RoutingState:
     # ------------------------------------------------------------------
     # Replanning
     # ------------------------------------------------------------------
-    def affected_producers(self, node_id: int) -> List[int]:
-        """Producers whose plan may change when ``node_id`` (re)moves."""
-        affected = []
-        if self._produces_value[node_id]:
-            affected.append(node_id)
-        for producer in self._value_producers[node_id]:
-            if producer not in affected:
-                affected.append(producer)
-        return affected
+    def affected_producers(self, node_id: int) -> Tuple[int, ...]:
+        """Producers whose plan may change when ``node_id`` (re)moves:
+        the node itself when it produces a value, then its producers."""
+        return self._affected[node_id]
 
     def _template(self, producer: int, home: int, mask: int) -> CopyTemplate:
         """The plan moving ``producer``'s value from ``home`` to the
@@ -298,8 +301,9 @@ class RoutingState:
 
         The old reservation is released first.  On False (the plan
         overflows a pool, or the fabric cannot route the value) the
-        producer holds no plan and no reservation: callers either roll
-        back via snapshots or evict nodes and call :meth:`replan` again.
+        producer holds no plan and no reservation: callers evict nodes
+        and call :meth:`replan` again.  Tentative placements never
+        replan; they :meth:`probe` instead.
         """
         obs_count("copies.replans")
         old = self._plans.pop(producer, None)
@@ -326,14 +330,16 @@ class RoutingState:
     def assign_unplanned(self, node_id: int, cluster: int) -> None:
         """Record an assignment *without* replanning any copies.
 
-        Used by tentative evaluation, forced placement and conflict
-        counting, which replan the affected producers one at a time so
-        failures can be attributed to individual predecessor/successor
-        relationships.
+        Used by forced placement, which replans the affected producers
+        one at a time so that each failure can be repaired by evicting
+        the conflicting predecessor or successor.
         """
         if node_id in self.cluster_of:
             raise ValueError(f"node {node_id} is already assigned")
         self.cluster_of[node_id] = cluster
+        unassigned = self._unassigned_consumers
+        for producer in self._value_producers[node_id]:
+            unassigned[producer] -= 1
 
     def set_cluster(self, node_id: int, cluster: int) -> None:
         """Assign ``node_id`` to ``cluster`` and replan affected copies.
@@ -341,8 +347,8 @@ class RoutingState:
         The caller must have reserved the node's own issue slot already.
         Raises :class:`PoolOverflowError` when some required copy does not
         fit (:class:`CopyRoutingError` when it cannot be routed); state is
-        then inconsistent and must be rolled back via snapshot (tentative
-        mode) or repaired by eviction (forced mode).
+        then inconsistent.  The assigner commits only placements that a
+        :meth:`probe` found feasible.
         """
         self.assign_unplanned(node_id, cluster)
         for producer in self.affected_producers(node_id):
@@ -365,20 +371,91 @@ class RoutingState:
         if node_id not in self.cluster_of:
             raise ValueError(f"node {node_id} is not assigned")
         del self.cluster_of[node_id]
+        unassigned = self._unassigned_consumers
+        for producer in self._value_producers[node_id]:
+            unassigned[producer] += 1
 
     # ------------------------------------------------------------------
-    # Snapshots (pools are snapshotted separately by the caller)
+    # Read-only probes of tentative placements
     # ------------------------------------------------------------------
-    def snapshot(self) -> RoutingSnapshot:
-        """Capture cluster map + plans for rollback."""
-        return RoutingSnapshot(
-            cluster_of=dict(self.cluster_of),
-            plans=dict(self._plans),
-            total_copies=self._total_copies,
-        )
+    def producer_facts(self, node_id: int) -> ProducerFacts:
+        """The :data:`ProducerFacts` of the unassigned ``node_id``, one
+        entry per :meth:`affected_producers` producer, in that order.
 
-    def restore(self, snap: RoutingSnapshot) -> None:
-        """Roll back to ``snap`` (pair with ``pools.restore``)."""
-        self.cluster_of = dict(snap.cluster_of)
-        self._plans = dict(snap.plans)
-        self._total_copies = snap.total_copies
+        None of it depends on the cluster the node is tried on, so one
+        gathering serves every candidate cluster of a step.
+        """
+        cluster_of = self.cluster_of
+        plans = self._plans
+        unassigned = self._unassigned_consumers
+        facts = []
+        for producer in self._affected[node_id]:
+            mask = 0
+            for consumer in self._value_consumers[producer]:
+                cluster = cluster_of.get(consumer)
+                if cluster is not None:
+                    mask |= 1 << cluster
+            # The node is one of its producers' unassigned consumers.
+            waiting = unassigned[producer] - (producer != node_id)
+            facts.append(
+                (producer, cluster_of.get(producer), mask,
+                 plans.get(producer), waiting)
+            )
+        return tuple(facts)
+
+    def probe(
+        self,
+        node_id: int,
+        cluster: int,
+        facts: ProducerFacts,
+        scratch: ResourcePools,
+        stop: bool = True,
+    ) -> Tuple[int, List[int]]:
+        """Replay on ``scratch`` the replans that placing the unassigned
+        ``node_id`` on ``cluster`` implies, writing neither
+        ``cluster_of`` nor the plans.
+
+        ``facts`` is :meth:`producer_facts`'s for ``node_id``; ``scratch``
+        is a :meth:`ResourcePools.copy` of the pools, which the replay
+        changes.  Per producer, in order, it does what :meth:`replan`
+        would do after ``assign_unplanned(node_id, cluster)``: release
+        the current plan's demand, then take the template for the
+        producer's cluster and needed-cluster mask, or fail.  Same
+        templates, same releases and capacity checks in the same order
+        on the same counts: the outcome is the replan's.
+
+        Returns the number of failed plans and, per producer up to where
+        the replay ended, the copies its plan now holds (0 after a
+        failure, whose old demand stays released, as :meth:`replan`
+        leaves it).  ``stop`` ends the replay at the first failure.
+        """
+        failures = 0
+        copies: List[int] = []
+        for producer, home, mask, plan, _ in facts:
+            if plan is not None:
+                scratch.give(plan.demand)
+            if producer == node_id:
+                home = cluster
+            elif home is None:
+                copies.append(0)
+                continue
+            else:
+                mask |= 1 << cluster
+            mask &= ~(1 << home)
+            if not mask:
+                copies.append(0)
+                continue
+            try:
+                template = self._template(producer, home, mask)
+            except CopyRoutingError:
+                template = None
+            if template is not None:
+                if scratch.take(template.demand):
+                    copies.append(len(template.specs))
+                    continue
+                obs_count("copies.replan_failures")
+            failures += 1
+            if stop:
+                break
+            copies.append(0)
+        return failures, copies

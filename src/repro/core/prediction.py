@@ -22,6 +22,7 @@ the worst-case placement of its still-unassigned consumers:
 
 from __future__ import annotations
 
+from typing import Dict, Optional, Tuple
 
 from ..machine.machine import Machine
 from .copies import RoutingState
@@ -43,34 +44,42 @@ def predicted_copy_requests(
     machine: Machine,
     routing: RoutingState,
     nodes_on_cluster: "set[int]",
+    tentative: Optional[Dict[int, Tuple[int, int]]] = None,
 ) -> int:
     """PCR of one cluster given the nodes currently assigned to it.
 
-    Inlines :func:`upper_bound` and the unassigned-consumer count over
-    the routing state's internals: the selection heuristic evaluates this
-    for every candidate cluster of every node, making it one of the
-    hottest loops of the assignment phase.
+    ``tentative`` maps nodes to the ``(RC, UnassignedSuccessors)`` that a
+    tentative placement, which the routing state has not made, gives
+    them.  Each node it names counts on this cluster with those values,
+    in place of the routing state's, whether or not it is in
+    ``nodes_on_cluster``.
+
+    Inlines :func:`upper_bound` over the routing state's internals, whose
+    unassigned-consumer counts are kept current: the selection heuristic
+    evaluates this for every candidate cluster of every node, making it
+    one of the hottest loops of the assignment phase.
     """
     base = 1 if machine.interconnect.broadcast else machine.n_clusters - 1
     if base <= 0:
         return 0
-    produces = routing._produces_value
     plans = routing._plans
-    consumers = routing._value_consumers
-    cluster_of = routing.cluster_of
+    unassigned = routing._unassigned_consumers
+    if tentative is None:
+        tentative = {}
     total = 0
     for node_id in nodes_on_cluster:
-        if not produces[node_id]:
-            continue
-        plan = plans.get(node_id)
-        bound = base if plan is None else base - len(plan.specs)
-        if bound <= 0:
-            continue
-        unassigned = 0
-        for consumer in consumers[node_id]:
-            if consumer not in cluster_of:
-                unassigned += 1
-        total += unassigned if unassigned < bound else bound
+        # A node waiting for no consumer adds nothing; a node that
+        # produces no value has none to wait for.
+        waiting = unassigned[node_id]
+        if waiting and node_id not in tentative:
+            plan = plans.get(node_id)
+            bound = base if plan is None else base - len(plan.specs)
+            if bound > 0:
+                total += waiting if waiting < bound else bound
+    for rc, waiting in tentative.values():
+        bound = base - rc
+        if bound > 0:
+            total += waiting if waiting < bound else bound
     return total
 
 
@@ -80,7 +89,12 @@ def prediction_satisfied(
     pools,
     cluster_index: int,
     nodes_on_cluster: "set[int]",
+    tentative: Optional[Dict[int, Tuple[int, int]]] = None,
 ) -> bool:
-    """The line-6 criterion: ``PCR_C <= MRC_C`` for one cluster."""
-    pcr = predicted_copy_requests(machine, routing, nodes_on_cluster)
+    """The line-6 criterion: ``PCR_C <= MRC_C`` for one cluster, with
+    MRC read from ``pools`` (for a tentative placement, the probe's
+    scratch copy; ``tentative`` as in :func:`predicted_copy_requests`)."""
+    pcr = predicted_copy_requests(
+        machine, routing, nodes_on_cluster, tentative
+    )
     return pcr <= pools.max_reservable_copies(cluster_index)

@@ -21,14 +21,17 @@ Two chains are defined:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class CandidateInfo:
+class CandidateInfo(NamedTuple):
     """Everything the selection chains need to know about one candidate
-    cluster for the node being assigned."""
+    cluster for the node being assigned.
+
+    A named tuple rather than a frozen dataclass: the assigner builds one
+    per cluster at every step, and a frozen dataclass pays an
+    ``object.__setattr__`` call per field.
+    """
 
     cluster: int
     #: Assignment (with all required copies) fits — Figure 10 line 1.

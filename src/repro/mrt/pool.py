@@ -8,9 +8,10 @@ MRT of length II with ``k`` units per cycle is, for assignment purposes, a
 pool of ``k * II`` slots (this is exactly how the paper's Figures 7–8
 treat the MRTs: as boxes filled by ops, without cycle positions).
 
-:class:`ResourcePools` tracks one such pool per machine resource key and
-supports transactional use: the assignment algorithm snapshots the pools,
-tentatively applies an assignment, records the outcome, and rolls back.
+:class:`ResourcePools` tracks one such pool per machine resource key.
+The assignment algorithm measures a tentative placement on a scratch
+copy of the pools (:meth:`ResourcePools.copy`) and changes the live
+pools only to commit, force or evict.
 
 The pools are two flat integer lists over the machine's
 :class:`~repro.machine.machine.ResourceTable` indices.  The assignment
@@ -39,6 +40,9 @@ class PoolOverflowError(RuntimeError):
 class ResourcePools:
     """Per-resource slot counters of an assignment-phase MRT of length II."""
 
+    # Slots keep copy() cheap: the assigner makes one per trial.
+    __slots__ = ("machine", "ii", "table", "_capacity", "_used")
+
     def __init__(self, machine: Machine, ii: int) -> None:
         if ii < 1:
             raise ValueError("II must be >= 1")
@@ -49,6 +53,18 @@ class ResourcePools:
             per_cycle * ii for per_cycle in self.table.per_cycle
         ]
         self._used: List[int] = [0] * len(self._capacity)
+
+    def copy(self) -> "ResourcePools":
+        """Pools sharing these capacities with a private copy of the
+        usage counts: the scratch a read-only probe replays a tentative
+        placement on."""
+        scratch = object.__new__(ResourcePools)
+        scratch.machine = self.machine
+        scratch.ii = self.ii
+        scratch.table = self.table
+        scratch._capacity = self._capacity
+        scratch._used = self._used.copy()
+        return scratch
 
     # ------------------------------------------------------------------
     # Demand vectors (the assignment phase's probe path)
@@ -139,17 +155,6 @@ class ResourcePools:
                     f"releasing unreserved resource {self.table.keys[index]!r}"
                 )
         self.give(demand)
-
-    # ------------------------------------------------------------------
-    # Transactions
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> List[int]:
-        """Snapshot the current usage counters."""
-        return self._used.copy()
-
-    def restore(self, snapshot: List[int]) -> None:
-        """Roll usage counters back to ``snapshot``."""
-        self._used[:] = snapshot
 
     # ------------------------------------------------------------------
     # Cluster-level summaries used by the selection heuristic

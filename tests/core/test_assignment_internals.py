@@ -1,6 +1,9 @@
 """White-box tests of the assigner's internals: rule (A) history,
-forced placement, conflict counting, eviction cascades, and the cycle
-stop with the premise it rests on."""
+forced placement, conflict counting, eviction cascades, the cycle stop
+with the premise it rests on, and the read-only probes against the
+apply-measure-roll-back transaction they replace."""
+
+import copy
 
 import pytest
 
@@ -11,10 +14,24 @@ from repro.core.assignment import (
 )
 from repro.core.copies import RoutingState
 from repro.core.driver import compile_loop
-from repro.core.variants import HEURISTIC_ITERATIVE
+from repro.core.prediction import upper_bound
+from repro.core.selection import CandidateInfo
+from repro.core.variants import (
+    HEURISTIC_ITERATIVE,
+    NO_BROADCAST_SHARING,
+    NO_PREDICTION,
+    SIMPLE_ITERATIVE,
+)
 from repro.ddg import Ddg, Opcode
 from repro.ddg.opcodes import fu_class_of
-from repro.machine import four_cluster_grid, two_cluster_gp
+from repro.machine import (
+    PAPER_GRID_MIX,
+    four_cluster_gp,
+    four_cluster_grid,
+    heterogeneous_gp,
+    ring_machine,
+    two_cluster_gp,
+)
 from repro.mrt.pool import ResourcePools
 from repro.obs import tracing
 from repro.workloads import build_kernel, paper_suite
@@ -24,6 +41,11 @@ def _assigner(ddg, machine, ii):
     return _Assigner(
         ddg, machine, ii, HEURISTIC_ITERATIVE, AssignmentStats(ii=ii)
     )
+
+
+def _counts(pools):
+    """A copy of the pools' usage counts, in resource-table order."""
+    return list(pools._used)
 
 
 @pytest.fixture
@@ -63,11 +85,11 @@ class TestRuleAHistory:
 class TestEvaluateTransactionality:
     def test_evaluate_leaves_state_untouched(self, pair_graph, two_gp):
         assigner = _assigner(pair_graph, two_gp, ii=2)
-        before_pools = assigner.pools.checkpoint()
+        before_pools = _counts(assigner.pools)
         before_clusters = dict(assigner.routing.cluster_of)
         assigner.evaluate(0, 0)
         assigner.evaluate(0, 1)
-        assert assigner.pools.checkpoint() == before_pools
+        assert _counts(assigner.pools) == before_pools
         assert assigner.routing.cluster_of == before_clusters
 
     def test_evaluate_counts_new_copies(self, pair_graph, two_gp):
@@ -162,9 +184,9 @@ class TestConflictCounting:
     def test_count_conflicts_is_transactional(self, pair_graph, two_gp):
         assigner = _assigner(pair_graph, two_gp, ii=2)
         assigner.commit(0, 0)
-        snapshot = assigner.pools.checkpoint()
+        before = _counts(assigner.pools)
         assigner.count_conflicts(1, 1)
-        assert assigner.pools.checkpoint() == snapshot
+        assert _counts(assigner.pools) == before
         assert 1 not in assigner.routing.cluster_of
 
 
@@ -199,9 +221,9 @@ class TestEvictionCascades:
             )
 
 
-def _rebuilt(assigner):
-    """Plans and pool counts a fresh routing state and pools derive from
-    the assigner's cluster map alone."""
+def _fresh(assigner):
+    """A fresh routing state and pools derived from the assigner's
+    cluster map alone."""
     machine = assigner.machine
     pools = ResourcePools(machine, assigner.ii)
     routing = RoutingState(
@@ -215,7 +237,14 @@ def _rebuilt(assigner):
         routing.assign_unplanned(node_id, cluster)
     for node_id in assigner.routing.cluster_of:
         assert routing.replan(node_id)
-    return routing._plans, pools.checkpoint()
+    return routing, pools
+
+
+def _rebuilt(assigner):
+    """Plans and pool counts a fresh routing state and pools derive from
+    the assigner's cluster map alone."""
+    routing, pools = _fresh(assigner)
+    return routing._plans, _counts(pools)
 
 
 def _unpacked(assigner):
@@ -252,7 +281,7 @@ class TestCycleStop:
         def checked_revisits(assigner, step):
             plans, used = _rebuilt(assigner)
             assert assigner.routing._plans == plans
-            assert assigner.pools.checkpoint() == used
+            assert _counts(assigner.pools) == used
             checked["steps"] += 1
             if assigner.stats.evictions:
                 assert _unpacked(assigner) == (
@@ -300,3 +329,160 @@ class TestCycleStop:
             assert assign_clusters(ddg, machine, 2) is None
         assert trace.counter("assign.budget_exhausted") == 1
         assert trace.counter("assign.budget_spent") == 96
+
+
+def _waiting(routing, producer):
+    """UnassignedSuccessors(producer), recounted from the cluster map."""
+    return sum(
+        1 for consumer in routing.value_consumers(producer)
+        if consumer not in routing.cluster_of
+    )
+
+
+def _trial(fresh):
+    """A throwaway copy of a :func:`_fresh` routing state and pools to
+    apply one placement to; dropping it is the roll-back."""
+    base, base_pools = fresh
+    pools = base_pools.copy()
+    routing = copy.copy(base)
+    routing.pools = pools
+    routing.cluster_of = dict(base.cluster_of)
+    routing._plans = dict(base._plans)
+    routing._unassigned_consumers = dict(base._unassigned_consumers)
+    return routing, pools
+
+
+def _transaction_candidate(assigner, fresh, node_id, cluster):
+    """What :meth:`_Assigner.evaluate` measures, the way it measured it
+    before it probed: apply the placement to a copy of the fresh state,
+    replan each affected producer until one fails, and measure there.
+    PCR is recounted from the cluster map and the replanned plans."""
+    machine = assigner.machine
+    previously_here = (assigner.previously_on[node_id] >> cluster) & 1 == 1
+    demand = assigner._op_demand[node_id][cluster]
+    if demand is None:
+        return CandidateInfo(
+            cluster=cluster, feasible=False, shares_scc=False,
+            prediction_ok=False, new_copies=0, free_resources=0,
+            previously_here=previously_here, op_fits=False,
+        )
+    scc = assigner.order.scc_of(node_id)
+    shares_scc = scc is not None and any(
+        other != node_id
+        and assigner.routing.cluster_of.get(other) == cluster
+        for other in scc.nodes
+    )
+    routing, pools = _trial(fresh)
+    op_fits = pools.fits(demand)
+    feasible, prediction_ok, new_copies, free_resources = False, True, 0, 0
+    if op_fits:
+        before = routing.total_copies()
+        pools.take(demand)
+        routing.assign_unplanned(node_id, cluster)
+        feasible = all(
+            routing.replan(producer)
+            for producer in routing.affected_producers(node_id)
+        )
+        if feasible:
+            new_copies = routing.total_copies() - before
+            if assigner.config.predict_copies:
+                pcr = sum(
+                    min(
+                        upper_bound(machine, routing, other),
+                        _waiting(routing, other),
+                    )
+                    for other, home in routing.cluster_of.items()
+                    if home == cluster
+                )
+                prediction_ok = pcr <= pools.max_reservable_copies(cluster)
+            free_resources = pools.free_cluster_slots(cluster)
+    return CandidateInfo(
+        cluster=cluster, feasible=feasible, shares_scc=shares_scc,
+        prediction_ok=prediction_ok, new_copies=new_copies,
+        free_resources=free_resources, previously_here=previously_here,
+        op_fits=op_fits,
+    )
+
+
+def _transaction_conflicts(assigner, fresh, node_id, cluster):
+    """What :meth:`_Assigner.count_conflicts` counts, the way it counted
+    before it probed: replan every affected producer on a copy of the
+    fresh state holding the placement, counting the replans that fail."""
+    if assigner._op_demand[node_id][cluster] is None:
+        return len(assigner.ddg.node_ids)
+    routing, _ = _trial(fresh)
+    routing.assign_unplanned(node_id, cluster)
+    return sum(
+        1
+        for producer in routing.affected_producers(node_id)
+        if not routing.replan(producer)
+    )
+
+
+def _live_state(assigner):
+    routing = assigner.routing
+    return (
+        list(routing.cluster_of.items()),
+        list(routing._plans.items()),
+        _counts(assigner.pools),
+    )
+
+
+class TestReadOnlyProbes:
+    @pytest.mark.parametrize("config", [
+        HEURISTIC_ITERATIVE, SIMPLE_ITERATIVE, NO_PREDICTION,
+        NO_BROADCAST_SHARING,
+    ], ids=[
+        "heuristic-iterative", "simple-iterative", "no-prediction",
+        "no-broadcast-sharing",
+    ])
+    # 4gp is the only one of these machines on which broadcast sharing
+    # changes a plan.
+    @pytest.mark.parametrize("machine_factory", [
+        two_cluster_gp,
+        four_cluster_gp,
+        four_cluster_grid,
+        lambda: ring_machine(5, PAPER_GRID_MIX),
+        lambda: heterogeneous_gp([6, 2], buses=2, ports=1),
+    ], ids=["2gp", "4gp", "grid", "ring5", "het6x2"])
+    def test_probes_equal_the_transaction_they_replace(
+        self, machine_factory, config, monkeypatch
+    ):
+        # At every step boundary, for the node the step assigns and for
+        # every cluster, the probes answer what applying the placement,
+        # measuring and rolling back answered, and change nothing.
+        seen = {"steps": 0, "infeasible": 0, "conflicts": 0}
+        revisits = _Assigner._revisits
+
+        def checked_revisits(assigner, step):
+            routing = assigner.routing
+            assert routing._unassigned_consumers == {
+                producer: _waiting(routing, producer)
+                for producer in assigner.ddg.node_ids
+            }
+            node_id = min(assigner.unassigned, key=assigner.order.priority_of)
+            fresh = _fresh(assigner)
+            before = _live_state(assigner)
+            for cluster in assigner.machine.cluster_indices:
+                candidate = assigner.evaluate(node_id, cluster)
+                assert candidate == _transaction_candidate(
+                    assigner, fresh, node_id, cluster
+                )
+                assert _live_state(assigner) == before
+                conflicts = assigner.count_conflicts(node_id, cluster)
+                assert conflicts == _transaction_conflicts(
+                    assigner, fresh, node_id, cluster
+                )
+                assert _live_state(assigner) == before
+                seen["infeasible"] += not candidate.feasible
+                seen["conflicts"] += conflicts > 0
+            seen["steps"] += 1
+            return revisits(assigner, step)
+
+        monkeypatch.setattr(_Assigner, "_revisits", checked_revisits)
+        machine = machine_factory()
+        for ddg in paper_suite(60):
+            compile_loop(ddg, machine, config=config)
+        assert seen["steps"] > 0
+        assert seen["infeasible"] > 0
+        assert seen["conflicts"] > 0

@@ -63,19 +63,16 @@ class TestReserveRelease:
         assert not pools.can_reserve([("rd", 0)] * 4)
 
 
-class TestTransactions:
-    def test_checkpoint_restore_roundtrip(self, pools):
-        snap = pools.checkpoint()
-        pools.reserve(["bus", ("rd", 0), ("issue", 1, "gp")])
-        pools.restore(snap)
-        assert pools.used("bus") == 0
-        assert pools.used(("rd", 0)) == 0
-
-    def test_checkpoint_is_isolated_from_later_changes(self, pools):
-        snap = pools.checkpoint()
+class TestScratchCopy:
+    def test_copy_is_isolated_from_later_changes(self, pools):
+        pools.reserve([("issue", 1, "gp")])
+        scratch = pools.copy()
+        scratch.reserve(["bus", ("rd", 0)])
         pools.reserve(["bus"])
-        pools.restore(snap)
-        assert pools.used("bus") == 0
+        assert (pools.used("bus"), pools.used(("rd", 0))) == (1, 0)
+        assert (scratch.used("bus"), scratch.used(("rd", 0))) == (1, 1)
+        assert scratch.used(("issue", 1, "gp")) == 1
+        assert scratch.capacity("bus") == pools.capacity("bus")
 
 
 class TestClusterSummaries:

@@ -14,7 +14,7 @@ def _keys(pools):
 
 @st.composite
 def pool_operations(draw):
-    """A sequence of reserve/release/checkpoint operations."""
+    """A sequence of reserve/release operations."""
     ii = draw(st.integers(min_value=1, max_value=6))
     n_ops = draw(st.integers(min_value=1, max_value=40))
     ops = []
@@ -48,32 +48,36 @@ class TestPoolInvariants:
 
     @given(pool_operations())
     @settings(max_examples=60, deadline=None)
-    def test_checkpoint_restore_is_exact(self, case):
+    def test_copy_replays_independently(self, case):
         ii, ops = case
-        pools = ResourcePools(two_cluster_gp(), ii=ii)
+        machine = two_cluster_gp()
+        pools = ResourcePools(machine, ii=ii)
         keys = _keys(pools)
-        # Apply the first half, snapshot, apply the rest, restore.
+
+        def apply(target, sequence):
+            for kind, key_index in sequence:
+                key = keys[key_index % len(keys)]
+                try:
+                    target.reserve([key]) if kind == "reserve" else (
+                        target.release([key])
+                    )
+                except (PoolOverflowError, ValueError):
+                    pass
+
+        # Apply the first half, copy, apply the rest to the copy only:
+        # the original keeps its counts, and the copy ends where
+        # applying every operation to one set of pools ends.
         half = len(ops) // 2
-        for kind, key_index in ops[:half]:
-            key = keys[key_index % len(keys)]
-            try:
-                pools.reserve([key]) if kind == "reserve" else (
-                    pools.release([key])
-                )
-            except (PoolOverflowError, ValueError):
-                pass
-        snapshot = pools.checkpoint()
+        apply(pools, ops[:half])
         expected = {key: pools.used(key) for key in keys}
-        for kind, key_index in ops[half:]:
-            key = keys[key_index % len(keys)]
-            try:
-                pools.reserve([key]) if kind == "reserve" else (
-                    pools.release([key])
-                )
-            except (PoolOverflowError, ValueError):
-                pass
-        pools.restore(snapshot)
+        scratch = pools.copy()
+        apply(scratch, ops[half:])
         assert {key: pools.used(key) for key in keys} == expected
+        whole = ResourcePools(machine, ii=ii)
+        apply(whole, ops)
+        assert {key: scratch.used(key) for key in keys} == {
+            key: whole.used(key) for key in keys
+        }
 
     @given(st.integers(min_value=1, max_value=12))
     @settings(max_examples=20, deadline=None)
