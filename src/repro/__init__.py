@@ -43,8 +43,10 @@ from .ddg import (
     find_sccs,
     mii,
     rec_mii,
+    ValidationError,
     res_mii,
     trivial_annotation,
+    validate_loop,
 )
 from .machine import (
     BusInterconnect,
@@ -63,6 +65,7 @@ from .machine import (
     two_cluster_gp,
     unified_fs,
     unified_gp,
+    validate_machine,
 )
 from .scheduling import (
     Schedule,
@@ -98,6 +101,7 @@ __all__ = [
     "SIMPLE_ITERATIVE",
     "Schedule",
     "UnitMix",
+    "ValidationError",
     "assert_executes_correctly",
     "assert_valid",
     "assign_clusters",
@@ -124,4 +128,6 @@ __all__ = [
     "two_cluster_gp",
     "unified_fs",
     "unified_gp",
+    "validate_loop",
+    "validate_machine",
 ]

@@ -28,9 +28,9 @@ how it runs:
   the parent collector (see :meth:`repro.obs.Trace.graft`).
 
 Fault tolerance: a loop that fails to compile (``CompilationError``, or
-``ValueError`` for a malformed graph) is recorded as a ``failed``
-:class:`LoopOutcome` and the run continues — one bad loop out of 1327
-does not destroy a sweep.  ``strict=True`` finishes the run, then raises
+the validators' ``ValueError`` naming the lint code of a malformed loop
+or machine) is recorded as a ``failed`` :class:`LoopOutcome` and the
+run continues — one bad loop out of 1327 does not destroy a sweep.  ``strict=True`` finishes the run, then raises
 :class:`ExperimentError` for the first failed loop in suite order.
 
 The frozen reference is :mod:`repro.baselines`: every measured outcome
@@ -52,7 +52,9 @@ from .. import obs
 from ..core.driver import CompilationError, compile_loop
 from ..core.variants import HEURISTIC_ITERATIVE, AssignmentConfig
 from ..ddg.graph import Ddg
+from ..ddg.validate import validate_loop
 from ..machine.machine import Machine
+from ..machine.validate import validate_machine
 from ..service.cache import CACHE_VERSION, ShardedResultCache
 from ..service.pool import DeadlineExceeded, WorkerCrashError, shared_pool
 from ..workloads.fingerprint import (
@@ -331,6 +333,9 @@ def _measure_loop(
     baseline_seconds = 0.0
     with obs.span("loop", loop=ddg.name) as loop_span:
         try:
+            # Inputs the clustered compile rejects skip the baseline.
+            validate_machine(job.machine)
+            validate_loop(ddg, job.machine)
             if unified_ii_hint is not None:
                 unified_ii = unified_ii_hint
             else:

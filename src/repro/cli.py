@@ -28,10 +28,11 @@ gates on every compiled artifact.  ``lint`` and ``certify`` accept
 ``--workers N`` to fan loops out over worker processes; the merged
 report is byte-identical to a serial run.
 
-A loop file that cannot be read or parsed, or an unknown machine name,
-exits with a one-line message instead of a traceback.  Performance is
-measured outside the CLI, by the benchmark ledger
-(``docs/PERFORMANCE.md``).
+A loop file that cannot be read or parsed, a loop that ``compile`` or
+``trace`` rejects at the compile boundary (``PATH: CODE location:
+message``), or an unknown machine name, exits with a one-line message
+instead of a traceback.  Performance is measured outside the CLI, by
+the benchmark ledger (``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -172,6 +173,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     except CompilationError as exc:
         print(f"compilation failed: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        raise SystemExit(f"{args.loop}: {exc}")
     finally:
         if trace is not None:
             obs.uninstall()
@@ -253,8 +256,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     loop = _read_loop(args)
     machine = _machine(args.machine)
     config = VARIANTS[args.variant]
-    with obs.tracing() as trace:
-        result = compile_loop(loop, machine, config=config)
+    try:
+        with obs.tracing() as trace:
+            result = compile_loop(loop, machine, config=config)
+    except CompilationError as exc:
+        print(f"compilation failed: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        raise SystemExit(f"{args.loop}: {exc}")
     print(f"machine: {machine}")
     print(f"II = {result.ii} (MII: {result.mii}, "
           f"attempts: {result.attempts})")

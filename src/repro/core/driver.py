@@ -20,7 +20,9 @@ from .. import obs
 from ..ddg.graph import Ddg
 from ..ddg.mii import mii
 from ..ddg.transform import AnnotatedDdg
+from ..ddg.validate import validate_loop
 from ..machine.machine import Machine
+from ..machine.validate import validate_machine
 from ..scheduling.modulo import (
     DEFAULT_BUDGET_RATIO,
     SchedulerStats,
@@ -95,6 +97,10 @@ def compile_loop(
 ) -> CompiledLoop:
     """Assign and modulo-schedule ``ddg`` on ``machine`` (Figure 5 loop).
 
+    Before attempt 1, ``validate_machine`` and ``validate_loop`` reject
+    an input no II can satisfy with a ``ValidationError`` (a
+    ``ValueError``) naming the defect's lint code.
+
     ``min_ii`` overrides the starting candidate (defaults to the unified
     machine's MII, the paper's starting point).  ``verify=True`` re-checks
     every produced schedule with the independent validator.
@@ -110,6 +116,8 @@ def compile_loop(
     with ``certify_config.strict`` a certificate failure raises
     :class:`CompilationError`.
     """
+    validate_machine(machine)
+    validate_loop(ddg, machine)
     unified = machine.unified_equivalent()
     machine_mii = mii(ddg, unified)
     lower = machine_mii if min_ii is None else max(1, min_ii)

@@ -23,6 +23,7 @@ from .dot import annotated_to_dot, ddg_to_dot
 from .parse import LoopParseError, format_loop, parse_loop
 from .scc import Scc, SccPartition, find_sccs
 from .transform import AnnotatedDdg, trivial_annotation
+from .validate import ValidationError, validate_loop
 
 __all__ = [
     "AnnotatedDdg",
@@ -36,6 +37,7 @@ __all__ = [
     "Scc",
     "SccPartition",
     "LoopParseError",
+    "ValidationError",
     "all_opcode_info",
     "annotated_to_dot",
     "build_ddg",
@@ -54,4 +56,5 @@ __all__ = [
     "res_mii",
     "scc_components",
     "trivial_annotation",
+    "validate_loop",
 ]

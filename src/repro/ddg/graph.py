@@ -22,6 +22,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import networkx as nx
 
 from .opcodes import Opcode, fu_class_of, latency_of, produces_value
+from .validate import find_graph_defects, missing_endpoint, negative_distance
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,9 @@ class Edge:
     distance: int = 0
 
     def __post_init__(self) -> None:
-        if self.distance < 0:
-            raise ValueError(f"dependence distance must be >= 0: {self}")
+        error = negative_distance(self.src, self.dst, self.distance)
+        if error is not None:
+            raise error
 
 
 class Ddg:
@@ -86,9 +88,11 @@ class Ddg:
         self._succs: Dict[int, List[Edge]] = {}
         self._preds: Dict[int, List[Edge]] = {}
         self._next_id = 0
-        # Mutation version / compiled-view cache (see repro.ddg.view).
+        # Mutation version, compiled-view cache (see repro.ddg.view) and
+        # the (version, defects) memo of :meth:`defects`.
         self._version = 0
         self._view = None
+        self._defects = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -115,11 +119,11 @@ class Ddg:
         return node_id
 
     def add_edge(self, src: int, dst: int, distance: int = 0) -> Edge:
-        """Add a dependence edge; both endpoints must already exist."""
-        if src not in self._nodes:
-            raise KeyError(f"unknown source node {src}")
-        if dst not in self._nodes:
-            raise KeyError(f"unknown destination node {dst}")
+        """Add a dependence edge; both endpoints must already exist
+        (:class:`~repro.ddg.validate.ValidationError` DDG101)."""
+        error = missing_endpoint(self._nodes, src, dst, distance)
+        if error is not None:
+            raise error
         edge = Edge(src=src, dst=dst, distance=distance)
         self._edges.append(edge)
         self._succs[src].append(edge)
@@ -178,8 +182,11 @@ class Ddg:
             edge = Edge.__new__(Edge)
             edge.__dict__.update(src=src, dst=dst, distance=distance)
             edges.append(edge)
-            succs[src].append(edge)
-            preds[dst].append(edge)
+            # A dangling edge stays in the edge list only, as on a
+            # sender that appended it there: the validator reports it.
+            if src in nodes and dst in nodes:
+                succs[src].append(edge)
+                preds[dst].append(edge)
         self._nodes = nodes
         self._edges = edges
         self._succs = succs
@@ -189,6 +196,7 @@ class Ddg:
         # so version-keyed consumers see a deterministic value.
         self._version = len(self._nodes) + len(self._edges)
         self._view = None
+        self._defects = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -275,6 +283,15 @@ class Ddg:
             from .view import build_view
             view = self._view = build_view(self, self._version)
         return view
+
+    def defects(self):
+        """The :class:`~repro.ddg.validate.ValidationError` of every
+        defect of the graph alone (shared, read-only; found once per
+        mutation version, like :meth:`view`)."""
+        memo = self._defects
+        if memo is None or memo[0] != self._version:
+            memo = self._defects = (self._version, find_graph_defects(self))
+        return memo[1]
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Export as a :class:`networkx.MultiDiGraph`.

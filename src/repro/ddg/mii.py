@@ -35,11 +35,8 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple
 from ..obs.trace import count as obs_count
 from .graph import Ddg
 from .opcodes import FuClass
+from .validate import unsupported_fu_class, zero_distance_cycles
 from .view import DdgView, scc_components
-
-_ZERO_DISTANCE_CYCLE = (
-    "dependence cycle with zero total distance: graph is unschedulable"
-)
 
 
 def _positive_cycle_exists(
@@ -67,38 +64,6 @@ def _positive_cycle_exists(
     return True
 
 
-def _cycle_exists(nodes: List[int], arcs: List[Tuple[int, int]]) -> bool:
-    """True when the directed graph over ``nodes`` contains a cycle.
-
-    Iterative colouring DFS (white/gray/black); a gray-to-gray arc is a
-    back edge and therefore a cycle.
-    """
-    succs: Dict[int, List[int]] = {node: [] for node in nodes}
-    for src, dst in arcs:
-        succs[src].append(dst)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    colour = {node: WHITE for node in nodes}
-    for start in nodes:
-        if colour[start] != WHITE:
-            continue
-        stack: List[Tuple[int, int]] = [(start, 0)]
-        colour[start] = GRAY
-        while stack:
-            node, next_index = stack[-1]
-            if next_index < len(succs[node]):
-                stack[-1] = (node, next_index + 1)
-                succ = succs[node][next_index]
-                if colour[succ] == GRAY:
-                    return True
-                if colour[succ] == WHITE:
-                    colour[succ] = GRAY
-                    stack.append((succ, 0))
-            else:
-                colour[node] = BLACK
-                stack.pop()
-    return False
-
-
 def _subgraph_edges(
     ddg: Ddg, nodes: Iterable[int]
 ) -> List[Tuple[int, int, int, int]]:
@@ -115,35 +80,23 @@ def _subgraph_edges(
 def _validate_subgraph(
     view: DdgView,
     key: FrozenSet[int],
-    node_list: List[int],
     edges: List[Tuple[int, int, int, int]],
     upper: int,
 ) -> None:
-    """Reject zero-total-distance cycles once per (version, node set).
+    """Reject a zero-total-distance cycle (DDG103, the loop validator's
+    check) once per (version, node set), then seed the search bounds.
 
-    At II = sum-of-latencies any cycle with total distance >= 1 has
-    non-positive weight, so a positive cycle there means a cycle with
-    zero total distance: malformed input.  A cycle made entirely of
-    zero-latency ops has weight 0 at *every* II, so the positive-cycle
-    probes are blind to it; with zero total distance it is a
-    same-iteration self-dependence — unschedulable — and must be rejected
-    explicitly (zero-latency cycles with distance >= 1 impose no bound
-    and are legitimately ignored).
-
-    Successful validation seeds the search bounds: ``upper`` is known
-    feasible, nothing is yet known infeasible.
+    Such a cycle is positive at every II when its latency is, and
+    weighs 0 at every II when all its ops have latency 0, so no probe
+    would tell it apart from a satisfiable one.  Without it, every
+    cycle has distance >= 1, so with latencies >= 0 ``upper`` (the
+    node set's latency sum) is feasible; nothing is yet known
+    infeasible.
     """
-    if key in view.recmii_validated:
-        return
-    if _positive_cycle_exists(node_list, edges, upper):
-        raise ValueError(_ZERO_DISTANCE_CYCLE)
-    if _cycle_exists(
-        node_list,
-        [(src, dst) for src, dst, latency, distance in edges
-         if latency == 0 and distance == 0],
-    ):
-        raise ValueError(_ZERO_DISTANCE_CYCLE)
-    view.recmii_validated.add(key)
+    if key not in view.recmii_validated:
+        for error in zero_distance_cycles(key, edges):
+            raise error
+        view.recmii_validated.add(key)
     view.recmii_bounds.setdefault(key, (-1, upper))
 
 
@@ -166,7 +119,7 @@ def rec_mii_of_subgraph(ddg: Ddg, nodes: Iterable[int]) -> int:
         view.recmii_exact[key] = 0
         return 0
     upper = max(sum(view.latency[n] for n in node_list), 1)
-    _validate_subgraph(view, key, node_list, edges, upper)
+    _validate_subgraph(view, key, edges, upper)
     # Invariant: a positive cycle exists at ``low`` (low == -1 stands for
     # "nothing known infeasible"), none exists at ``high``.
     low, high = view.recmii_bounds[key]
@@ -226,7 +179,7 @@ def rec_mii_exceeds(ddg: Ddg, ii: int) -> bool:
             view.recmii_exact[key] = 0
             continue
         upper = max(sum(view.latency[n] for n in node_list), 1)
-        _validate_subgraph(view, key, node_list, edges, upper)
+        _validate_subgraph(view, key, edges, upper)
         undecided.append((key, node_list, edges))
 
     exceeds = False
@@ -263,17 +216,20 @@ def rec_mii_exceeds(ddg: Ddg, ii: int) -> bool:
 
 
 def op_demand(ddg: Ddg) -> Dict[FuClass, int]:
-    """Count of function-unit issue slots demanded per FU class.
+    """Count of function-unit issue slots demanded per FU class,
+    memoized on the graph's view (shared: treat it as read-only).
 
     Copies are excluded: the paper models copies as consuming only
     communication resources, never issue slots.
     """
-    demand: Dict[FuClass, int] = {}
-    for node in ddg.nodes:
-        if node.is_copy:
-            continue
-        demand[node.fu_class] = demand.get(node.fu_class, 0) + 1
-    return demand
+    view = ddg.view()
+    if view.demand is None:
+        demand: Dict[FuClass, int] = {}
+        for node in ddg.nodes:
+            if not node.is_copy:
+                demand[node.fu_class] = demand.get(node.fu_class, 0) + 1
+        view.demand = demand
+    return view.demand
 
 
 def res_mii(ddg: Ddg, machine) -> int:
@@ -282,26 +238,24 @@ def res_mii(ddg: Ddg, machine) -> int:
     ``machine`` must expose ``issue_capacity(fu_class) -> int`` returning
     the number of units per cycle able to execute that class (for GP
     machines this is the total width for every class) and a boolean
-    attribute ``general_purpose``.
+    attribute ``general_purpose``.  A class the machine has no unit for
+    raises the loop validator's MACH202 error.
     """
     demand = op_demand(ddg)
     if not demand:
         return 1
+    for fu_class in demand:
+        error = unsupported_fu_class(machine, fu_class)
+        if error is not None:
+            raise error
     if machine.general_purpose:
         total_ops = sum(demand.values())
         width = machine.issue_capacity(FuClass.INTEGER)
-        if width <= 0:
-            raise ValueError("machine has no function units")
         return max(1, -(-total_ops // width))
-    bound = 1
-    for fu_class, count in demand.items():
-        capacity = machine.issue_capacity(fu_class)
-        if capacity <= 0:
-            raise ValueError(
-                f"machine cannot execute {fu_class} operations"
-            )
-        bound = max(bound, -(-count // capacity))
-    return bound
+    return max(
+        -(-count // machine.issue_capacity(fu_class))
+        for fu_class, count in demand.items()
+    )
 
 
 def mii(ddg: Ddg, machine) -> int:

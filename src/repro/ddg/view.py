@@ -15,14 +15,14 @@ call rebuilds (counted as ``ddg.view_rebuilds`` in the trace layer), and
 never be mutated by consumers — every container is a tuple, a frozenset,
 or a dict that callers treat as read-only.  The only mutable fields are
 the memo dictionaries (``recmii_exact``, ``recmii_bounds``,
-``recmii_validated``, ``components``, ``partition``) owned by
-:mod:`repro.ddg.mii` and :mod:`repro.ddg.scc`; they die with the view on
+``recmii_validated``, ``demand``, ``components``, ``partition``) owned
+by :mod:`repro.ddg.mii` and :mod:`repro.ddg.scc`; they die with the view on
 invalidation, which is exactly the lifetime their keys are valid for.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs.trace import count as obs_count
 
@@ -64,7 +64,6 @@ class DdgView:
         "out_specs",
         "successors",
         "predecessors",
-        "self_loops",
         "value_consumers",
         "value_producers",
         # Memo slots owned by repro.ddg.scc / repro.ddg.mii.
@@ -73,6 +72,7 @@ class DdgView:
         "recmii_exact",
         "recmii_bounds",
         "recmii_validated",
+        "demand",
     )
 
     def __init__(self, version: int) -> None:
@@ -82,6 +82,7 @@ class DdgView:
         self.recmii_exact: Dict[FrozenSet[int], int] = {}
         self.recmii_bounds: Dict[FrozenSet[int], Tuple[int, int]] = {}
         self.recmii_validated: set = set()
+        self.demand = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -113,15 +114,12 @@ def build_view(ddg, version: int) -> DdgView:
 
     in_lists: Dict[int, list] = {n: [] for n in node_ids}
     out_lists: Dict[int, list] = {n: [] for n in node_ids}
-    self_loops = set()
     value_cons: Dict[int, List[int]] = {n: [] for n in node_ids}
     value_prods: Dict[int, List[int]] = {n: [] for n in node_ids}
     for e in edges:
         out_lists[e.src].append(e)
         in_lists[e.dst].append(e)
-        if e.src == e.dst:
-            self_loops.add(e.src)
-        elif produces[e.src]:
+        if e.src != e.dst and produces[e.src]:
             value_cons[e.src].append(e.dst)
             value_prods[e.dst].append(e.src)
 
@@ -143,7 +141,6 @@ def build_view(ddg, version: int) -> DdgView:
         n: tuple(dict.fromkeys(e.src for e in in_lists[n]))
         for n in node_ids
     }
-    view.self_loops = frozenset(self_loops)
     view.value_consumers = {
         n: tuple(dict.fromkeys(value_cons[n])) for n in node_ids
     }
@@ -156,27 +153,29 @@ def build_view(ddg, version: int) -> DdgView:
 def scc_components(ddg) -> Tuple[FrozenSet[int], ...]:
     """Non-trivial strongly connected components of ``ddg``, memoized.
 
-    A component is non-trivial (a real recurrence) when it has more than
-    one node, or a single node with a self-loop.  Computed with an
-    iterative Tarjan walk over the compiled adjacency — no recursion, no
-    networkx graph construction — and cached on the view for the lifetime
-    of the graph version.
+    Computed by :func:`cyclic_components` over the compiled adjacency
+    (no networkx graph construction) and cached on the view for the
+    lifetime of the graph version.
     """
     view = ddg.view()
     if view.components is None:
-        view.components = _tarjan_components(view)
+        view.components = cyclic_components(view.node_ids, view.successors)
     return view.components
 
 
-def _tarjan_components(view: DdgView) -> Tuple[FrozenSet[int], ...]:
-    succs = view.successors
+def cyclic_components(
+    nodes: Sequence[int], succs: Mapping[int, Sequence[int]]
+) -> Tuple[FrozenSet[int], ...]:
+    """The SCCs of the digraph ``succs`` over ``nodes`` that hold a
+    cycle (more than one node, or one with a self-loop), by an
+    iterative Tarjan walk: no recursion depth limit."""
     index: Dict[int, int] = {}
     low: Dict[int, int] = {}
     on_stack: set = set()
     stack: List[int] = []
-    components: List[FrozenSet[int]] = []
+    components: List[List[int]] = []
 
-    for root in view.node_ids:
+    for root in nodes:
         if root in index:
             continue
         work: List[Tuple[int, int]] = [(root, 0)]
@@ -207,13 +206,13 @@ def _tarjan_components(view: DdgView) -> Tuple[FrozenSet[int], ...]:
                     component.append(member)
                     if member == node:
                         break
-                components.append(frozenset(component))
+                components.append(component)
             elif work:
                 parent = work[-1][0]
                 if low[node] < low[parent]:
                     low[parent] = low[node]
     return tuple(
-        component
+        frozenset(component)
         for component in components
-        if len(component) > 1 or next(iter(component)) in view.self_loops
+        if len(component) > 1 or component[0] in succs[component[0]]
     )

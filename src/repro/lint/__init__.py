@@ -1,9 +1,9 @@
 """``repro.lint`` — static analysis of the compiler's inputs.
 
-Every invariant the pipeline assumes of its inputs is re-derived from
-scratch by an independent rule, registered under a stable diagnostic
-code grouped by family (``DDG1xx``, ``MACH2xx``, ``SCHED4xx``).  See
-``docs/LINTING.md`` for the full catalog.  The compiled loop itself is
+Every invariant the pipeline assumes of its inputs is a rule under a
+stable diagnostic code grouped by family (``DDG1xx``, ``MACH2xx``,
+``SCHED4xx``); the error rules report the compile boundary's own
+validators.  See ``docs/LINTING.md`` for the full catalog.  The compiled loop itself is
 checked by :mod:`repro.certify` (``--certify``), not here.
 
 Entry points:

@@ -13,7 +13,7 @@ builders used by the CLI and the ``--lint`` pipeline gates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set
 
 from .. import obs
 from ..ddg.graph import Ddg
@@ -35,18 +35,13 @@ from .registry import DEFAULT_CONFIG, LintConfig, applicable_rules
 
 @dataclass
 class LintTarget:
-    """The artifacts available to the rules for one lint unit.
-
-    ``cache`` memoizes derived artifacts across the rules of one target:
-    DDG103 and DDG104 share the graph's cyclic components through it.
-    """
+    """The artifacts available to the rules for one lint unit."""
 
     name: str = ""
     ddg: Optional[Ddg] = None
     machine: Optional[Machine] = None
     annotated: Optional[AnnotatedDdg] = None
     schedule: Optional[Schedule] = None
-    cache: Dict[str, object] = field(default_factory=dict)
 
     @property
     def graph(self) -> Optional[Ddg]:
@@ -242,13 +237,15 @@ def lint_loop_deep(
     (SCHED406) run on it; the compiled loop's correctness is ``repro
     certify``'s job.  The machine rules are not run here: they read
     nothing of the loop, so :func:`lint_corpus_deep` (and ``repro lint
-    --workers``) run them once per run through :func:`lint_machine`.
+    --workers``) run them once per run through :func:`lint_machine`;
+    on a machine the compile boundary rejects (``Machine.defects``) no
+    loop is compiled, so its defects are not repeated per loop.
     A compile failure surfaces as a ``LINT002`` diagnostic rather than
     an exception so corpus-wide runs keep going.
     """
     name = ddg.name or "loop"
     report = lint_target(LintTarget(name=name, ddg=ddg), config)
-    if not report.ok:
+    if not report.ok or machine.defects:
         return report
     from ..core.driver import CompilationError, compile_loop
     from ..core.variants import HEURISTIC_ITERATIVE

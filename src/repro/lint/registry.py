@@ -1,8 +1,9 @@
 """Rule registry and per-run configuration.
 
-A *rule* re-derives one invariant of the compiler's inputs (or one
-property the certificate checker does not decide) from scratch and
-reports findings.  Rules are registered with the :func:`rule` decorator
+A *rule* checks one invariant of the compiler's inputs (or one
+property the certificate checker does not decide) and reports findings;
+an error rule reports the records of the input validators
+(:mod:`repro.ddg.validate`, :mod:`repro.machine.validate`).  Rules are registered with the :func:`rule` decorator
 under a stable code grouped by family:
 
 ========== ======================================================

@@ -1,9 +1,13 @@
 """``DDG1xx`` — well-formedness of the input dependence graph.
 
-These rules trust nothing the :class:`~repro.ddg.graph.Ddg` builders
-enforce: endpoints, distances, and latencies are all re-checked so a
-graph assembled (or mutated) outside the constructor API is caught at
-the phase boundary.
+The error rules report the loop validator's findings
+(:mod:`repro.ddg.validate`, read from the graph's raw node and edge
+lists through the memoized :meth:`Ddg.defects`): the same checks
+:func:`~repro.core.driver.compile_loop` rejects a loop on, so a graph
+assembled or mutated outside the constructors is caught here with every
+defect listed, where the compile boundary stops at the first.  The
+cycle rules need every edge to land on a node, so they report nothing
+until DDG101 is fixed.  The warnings are rules of their own.
 """
 
 from __future__ import annotations
@@ -11,54 +15,50 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..ddg.opcodes import latency_of
-from ._graph import adjacency, cyclic_components
+from ..ddg.view import scc_components
 from .registry import Finding, rule
 
 
-def _edge_label(graph, edge) -> str:
-    return f"edge {edge.src}->{edge.dst}@{edge.distance}"
+def _error_rule(code: str, name: str, description: str,
+                hint: str = "") -> None:
+    """Register ``code``'s rule: the graph's validator findings of that
+    code, as lint findings."""
+    def check(target, config):
+        return [
+            Finding(location=error.location, message=error.detail,
+                    hint=hint)
+            for error in target.graph.defects() if error.code == code
+        ]
+
+    rule(code, name, "error", description, requires=["graph"],
+         artifact="ddg")(check)
 
 
-def _full_cyclic_components(target):
-    """Cyclic SCCs of the whole graph, computed once per target.
-
-    Shared by the cycle rules: DDG104 inspects these directly, and any
-    zero-distance cycle (DDG103) is necessarily contained in one of
-    them, so DDG103 only re-runs SCC inside these (usually tiny, often
-    absent) components instead of over the whole graph.
-    """
-    if "ddg_cyclic" not in target.cache:
-        graph = target.graph
-        succs = adjacency(
-            (edge.src, edge.dst)
-            for edge in graph.edges
-            if edge.src in graph and edge.dst in graph
-        )
-        target.cache["ddg_cyclic"] = cyclic_components(
-            graph.node_ids, succs
-        )
-    return target.cache["ddg_cyclic"]
-
-
-@rule(
-    "DDG101", "dangling-edge", "error",
+_error_rule(
+    "DDG101", "dangling-edge",
     "an edge endpoint references a node that is not in the graph",
-    requires=["graph"], artifact="ddg",
+    hint="edges must be added through Ddg.add_edge",
 )
-def check_dangling_edges(target, config):
-    graph = target.graph
-    for index, edge in enumerate(graph.edges):
-        for endpoint, role in ((edge.src, "source"),
-                               (edge.dst, "destination")):
-            if endpoint not in graph:
-                yield Finding(
-                    location=f"edge[{index}]",
-                    message=(
-                        f"{role} node {endpoint} of "
-                        f"{_edge_label(graph, edge)} does not exist"
-                    ),
-                    hint="edges must be added through Ddg.add_edge",
-                )
+_error_rule(
+    "DDG103", "zero-distance-cycle",
+    "a dependence cycle with total iteration distance 0 "
+    "(a combinational loop no II can satisfy)",
+    hint="at least one edge on the cycle needs distance >= 1",
+)
+_error_rule(
+    "DDG107", "negative-distance",
+    "a dependence distance below 0 is meaningless (values cannot flow "
+    "to earlier iterations)",
+)
+_error_rule(
+    "DDG108", "negative-latency",
+    "a node latency below 0 breaks every timing inequality",
+)
+_error_rule(
+    "DDG109", "input-copy",
+    "an input operation is a COPY: copies are inserted by cluster "
+    "assignment, so an input one has no unit to run on and no II fits",
+)
 
 
 @rule(
@@ -85,35 +85,6 @@ def check_duplicate_edges(target, config):
 
 
 @rule(
-    "DDG103", "zero-distance-cycle", "error",
-    "a dependence cycle with total iteration distance 0 "
-    "(a combinational loop no II can satisfy)",
-    requires=["graph"], artifact="ddg",
-)
-def check_zero_distance_cycles(target, config):
-    graph = target.graph
-    for enclosing in _full_cyclic_components(target):
-        scope = set(enclosing)
-        succs = adjacency(
-            (edge.src, edge.dst)
-            for edge in graph.edges
-            if edge.distance == 0
-            and edge.src in scope and edge.dst in scope
-        )
-        for component in cyclic_components(enclosing, succs):
-            members = sorted(component)
-            yield Finding(
-                location=f"nodes {members}",
-                message=(
-                    "cycle of distance-0 dependences: the loop body "
-                    "depends on its own same-iteration result"
-                ),
-                hint="at least one edge on the cycle needs "
-                     "distance >= 1",
-            )
-
-
-@rule(
     "DDG104", "zero-latency-recurrence", "warning",
     "a recurrence whose cycle latency sums to 0 contributes nothing "
     "to RecMII and is almost certainly a modelling mistake",
@@ -121,7 +92,9 @@ def check_zero_distance_cycles(target, config):
 )
 def check_zero_latency_recurrences(target, config):
     graph = target.graph
-    for component in _full_cyclic_components(target):
+    if any(error.code == "DDG101" for error in graph.defects()):
+        return
+    for component in scc_components(graph):
         if all(graph.latency(node) == 0 for node in component):
             members = sorted(component)
             yield Finding(
@@ -172,36 +145,4 @@ def check_latency_table(target, config):
                     f"{node} has latency {node.latency}, Table 2 says "
                     f"{expected} for {node.opcode.value}"
                 ),
-            )
-
-
-@rule(
-    "DDG107", "negative-distance", "error",
-    "a dependence distance below 0 is meaningless (values cannot flow "
-    "to earlier iterations)",
-    requires=["graph"], artifact="ddg",
-)
-def check_negative_distances(target, config):
-    graph = target.graph
-    for index, edge in enumerate(graph.edges):
-        if edge.distance < 0:
-            yield Finding(
-                location=f"edge[{index}]",
-                message=f"{_edge_label(graph, edge)} has negative "
-                        f"distance {edge.distance}",
-            )
-
-
-@rule(
-    "DDG108", "negative-latency", "error",
-    "a node latency below 0 breaks every timing inequality",
-    requires=["graph"], artifact="ddg",
-)
-def check_negative_latencies(target, config):
-    graph = target.graph
-    for node in graph.nodes:
-        if node.latency < 0:
-            yield Finding(
-                location=f"node {node.node_id}",
-                message=f"{node} has negative latency {node.latency}",
             )

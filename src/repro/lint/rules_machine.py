@@ -2,60 +2,59 @@
 
 A machine that fails these rules can silently make whole opcode
 classes unschedulable or strand values on clusters they can never
-leave, which surfaces much later as mysterious II blow-ups.  The rules
-re-derive everything from the public machine protocol (clusters,
-interconnect, resource capacities) rather than trusting the preset
-constructors.
+leave.  The error rules report the machine validator's findings
+(:mod:`repro.machine.validate`, read through the machine's public
+protocol once per machine object as :attr:`Machine.defects`): the same
+checks :func:`~repro.core.driver.compile_loop` rejects a machine on,
+so a machine mutated after construction is caught here.  The warnings
+are rules of their own; a loop that needs a class MACH202 warns about
+is rejected at the compile boundary.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
-
+from ..ddg.validate import unsupported_fu_class
 from ..machine.units import REAL_FU_CLASSES
 from .registry import Finding, rule
 
-#: (rule code, machine id) -> (machine, findings).  Machine rules are
-#: pure functions of an immutable machine description, and the ``--lint``
-#: pipeline gate re-lints the *same* machine once per compiled loop, so
-#: the derived findings are memoized per machine object.  The machine
-#: itself is kept in the entry so its ``id`` cannot be recycled while
-#: the memo is alive; the memo is bounded (experiments use a handful of
-#: machines at most).
-_MACHINE_MEMO: Dict[Tuple[str, int], Tuple[object, tuple]] = {}
+
+def _error_rule(code: str, name: str, description: str,
+                hint: str = "") -> None:
+    """Register ``code``'s rule: the machine's validator findings of
+    that code, as lint findings."""
+    def check(target, config):
+        return [
+            Finding(location=error.location, message=error.detail,
+                    hint=hint)
+            for error in target.effective_machine.defects
+            if error.code == code
+        ]
+
+    rule(code, name, "error", description, requires=["machine"],
+         artifact="machine")(check)
 
 
-def _per_machine(code: str, machine, derive: Callable) -> tuple:
-    key = (code, id(machine))
-    entry = _MACHINE_MEMO.get(key)
-    if entry is not None and entry[0] is machine:
-        return entry[1]
-    findings = tuple(derive(machine))
-    if len(_MACHINE_MEMO) >= 256:
-        _MACHINE_MEMO.clear()
-    _MACHINE_MEMO[key] = (machine, findings)
-    return findings
-
-
-@rule(
-    "MACH201", "empty-cluster", "error",
+_error_rule(
+    "MACH201", "empty-cluster",
     "a cluster with zero function units can execute nothing",
-    requires=["machine"], artifact="machine",
 )
-def check_empty_clusters(target, config):
-    return _per_machine(
-        "MACH201", target.effective_machine, _derive_empty_clusters
-    )
-
-
-def _derive_empty_clusters(machine):
-    for cluster in machine.clusters:
-        if cluster.width <= 0:
-            yield Finding(
-                location=f"cluster {cluster.index}",
-                message=f"{cluster.name} has issue width "
-                        f"{cluster.width}",
-            )
+_error_rule(
+    "MACH203", "unroutable-cluster-pair",
+    "the interconnect has no route between some cluster pair, so a "
+    "value produced on one can never reach the other",
+    hint="add a link, or drop the stranded cluster",
+)
+_error_rule(
+    "MACH205", "channel-inconsistency",
+    "the interconnect's hop channels and its advertised channel pools "
+    "disagree (bus vs point-to-point bookkeeping mismatch)",
+    hint="channel_for_hop and channel_resources must agree",
+)
+_error_rule(
+    "MACH206", "zero-capacity-channel",
+    "a channel pool with per-cycle capacity <= 0 blocks every copy "
+    "routed through it",
+)
 
 
 @rule(
@@ -65,53 +64,14 @@ def _derive_empty_clusters(machine):
     requires=["machine"], artifact="machine",
 )
 def check_unsupported_fu_classes(target, config):
-    return _per_machine(
-        "MACH202", target.effective_machine, _derive_unsupported_fu
-    )
-
-
-def _derive_unsupported_fu(machine):
-    if machine.general_purpose:
-        return
+    machine = target.effective_machine
     for fu_class in REAL_FU_CLASSES:
-        if machine.issue_capacity(fu_class) <= 0:
+        error = unsupported_fu_class(machine, fu_class)
+        if error is not None:
             yield Finding(
-                location=f"fu-class {fu_class.value}",
-                message=(
-                    f"machine-wide capacity for {fu_class.value} "
-                    f"operations is 0"
-                ),
+                location=error.location, message=error.detail,
                 hint="loops with this opcode class can never compile",
             )
-
-
-@rule(
-    "MACH203", "unroutable-cluster-pair", "error",
-    "the interconnect has no route between some cluster pair, so a "
-    "value produced on one can never reach the other",
-    requires=["machine"], artifact="machine",
-)
-def check_unroutable_pairs(target, config):
-    return _per_machine(
-        "MACH203", target.effective_machine, _derive_unroutable_pairs
-    )
-
-
-def _derive_unroutable_pairs(machine):
-    indices = machine.cluster_indices
-    for a in indices:
-        for b in indices:
-            if a >= b:
-                continue
-            try:
-                machine.interconnect.route(a, b)
-            except ValueError:
-                yield Finding(
-                    location=f"clusters {a}<->{b}",
-                    message=f"no interconnect route between cluster "
-                            f"{a} and cluster {b}",
-                    hint="add a link, or drop the stranded cluster",
-                )
 
 
 @rule(
@@ -121,12 +81,7 @@ def _derive_unroutable_pairs(machine):
     requires=["machine"], artifact="machine",
 )
 def check_portless_clusters(target, config):
-    return _per_machine(
-        "MACH204", target.effective_machine, _derive_portless_clusters
-    )
-
-
-def _derive_portless_clusters(machine):
+    machine = target.effective_machine
     if machine.is_unified:
         return
     for cluster in machine.clusters:
@@ -141,76 +96,4 @@ def _derive_portless_clusters(machine):
                 location=f"cluster {cluster.index}",
                 message=f"{cluster.name} has no write ports: it can "
                         f"never receive a value from another cluster",
-            )
-
-
-@rule(
-    "MACH205", "channel-inconsistency", "error",
-    "the interconnect's hop channels and its advertised channel pools "
-    "disagree (bus vs point-to-point bookkeeping mismatch)",
-    requires=["machine"], artifact="machine",
-)
-def check_channel_consistency(target, config):
-    return _per_machine(
-        "MACH205", target.effective_machine, _derive_channel_consistency
-    )
-
-
-def _derive_channel_consistency(machine):
-    if machine.is_unified:
-        return
-    fabric = machine.interconnect
-    pools = fabric.channel_resources()
-    if fabric.broadcast and not pools:
-        yield Finding(
-            location="interconnect",
-            message="broadcast fabric advertises no channel pools",
-        )
-        return
-    indices = machine.cluster_indices
-    for a in indices:
-        for b in indices:
-            if a == b or not fabric.reachable(a, b):
-                continue
-            try:
-                channel = fabric.channel_for_hop(a, b)
-            except ValueError as exc:
-                yield Finding(
-                    location=f"hop {a}->{b}",
-                    message=f"reachable hop has no channel: {exc}",
-                )
-                continue
-            if channel not in pools:
-                yield Finding(
-                    location=f"hop {a}->{b}",
-                    message=(
-                        f"hop channel {channel!r} is not in the "
-                        f"advertised channel pools"
-                    ),
-                    hint="channel_for_hop and channel_resources must "
-                         "agree",
-                )
-
-
-@rule(
-    "MACH206", "zero-capacity-channel", "error",
-    "a channel pool with per-cycle capacity <= 0 blocks every copy "
-    "routed through it",
-    requires=["machine"], artifact="machine",
-)
-def check_zero_capacity_channels(target, config):
-    return _per_machine(
-        "MACH206", target.effective_machine, _derive_zero_capacity
-    )
-
-
-def _derive_zero_capacity(machine):
-    for channel, capacity in sorted(
-        machine.interconnect.channel_resources().items(), key=str
-    ):
-        if capacity <= 0:
-            yield Finding(
-                location=f"channel {channel!r}",
-                message=f"channel pool {channel!r} has capacity "
-                        f"{capacity}",
             )

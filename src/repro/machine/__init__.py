@@ -32,6 +32,7 @@ from .units import (
     fs_units,
     gp_units,
 )
+from .validate import validate_machine
 
 __all__ = [
     "BusInterconnect",
@@ -61,4 +62,5 @@ __all__ = [
     "two_cluster_gp",
     "unified_fs",
     "unified_gp",
+    "validate_machine",
 ]

@@ -29,6 +29,7 @@ from ..ddg.opcodes import FuClass, Opcode, fu_class_of
 from .cluster import ClusterSpec
 from .interconnect import Interconnect, NoInterconnect
 from .units import UnitMix
+from .validate import find_machine_defects
 
 ResourceKey = Hashable
 #: Slots demanded per dense resource index: ``((index, count), ...)``.
@@ -148,11 +149,12 @@ class Machine:
             raise ValueError("mixing GP and FS clusters is not supported")
 
     def __getstate__(self) -> Dict[str, object]:
-        # The resource table is derived and rebuilt on first use: it
-        # stays out of pickles, so task payloads carrying a machine are
-        # the same bytes before and after it compiles anything.
+        # Derived state is rebuilt on first use and stays out of
+        # pickles, so task payloads carrying a machine are the same
+        # bytes before and after it compiles anything.
         state = dict(self.__dict__)
         state.pop("resource_table", None)
+        state.pop("defects", None)
         return state
 
     # ------------------------------------------------------------------
@@ -228,6 +230,12 @@ class Machine:
         """The dense index table of this machine's resource keys (built
         on first use, never pickled)."""
         return ResourceTable(self)
+
+    @cached_property
+    def defects(self) -> tuple:
+        """The :class:`~repro.ddg.validate.ValidationError` of every
+        defect of this machine (found on first use, never pickled)."""
+        return tuple(find_machine_defects(self))
 
     # ------------------------------------------------------------------
     # Resource demands

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from ..ddg.opcodes import FuClass
+from .validate import empty_units
 
 #: FU classes that correspond to real units (copies use none).
 REAL_FU_CLASSES = (FuClass.MEMORY, FuClass.INTEGER, FuClass.FLOAT)
@@ -47,8 +48,9 @@ class UnitMix:
                 raise ValueError(f"{fu_class} is not a real unit class")
             if count < 0:
                 raise ValueError(f"negative unit count for {fu_class}")
-        if not self.gp_width and not any(self.per_class.values()):
-            raise ValueError("a cluster must contain at least one unit")
+        error = empty_units(self.width, "unit mix")
+        if error is not None:
+            raise error
 
     @property
     def general_purpose(self) -> bool:
@@ -71,7 +73,12 @@ class UnitMix:
         return self.per_class.get(fu_class, 0)
 
     def merged_with(self, other: "UnitMix") -> "UnitMix":
-        """Combine two mixes (used to build the unified equivalent)."""
+        """Combine two mixes (used to build the unified equivalent); a
+        mix without units (MACH201, left by mutation) adds nothing."""
+        if not other.width:
+            return self
+        if not self.width:
+            return other
         if self.general_purpose != other.general_purpose:
             raise ValueError("cannot merge GP and FS unit mixes")
         if self.general_purpose:

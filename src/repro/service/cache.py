@@ -22,9 +22,11 @@ import os
 import threading
 from typing import Dict, Optional
 
-#: Bumped whenever a cached document's schema changes; entries written
-#: under another version read as misses.
-CACHE_VERSION = 3
+#: Bumped whenever a cached document's schema, or the outcome the
+#: compiler gives some input, changes; entries written under another
+#: version read as misses.  (4: malformed inputs fail at the compile
+#: boundary, where a negative latency used to compile.)
+CACHE_VERSION = 4
 
 
 class ShardedResultCache:

@@ -83,6 +83,21 @@ class TestBadLoopFiles:
         )
         assert "\n" not in message
 
+    @pytest.mark.parametrize("command", ["compile", "trace"])
+    @pytest.mark.parametrize("text, code", [
+        ("a: alu <- b\nb: alu <- a\n", "DDG103"),
+        ("ld: load\nmov: copy <- ld\nst: store <- mov\n", "DDG109"),
+    ], ids=["zero-distance-cycle", "input-copy"])
+    def test_uncompilable_loop(self, command, text, code, tmp_path):
+        # The file parses; the compile boundary rejects the loop.
+        path = tmp_path / "bad.loop"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(path)])
+        message = str(excinfo.value.code)
+        assert message.startswith(f"{path}: {code} ")
+        assert "\n" not in message
+
 
 class TestStatsCommand:
     def test_stats(self, capsys):

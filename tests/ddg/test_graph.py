@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.ddg import Ddg, Edge, Opcode, build_ddg
+from repro.ddg.validate import ValidationError
 
 
 class TestConstruction:
@@ -30,10 +31,11 @@ class TestConstruction:
     def test_add_edge_requires_existing_endpoints(self):
         graph = Ddg()
         a = graph.add_node(Opcode.ALU)
-        with pytest.raises(KeyError):
-            graph.add_edge(a, 99)
-        with pytest.raises(KeyError):
-            graph.add_edge(99, a)
+        for src, dst in ((a, 99), (99, a)):
+            with pytest.raises(ValidationError) as excinfo:
+                graph.add_edge(src, dst)
+            assert excinfo.value.code == "DDG101"
+        assert graph.edge_count() == 0
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):

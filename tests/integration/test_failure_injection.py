@@ -3,8 +3,9 @@ loudly and cleanly, never hang or silently succeed."""
 
 import pytest
 
+from repro import obs
 from repro.core import CompilationError, assign_clusters, compile_loop
-from repro.ddg import Ddg, Opcode, build_ddg
+from repro.ddg import Ddg, Opcode, ValidationError, build_ddg
 from repro.machine import (
     ClusterSpec,
     Machine,
@@ -57,7 +58,8 @@ class TestImpossibleMachines:
 
     def test_partitioned_fabric_fails_cleanly(self):
         """Clusters 0-1 and 2-3 are disconnected; a value that must cross
-        the partition can never be routed."""
+        the partition can never be routed, so the machine is rejected
+        (MACH203) before the first II attempt."""
         clusters = tuple(
             ClusterSpec(index=i, units=fs_units(1, 1, 1),
                         read_ports=2, write_ports=2)
@@ -74,14 +76,12 @@ class TestImpossibleMachines:
         for _ in range(11):
             node = graph.add_node(Opcode.FP_ADD)
             graph.add_edge(producer, node, distance=0)
-        # Must either find an assignment confined to reachable halves at
-        # a larger II, or raise CompilationError — never hang or crash
-        # with an internal routing exception.
-        try:
-            result = compile_loop(graph, machine)
-        except CompilationError:
-            return
-        result.annotated.validate()
+        # Never a search, a hang or an internal routing exception.
+        with obs.tracing() as trace:
+            with pytest.raises(ValidationError) as excinfo:
+                compile_loop(graph, machine)
+        assert excinfo.value.code == "MACH203"
+        assert trace.counter("driver.attempts") == 0
 
 
 class TestAssignmentEdgeCases:

@@ -189,8 +189,8 @@ class TestDeepLintReportsOnce:
     @staticmethod
     def _stranded_machine():
         """Cluster 1 is off the fabric: the only link joins 0 and 2,
-        so the pairs 0-1 and 1-2 are unroutable (two MACH203s).  Loops
-        still compile; the assigner never routes through cluster 1."""
+        so the pairs 0-1 and 1-2 are unroutable (two MACH203s).  The
+        compile boundary rejects the machine, so no loop is compiled."""
         return Machine(
             clusters=tuple(ClusterSpec(i, gp_units(2)) for i in range(3)),
             interconnect=PointToPointInterconnect(links=[(0, 2)]),
@@ -234,7 +234,8 @@ class TestDeepLintReportsOnce:
         assert unroutable == [
             ("stranded", "clusters 0<->1"), ("stranded", "clusters 1<->2"),
         ]
-        # Both loops compiled: no LINT002, and no other finding either.
+        # No loop was compiled on the rejected machine, so no LINT002
+        # repeats its defect per loop, and no other finding either.
         assert report.codes() == ["MACH203"]
         # The pool task of ``repro lint --workers`` is one loop's
         # share: no machine findings (the parent lints the machine).

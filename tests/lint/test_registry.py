@@ -36,7 +36,7 @@ class TestRegistry:
     def test_rule_count_is_stable(self):
         # Adding a rule is fine -- bump this count alongside the
         # docs/LINTING.md catalog so they cannot drift apart.
-        assert len(all_rules()) == 15
+        assert len(all_rules()) == 16
 
     def test_family_property_matches_prefix(self):
         for rule in all_rules():

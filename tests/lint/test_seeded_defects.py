@@ -124,6 +124,15 @@ def _negative_latency():
     return _graph_target(_pipeline("time-travel", alu_latency=-1))
 
 
+@seed("DDG109")
+def _input_copy():
+    graph = _pipeline("input-copy")
+    # Copies are the assigner's to insert; the builders accept one.
+    mov = graph.add_node(Opcode.COPY, name="mov")
+    graph.add_edge(1, mov)
+    return _graph_target(graph)
+
+
 @seed("MACH201")
 def _empty_cluster():
     units = gp_units(4)
