@@ -305,7 +305,6 @@ class _Job(NamedTuple):
 
     machine: Machine
     config: AssignmentConfig
-    verify: bool
     lint_config: object
     certify_config: object
 
@@ -347,7 +346,7 @@ def _measure_loop(
                         time.perf_counter() - baseline_started
                     )
             clustered = compile_loop(
-                ddg, job.machine, job.config, verify=job.verify,
+                ddg, job.machine, job.config,
                 lint_config=job.lint_config,
                 certify_config=job.certify_config,
             )
@@ -521,7 +520,7 @@ def _cache_key(ddg: Ddg, job: _Job) -> str:
     service reply for the same request in a shared cache directory.
     """
     return compile_fingerprint(
-        ddg, job.machine, job.config, job.verify,
+        ddg, job.machine, job.config,
         extra={
             "record": "experiment-outcome",
             "lint": lint_fingerprint(job.lint_config),
@@ -536,7 +535,6 @@ def run_experiment(
     config: AssignmentConfig = HEURISTIC_ITERATIVE,
     label: str = "",
     baseline: Optional[UnifiedBaseline] = None,
-    verify: bool = False,
     strict: bool = False,
     lint_config=None,
     certify_config=None,
@@ -572,7 +570,7 @@ def run_experiment(
         baseline = UnifiedBaseline()
     loops = list(loops)
     unified = machine.unified_equivalent()
-    job = _Job(machine, config, verify, lint_config, certify_config)
+    job = _Job(machine, config, lint_config, certify_config)
     cache = (ShardedResultCache(options.cache_dir, CACHE_VERSION)
              if options.cache_dir else None)
     result = ExperimentResult(
@@ -670,7 +668,6 @@ def run_sweep(
     config: AssignmentConfig = HEURISTIC_ITERATIVE,
     labels: Optional[Sequence[str]] = None,
     baseline: Optional[UnifiedBaseline] = None,
-    verify: bool = False,
     strict: bool = False,
     lint_config=None,
     certify_config=None,
@@ -687,9 +684,8 @@ def run_sweep(
         results.append(
             run_experiment(
                 loops, machine, config,
-                label=label, baseline=baseline, verify=verify,
-                strict=strict, lint_config=lint_config,
-                certify_config=certify_config,
+                label=label, baseline=baseline, strict=strict,
+                lint_config=lint_config, certify_config=certify_config,
             )
         )
     return results
@@ -700,7 +696,6 @@ def run_variant_comparison(
     machine: Machine,
     configs: Iterable[AssignmentConfig],
     baseline: Optional[UnifiedBaseline] = None,
-    verify: bool = False,
     strict: bool = False,
     lint_config=None,
     certify_config=None,
@@ -711,9 +706,8 @@ def run_variant_comparison(
     return [
         run_experiment(
             loops, machine, config,
-            label=config.name, baseline=baseline, verify=verify,
-            strict=strict, lint_config=lint_config,
-            certify_config=certify_config,
+            label=config.name, baseline=baseline, strict=strict,
+            lint_config=lint_config, certify_config=certify_config,
         )
         for config in configs
     ]

@@ -94,12 +94,10 @@ def build_annotated(
             )
         new.add_edge(carrier, edge.dst, distance=edge.distance)
 
-    annotated = AnnotatedDdg(
+    return AnnotatedDdg(
         ddg=new,
         machine=machine,
         cluster_of=cluster_map,
         copy_targets=copy_targets,
         copy_value_of=copy_value_of,
     )
-    annotated.validate()
-    return annotated

@@ -453,7 +453,7 @@ class RoutingState:
                 if scratch.take(template.demand):
                     copies.append(len(template.specs))
                     continue
-                obs_count("copies.replan_failures")
+                obs_count("copies.probe_failures")
             failures += 1
             if stop:
                 break

@@ -118,8 +118,9 @@ def compile_loop(
     """
     validate_machine(machine)
     validate_loop(ddg, machine)
-    unified = machine.unified_equivalent()
-    machine_mii = mii(ddg, unified)
+    # The unified machine's MII: ResMII reads only the machine-wide
+    # issue capacities, which sum over clusters as the unified mix does.
+    machine_mii = mii(ddg, machine)
     lower = machine_mii if min_ii is None else max(1, min_ii)
     upper = lower + ii_search_bound(ddg)
     attempts = 0

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 from ..ddg.graph import Ddg
 from ..ddg.scc import Scc, SccPartition, find_sccs
 from ..scheduling.priority import compute_metrics
-from ..scheduling.swing import ordering_sets, swing_order
+from ..scheduling.swing import assignment_order, swing_order
 
 
 @dataclass
@@ -46,11 +46,10 @@ def build_assignment_order(
     metrics = compute_metrics(ddg, max(ii, 1))
     if scc_first:
         partition = find_sccs(ddg)
-        sets = ordering_sets(ddg, partition)
+        order = assignment_order(ddg, metrics)
     else:
         partition = SccPartition(sccs=[], membership={})
-        sets = [set(ddg.node_ids)]
-    order = swing_order(ddg, sets, metrics)
+        order = swing_order(ddg, [set(ddg.node_ids)], metrics)
     if len(order) != len(ddg):
         raise RuntimeError(
             f"ordering covered {len(order)} of {len(ddg)} nodes"

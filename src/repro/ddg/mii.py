@@ -17,11 +17,10 @@
 
 RecMII is a property of the graph alone and is therefore *memoized* on
 the graph's compiled view (:mod:`repro.ddg.view`), keyed by the SCC node
-set: the Figure-5 driver probes the same graph at many candidate IIs, and
-every probe after the first is a cache hit (``mii.recmii_cache_hits``).
-Threshold queries (:func:`rec_mii_exceeds`) cost a single positive-cycle
-probe per SCC and record the resulting infeasible/feasible bounds, which
-warm-start the binary search when an exact value is needed later.
+set: each SCC's exact value is searched once per graph version, and the
+SCC criticality order, the scheduler's feasibility check
+(:func:`rec_mii_exceeds`) and the certificate all read that one answer
+(later reads count as ``mii.recmii_cache_hits``).
 
 ResMII needs a machine description, so :func:`res_mii` accepts any object
 exposing the small ``issue_capacity`` protocol implemented by
@@ -30,13 +29,13 @@ exposing the small ``issue_capacity`` protocol implemented by
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..obs.trace import count as obs_count
 from .graph import Ddg
 from .opcodes import FuClass
 from .validate import unsupported_fu_class, zero_distance_cycles
-from .view import DdgView, scc_components
+from .view import scc_components
 
 
 def _positive_cycle_exists(
@@ -77,35 +76,11 @@ def _subgraph_edges(
     ]
 
 
-def _validate_subgraph(
-    view: DdgView,
-    key: FrozenSet[int],
-    edges: List[Tuple[int, int, int, int]],
-    upper: int,
-) -> None:
-    """Reject a zero-total-distance cycle (DDG103, the loop validator's
-    check) once per (version, node set), then seed the search bounds.
-
-    Such a cycle is positive at every II when its latency is, and
-    weighs 0 at every II when all its ops have latency 0, so no probe
-    would tell it apart from a satisfiable one.  Without it, every
-    cycle has distance >= 1, so with latencies >= 0 ``upper`` (the
-    node set's latency sum) is feasible; nothing is yet known
-    infeasible.
-    """
-    if key not in view.recmii_validated:
-        for error in zero_distance_cycles(key, edges):
-            raise error
-        view.recmii_validated.add(key)
-    view.recmii_bounds.setdefault(key, (-1, upper))
-
-
 def rec_mii_of_subgraph(ddg: Ddg, nodes: Iterable[int]) -> int:
     """RecMII contributed by the cycles inside ``nodes``.
 
     Returns 0 when the subgraph is acyclic (imposes no recurrence bound).
-    Memoized per (graph version, node set); a binary search resumes from
-    any bounds previously recorded by :func:`rec_mii_exceeds` probes.
+    Memoized per (graph version, node set).
     """
     view = ddg.view()
     key = frozenset(nodes)
@@ -118,17 +93,21 @@ def rec_mii_of_subgraph(ddg: Ddg, nodes: Iterable[int]) -> int:
     if not edges:
         view.recmii_exact[key] = 0
         return 0
-    upper = max(sum(view.latency[n] for n in node_list), 1)
-    _validate_subgraph(view, key, edges, upper)
-    # Invariant: a positive cycle exists at ``low`` (low == -1 stands for
-    # "nothing known infeasible"), none exists at ``high``.
-    low, high = view.recmii_bounds[key]
-    if low < 0:
-        if not _positive_cycle_exists(node_list, edges, 0):
-            view.recmii_exact[key] = 0
-            view.recmii_bounds.pop(key, None)
-            return 0  # No recurrence-constraining cycle.
-        low = 0
+    if key not in view.recmii_validated:
+        # DDG103, the loop validator's check, once per (version, node
+        # set): a zero-total-distance cycle is positive at every II when
+        # its latency is, and weighs 0 at every II when all its ops have
+        # latency 0, so no probe would tell it apart from a satisfiable
+        # one.  Without it every cycle has distance >= 1, so with
+        # latencies >= 0 the node set's latency sum is a feasible II.
+        for error in zero_distance_cycles(key, edges):
+            raise error
+        view.recmii_validated.add(key)
+    if not _positive_cycle_exists(node_list, edges, 0):
+        view.recmii_exact[key] = 0
+        return 0  # No recurrence-constraining cycle.
+    # Invariant: a positive cycle exists at ``low``, none at ``high``.
+    low, high = 0, max(sum(view.latency[n] for n in node_list), 1)
     while high - low > 1:
         mid = (low + high) // 2
         if _positive_cycle_exists(node_list, edges, mid):
@@ -136,7 +115,6 @@ def rec_mii_of_subgraph(ddg: Ddg, nodes: Iterable[int]) -> int:
         else:
             high = mid
     view.recmii_exact[key] = high
-    view.recmii_bounds.pop(key, None)
     return high
 
 
@@ -155,64 +133,14 @@ def rec_mii(ddg: Ddg) -> int:
 
 
 def rec_mii_exceeds(ddg: Ddg, ii: int) -> bool:
-    """True exactly when ``rec_mii(ddg) > ii``, at threshold-query cost.
+    """True exactly when ``rec_mii(ddg) > ii``.
 
-    Instead of resolving every SCC's exact RecMII, each SCC is probed
-    once at ``ii`` (one Bellman–Ford pass set) unless a memoized exact
-    value or previously recorded bound already decides it.  Probe results
-    are stored as (infeasible, feasible) bounds so a later exact
-    :func:`rec_mii_of_subgraph` binary search starts warm.
-
-    Malformed graphs (zero-total-distance cycles) raise :class:`ValueError`
-    from *every* component before any early exit, matching the exact
-    computation's behavior.
+    The scheduler's feasibility check.  It reads the exact memoized
+    RecMII, which its SMS order needs per SCC anyway, so one search
+    per graph version serves both.  Malformed graphs (zero-total-distance
+    cycles) raise :class:`ValueError` as :func:`rec_mii` does.
     """
-    view = ddg.view()
-    components = scc_components(ddg)
-    undecided = []
-    for key in components:
-        if key in view.recmii_exact:
-            continue
-        node_list = list(key)
-        edges = _subgraph_edges(ddg, key)
-        if not edges:  # pragma: no cover - non-trivial SCCs have edges
-            view.recmii_exact[key] = 0
-            continue
-        upper = max(sum(view.latency[n] for n in node_list), 1)
-        _validate_subgraph(view, key, edges, upper)
-        undecided.append((key, node_list, edges))
-
-    exceeds = False
-    for key in components:
-        cached = view.recmii_exact.get(key)
-        if cached is not None:
-            obs_count("mii.recmii_cache_hits")
-            if cached > ii:
-                exceeds = True
-                break
-    if not exceeds:
-        for key, node_list, edges in undecided:
-            low, high = view.recmii_bounds[key]
-            if low >= ii:
-                obs_count("mii.recmii_cache_hits")
-                exceeds = True
-                break
-            if high <= ii:
-                obs_count("mii.recmii_cache_hits")
-                continue
-            if _positive_cycle_exists(node_list, edges, ii):
-                low = ii
-            else:
-                high = ii
-            if high == 0 or (high - low == 1 and low >= 0):
-                view.recmii_exact[key] = high
-                view.recmii_bounds.pop(key, None)
-            else:
-                view.recmii_bounds[key] = (low, high)
-            if low == ii:
-                exceeds = True
-                break
-    return exceeds
+    return rec_mii(ddg) > ii
 
 
 def op_demand(ddg: Ddg) -> Dict[FuClass, int]:
@@ -227,7 +155,8 @@ def op_demand(ddg: Ddg) -> Dict[FuClass, int]:
         demand: Dict[FuClass, int] = {}
         for node in ddg.nodes:
             if not node.is_copy:
-                demand[node.fu_class] = demand.get(node.fu_class, 0) + 1
+                fu_class = node.fu_class
+                demand[fu_class] = demand.get(fu_class, 0) + 1
         view.demand = demand
     return view.demand
 

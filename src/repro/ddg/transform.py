@@ -7,6 +7,12 @@ a node → cluster map, and for every copy node the source and target
 clusters it moves a value between.  A traditional (cluster-oblivious)
 modulo scheduler only needs ``resources_of`` to map each node to the
 machine resource pools it occupies.
+
+The constructor refuses an unassigned node and a copy entry on a
+non-copy node.  Whether the copies carry every cross-cluster value to
+clusters they can reach is judged by the certificate checker's
+assignment section (CERT603, :func:`repro.scheduling.check_schedule`),
+the one checker of a kernel graph and its schedule.
 """
 
 from __future__ import annotations
@@ -63,42 +69,6 @@ class AnnotatedDdg:
                 cluster, list(self.copy_targets[node_id])
             )
         return self.machine.op_resources(node.opcode, cluster)
-
-    def validate(self) -> None:
-        """Check structural consistency; raises :class:`ValueError`.
-
-        Verifies that every data edge either stays within a cluster or is
-        carried by a copy chain, and that copies connect reachable
-        clusters.
-        """
-        for edge in self.ddg.edges:
-            src = self.ddg.node(edge.src)
-            dst_cluster = self.cluster_of[edge.dst]
-            src_cluster = self.cluster_of[edge.src]
-            if src_cluster == dst_cluster:
-                continue
-            if src.is_copy:
-                if dst_cluster not in self.copy_targets[edge.src]:
-                    raise ValueError(
-                        f"copy {edge.src} feeds cluster {dst_cluster} but "
-                        f"targets {self.copy_targets[edge.src]}"
-                    )
-                continue
-            if not src.produces_value:
-                # Memory/control ordering edges cross clusters freely.
-                continue
-            raise ValueError(
-                f"value edge {edge.src}->{edge.dst} crosses clusters "
-                f"{src_cluster}->{dst_cluster} without a copy"
-            )
-        for copy_id, targets in self.copy_targets.items():
-            src_cluster = self.cluster_of[copy_id]
-            for target in targets:
-                if not self.machine.interconnect.reachable(src_cluster, target):
-                    raise ValueError(
-                        f"copy {copy_id} spans unreachable clusters "
-                        f"{src_cluster}->{target}"
-                    )
 
 
 def trivial_annotation(ddg: Ddg, machine: Machine) -> AnnotatedDdg:

@@ -14,10 +14,12 @@ call rebuilds (counted as ``ddg.view_rebuilds`` in the trace layer), and
 ``copy()`` produces a graph with no view at all.  The view itself must
 never be mutated by consumers — every container is a tuple, a frozenset,
 or a dict that callers treat as read-only.  The only mutable fields are
-the memo dictionaries (``recmii_exact``, ``recmii_bounds``,
-``recmii_validated``, ``demand``, ``components``, ``partition``) owned
-by :mod:`repro.ddg.mii` and :mod:`repro.ddg.scc`; they die with the view on
-invalidation, which is exactly the lifetime their keys are valid for.
+the memos (``recmii_exact``, ``recmii_validated``, ``demand``,
+``components``, ``partition``) owned by :mod:`repro.ddg.mii` and
+:mod:`repro.ddg.scc`; they die with the view on invalidation, which is
+exactly the lifetime their keys are valid for.  The view holds only
+what those modules, the SMS ordering, the priority metrics, copy
+routing and the scheduler read.
 """
 
 from __future__ import annotations
@@ -56,10 +58,7 @@ class DdgView:
         "node_ids",
         "latency",
         "produces_value",
-        "total_latency",
         "edge_array",
-        "in_edges",
-        "out_edges",
         "in_specs",
         "out_specs",
         "successors",
@@ -70,7 +69,6 @@ class DdgView:
         "components",
         "partition",
         "recmii_exact",
-        "recmii_bounds",
         "recmii_validated",
         "demand",
     )
@@ -80,7 +78,6 @@ class DdgView:
         self.components: Optional[Tuple[FrozenSet[int], ...]] = None
         self.partition = None
         self.recmii_exact: Dict[FrozenSet[int], int] = {}
-        self.recmii_bounds: Dict[FrozenSet[int], Tuple[int, int]] = {}
         self.recmii_validated: set = set()
         self.demand = None
 
@@ -105,40 +102,31 @@ def build_view(ddg, version: int) -> DdgView:
         produces[node.node_id] = node.produces_value
     view.latency = latency
     view.produces_value = produces
-    view.total_latency = sum(latency.values())
 
-    edges = ddg.edges
-    view.edge_array = tuple(
-        (e.src, e.dst, latency[e.src], e.distance) for e in edges
+    edge_array = tuple(
+        (e.src, e.dst, latency[e.src], e.distance) for e in ddg.edges
     )
+    view.edge_array = edge_array
 
     in_lists: Dict[int, list] = {n: [] for n in node_ids}
     out_lists: Dict[int, list] = {n: [] for n in node_ids}
     value_cons: Dict[int, List[int]] = {n: [] for n in node_ids}
     value_prods: Dict[int, List[int]] = {n: [] for n in node_ids}
-    for e in edges:
-        out_lists[e.src].append(e)
-        in_lists[e.dst].append(e)
-        if e.src != e.dst and produces[e.src]:
-            value_cons[e.src].append(e.dst)
-            value_prods[e.dst].append(e.src)
+    for src, dst, src_latency, distance in edge_array:
+        out_lists[src].append((dst, distance))
+        in_lists[dst].append((src, src_latency, distance))
+        if src != dst and produces[src]:
+            value_cons[src].append(dst)
+            value_prods[dst].append(src)
 
-    view.in_edges = {n: tuple(in_lists[n]) for n in node_ids}
-    view.out_edges = {n: tuple(out_lists[n]) for n in node_ids}
-    view.in_specs = {
-        n: tuple((e.src, latency[e.src], e.distance) for e in in_lists[n])
-        for n in node_ids
-    }
-    view.out_specs = {
-        n: tuple((e.dst, e.distance) for e in out_lists[n])
-        for n in node_ids
-    }
+    view.in_specs = {n: tuple(in_lists[n]) for n in node_ids}
+    view.out_specs = {n: tuple(out_lists[n]) for n in node_ids}
     view.successors = {
-        n: tuple(dict.fromkeys(e.dst for e in out_lists[n]))
+        n: tuple(dict.fromkeys(dst for dst, _ in out_lists[n]))
         for n in node_ids
     }
     view.predecessors = {
-        n: tuple(dict.fromkeys(e.src for e in in_lists[n]))
+        n: tuple(dict.fromkeys(src for src, _, _ in in_lists[n]))
         for n in node_ids
     }
     view.value_consumers = {

@@ -10,7 +10,7 @@ from .priority import PriorityDivergenceError, PriorityMetrics, compute_metrics
 from .schedule import Schedule
 from .stage import StageScheduleResult, stage_schedule, total_lifetime
 from .swing import assignment_order, ordering_sets, swing_order
-from .verify import Violation, assert_valid, check_schedule
+from .verify import assert_valid, check_schedule
 
 __all__ = [
     "DEFAULT_BUDGET_RATIO",
@@ -19,7 +19,6 @@ __all__ = [
     "Schedule",
     "SchedulerStats",
     "StageScheduleResult",
-    "Violation",
     "assert_valid",
     "assignment_order",
     "check_schedule",

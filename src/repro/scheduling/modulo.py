@@ -91,12 +91,12 @@ def _modulo_schedule(
 ) -> Optional[Schedule]:
     """The scheduling loop proper (inside the ``schedule`` span)."""
     view = ddg.view()
-    order = assignment_order(ddg, ii)
+    metrics = compute_metrics(ddg, ii)
+    order = assignment_order(ddg, metrics)
     rank = {node_id: index for index, node_id in enumerate(order)}
     resources = {
         node_id: annotated.resources_of(node_id) for node_id in view.node_ids
     }
-    metrics = compute_metrics(ddg, ii)
     latency = view.latency
     in_specs = view.in_specs
     out_specs = view.out_specs

@@ -27,7 +27,7 @@ from typing import Iterable, List, Sequence, Set
 
 from ..ddg.graph import Ddg
 from ..ddg.scc import SccPartition, find_sccs
-from .priority import PriorityMetrics, compute_metrics
+from .priority import PriorityMetrics
 
 TOP_DOWN = "top-down"
 BOTTOM_UP = "bottom-up"
@@ -129,12 +129,13 @@ def swing_order(
     return order
 
 
-def assignment_order(ddg: Ddg, ii: int) -> List[int]:
-    """The paper's full assignment order for one loop at candidate II.
+def assignment_order(ddg: Ddg, metrics: PriorityMetrics) -> List[int]:
+    """The paper's full assignment order for one loop, given its
+    priority ``metrics`` at the candidate II.
 
     SCC sets by decreasing RecMII first, remaining nodes last, SMS order
-    within each set (Section 4.1).
+    within each set (Section 4.1).  The assignment phase
+    (:mod:`repro.core.ordering`) and the modulo scheduler both order
+    through this function.
     """
-    partition = find_sccs(ddg)
-    metrics = compute_metrics(ddg, max(ii, 1))
-    return swing_order(ddg, ordering_sets(ddg, partition), metrics)
+    return swing_order(ddg, ordering_sets(ddg, find_sccs(ddg)), metrics)

@@ -63,7 +63,6 @@ class CompileRequest:
     loop: Ddg
     machine: object = "2gp"
     variant: object = "heuristic-iterative"
-    verify: bool = False
     tenant: str = "default"
 
 
@@ -295,9 +294,7 @@ class CompileService:
     def _request_key(self, request: CompileRequest) -> str:
         machine = resolve_machine(request.machine)
         config = resolve_variant(request.variant)
-        return compile_fingerprint(
-            request.loop, machine, config, verify=request.verify
-        )
+        return compile_fingerprint(request.loop, machine, config)
 
     @staticmethod
     def _reply_from_doc(
@@ -346,8 +343,7 @@ class CompileService:
 
     def _launch_batch(self, batch: List[Tuple]) -> None:
         payload = [
-            (request.loop, request.machine, request.variant,
-             request.verify)
+            (request.loop, request.machine, request.variant)
             for request, _, _ in batch
         ]
         self.stats.batches += 1

@@ -147,20 +147,18 @@ def compile_batch(
 ) -> List[Dict[str, object]]:
     """One front-door micro-batch: compile each request in order.
 
-    Each item is ``(ddg, machine_ref, variant_ref, verify)``; machine /
+    Each item is ``(ddg, machine_ref, variant_ref)``; machine /
     variant refs may be preset/slug names (resolved against the warm
     tables) or pickled objects.  Replies mirror the serial reference's
     exception taxonomy so service outcomes stay bit-identical to a
     direct :func:`repro.core.driver.compile_loop` call.
     """
     replies: List[Dict[str, object]] = []
-    for ddg, machine_ref, variant_ref, verify in payload:
+    for ddg, machine_ref, variant_ref in payload:
         machine = resolve_machine(machine_ref)
         config = resolve_variant(variant_ref)
         try:
-            compiled = compile_loop(
-                ddg, machine, config=config, verify=verify
-            )
+            compiled = compile_loop(ddg, machine, config=config)
         except CompilationError as exc:
             replies.append({
                 "loop": ddg.name, "status": "failed",

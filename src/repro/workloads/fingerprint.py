@@ -16,7 +16,7 @@ compiler reads —
   :class:`~repro.core.variants.AssignmentConfig`;
 
 and :func:`compile_fingerprint` combines them into the identity of one
-(loop, machine, config, verify) compile request — the key of every
+(loop, machine, config) compile request — the key of every
 :mod:`repro.service.cache` entry.  Its ``extra`` field carries anything
 else a cached record depends on: the experiment runner passes the
 :func:`lint_fingerprint` and :func:`certify_fingerprint` of its gates
@@ -112,11 +112,9 @@ def certify_fingerprint(certify_config) -> Optional[str]:
     })
 
 
-def compile_fingerprint(
-    ddg: Ddg, machine, config, verify: bool = False, extra=None,
-) -> str:
-    """Identity of one compile request: loop + machine + config (+
-    ``verify`` and any ``extra`` JSON-serializable gate facts).
+def compile_fingerprint(ddg: Ddg, machine, config, extra=None) -> str:
+    """Identity of one compile request: loop + machine + config (+ any
+    ``extra`` JSON-serializable gate facts).
 
     The loop's display name *is* included here (unlike
     :func:`ddg_fingerprint` alone): request-level caches key outcomes
@@ -128,6 +126,5 @@ def compile_fingerprint(
         "ddg": ddg_fingerprint(ddg),
         "machine": machine_fingerprint(machine),
         "config": config_fingerprint(config),
-        "verify": bool(verify),
         "extra": extra,
     })

@@ -10,6 +10,7 @@ from repro.analysis import (
     run_sweep,
     run_variant_comparison,
 )
+from repro.certify import CertifyConfig
 from repro.core import CompilationError
 from repro.core import HEURISTIC_ITERATIVE, SIMPLE
 from repro.machine import two_cluster_gp
@@ -23,8 +24,12 @@ def small_suite():
 
 class TestRunExperiment:
     def test_outcomes_cover_all_loops(self, small_suite):
-        result = run_experiment(small_suite, two_cluster_gp(), verify=True)
+        result = run_experiment(
+            small_suite, two_cluster_gp(),
+            certify_config=CertifyConfig(strict=True),
+        )
         assert result.n_loops == 20
+        assert all(outcome.ok for outcome in result.outcomes)
         names = {outcome.loop_name for outcome in result.outcomes}
         assert len(names) == 20
 

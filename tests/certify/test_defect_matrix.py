@@ -10,7 +10,9 @@ certify's assignment, timing and occupancy sections.
 This matrix decided which checker a compiled loop needs.  The lint
 rules that judged compiled loops (ASSIGN301-309, SCHED401-405/407/408,
 REG501-505, DF703, DF705 and the CERT6xx bridge) caught only rows that
-certify catches too, so certify is the one checker.
+certify catches too, so certify is the one checker.  The same holds for
+the structural check the annotated graph once ran on itself: each
+defect it raised on is a row here (:data:`ANNOTATION_DEFECTS`).
 """
 
 import dataclasses
@@ -354,6 +356,26 @@ CASES = [
     for machine in machines
 ]
 
+#: Each defect of an annotated graph the kernel-graph structural check
+#: raised on -> (the row that plants it, per machine a fragment of the
+#: CERT603 message that reports it).  On 2gp every pair of distinct
+#: clusters is one bus hop apart, so its unconnected hop is a copy
+#: onto its own cluster.
+ANNOTATION_DEFECTS = {
+    "copy-feeds-untargeted-cluster": (
+        "undelivered-consumer",
+        {"2gp": "copy feeds cluster", "grid": "copy feeds cluster"},
+    ),
+    "uncopied-cross-cluster-value": (
+        "cluster-moved",
+        {"2gp": "without a copy", "grid": "without a copy"},
+    ),
+    "copy-hop-not-connected": (
+        "copy-target-changed",
+        {"2gp": "clusters coincide", "grid": "is not one hop from"},
+    ),
+}
+
 
 @pytest.mark.parametrize("row, machine", CASES)
 def test_certify_reports_every_defect(
@@ -380,3 +402,31 @@ def test_certify_reports_every_defect(
             assert check_schedule(loop.schedule), (
                 f"check_schedule missed {row} in {name} on {machine}"
             )
+
+
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+@pytest.mark.parametrize("defect", sorted(ANNOTATION_DEFECTS))
+def test_rows_cover_annotation_defects(
+    defect, machine, compiled_corpus, monkeypatch
+):
+    row, fragments = ANNOTATION_DEFECTS[defect]
+    mutate = ROWS[row][0]
+    defective = list(islice(
+        (
+            mutated for mutated in (
+                mutate(compiled, monkeypatch)
+                for compiled in compiled_corpus(machine)
+            )
+            if mutated is not None
+        ),
+        SAMPLES,
+    ))
+    assert defective, f"no bundled loop can carry {row} on {machine}"
+    for loop in defective:
+        messages = [
+            issue.message for issue in check_schedule(loop.schedule)
+            if issue.code == "CERT603"
+        ]
+        assert any(fragments[machine] in m for m in messages), (
+            f"{row} in {loop.ddg.name} on {machine}: {messages}"
+        )

@@ -133,3 +133,24 @@ def reference_outcomes():
         return outcomes
 
     return build
+
+
+@pytest.fixture(scope="session")
+def annotation_issues():
+    """``issues(annotated)``: certify's verdict on an annotated graph
+    alone, the CERT603 (cluster assignment and copy routing) issues of
+    :func:`repro.scheduling.check_schedule` over it.  That section
+    reads no start cycle, so any start map serves."""
+    from repro.scheduling import Schedule, check_schedule
+
+    def issues(annotated):
+        schedule = Schedule(
+            annotated=annotated, ii=1,
+            start=dict.fromkeys(annotated.ddg.node_ids, 0),
+        )
+        return [
+            issue for issue in check_schedule(schedule)
+            if issue.code == "CERT603"
+        ]
+
+    return issues

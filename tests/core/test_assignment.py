@@ -33,10 +33,12 @@ class TestBasics:
         clusters = {annotated.cluster_of[n] for n in chain3.node_ids}
         assert len(clusters) == 1
 
-    def test_annotated_graph_validates(self, intro_example, two_gp):
+    def test_annotated_graph_validates(
+        self, intro_example, two_gp, annotation_issues
+    ):
         annotated = assign_clusters(intro_example, two_gp, ii=4)
         assert annotated is not None
-        annotated.validate()
+        assert annotation_issues(annotated) == []
 
     def test_stats_populated(self, intro_example, two_gp):
         stats = AssignmentStats(ii=4)
@@ -107,12 +109,12 @@ class TestVariants:
         "config", [SIMPLE, HEURISTIC, SIMPLE_ITERATIVE, HEURISTIC_ITERATIVE]
     )
     def test_all_variants_produce_valid_assignments(
-        self, config, intro_example, two_gp
+        self, config, intro_example, two_gp, annotation_issues
     ):
         annotated = assign_clusters(intro_example, two_gp, ii=4,
                                     config=config)
         if annotated is not None:
-            annotated.validate()
+            assert annotation_issues(annotated) == []
             schedule = modulo_schedule(annotated, ii=4)
             if schedule is not None:
                 assert_valid(schedule)
@@ -125,7 +127,9 @@ class TestVariants:
         assert result is None
         assert stats.evictions == 0
 
-    def test_iterative_uses_evictions_under_pressure(self, two_gp):
+    def test_iterative_uses_evictions_under_pressure(
+        self, two_gp, annotation_issues
+    ):
         # A graph that tends to need revisiting: two interleaved wide
         # fan-outs plus port pressure at a tight II.
         graph = Ddg()
@@ -139,11 +143,13 @@ class TestVariants:
             graph, two_gp, ii=2, config=HEURISTIC_ITERATIVE, stats=stats
         )
         if annotated is not None:
-            annotated.validate()
+            assert annotation_issues(annotated) == []
 
 
 class TestGridAssignment:
-    def test_grid_copies_are_single_hop_chains(self, grid):
+    def test_grid_copies_are_single_hop_chains(
+        self, grid, annotation_issues
+    ):
         # Producer fans out to consumers that cannot all share a cluster.
         graph = Ddg()
         producer = graph.add_node(Opcode.FP_ADD)
@@ -152,7 +158,7 @@ class TestGridAssignment:
             graph.add_edge(producer, load, distance=0)
         annotated = assign_clusters(graph, grid, ii=2)
         assert annotated is not None
-        annotated.validate()
+        assert annotation_issues(annotated) == []
         for copy_id in annotated.copy_nodes:
             src = annotated.cluster_of[copy_id]
             for target in annotated.copy_targets[copy_id]:
@@ -170,7 +176,7 @@ class TestGridAssignment:
 
 
 class TestBudget:
-    def test_budget_bounds_work(self, two_gp):
+    def test_budget_bounds_work(self, two_gp, annotation_issues):
         # Even a pathological case terminates (returns None or result).
         graph = Ddg()
         hub = graph.add_node(Opcode.ALU)
@@ -181,4 +187,4 @@ class TestBudget:
         config = HEURISTIC_ITERATIVE.with_budget(2)
         result = assign_clusters(graph, two_gp, ii=2, config=config)
         if result is not None:
-            result.validate()
+            assert annotation_issues(result) == []

@@ -176,3 +176,24 @@ class TestMii:
     def test_mii_at_least_one(self):
         graph = build_ddg(ops=[("a", Opcode.ALU)], deps=[])
         assert mii(graph, unified_gp(16)) == 1
+
+
+class TestClusteredMachineMii:
+    """``compile_loop`` takes the unified machine's MII on the clustered
+    machine itself: ResMII reads only machine-wide issue capacities,
+    which sum over clusters exactly as the unified mix does."""
+
+    def test_equals_unified_equivalent_mii(self):
+        from repro.machine import STANDARD_PRESETS, heterogeneous_gp
+        from repro.workloads import paper_suite
+
+        machines = [factory() for factory in STANDARD_PRESETS.values()]
+        machines.append(heterogeneous_gp([6, 2], buses=2, ports=1))
+        loops = paper_suite(1327, 1998)  # the suite and the kernels
+        for machine in machines:
+            unified = machine.unified_equivalent()
+            mismatches = [
+                ddg.name for ddg in loops
+                if mii(ddg, machine) != mii(ddg, unified)
+            ]
+            assert mismatches == [], machine.name

@@ -1,4 +1,5 @@
-"""Annotated DDGs: cluster tags, copy metadata, structural validation."""
+"""Annotated DDGs: cluster tags, copy metadata, and certify's verdict
+on their structure (CERT603)."""
 
 import pytest
 
@@ -70,21 +71,24 @@ class TestValidation:
                 copy_targets={0: (1,)},  # node 0 is a load
             )
 
-    def test_valid_split_graph_passes(self, chain3):
+    def test_valid_split_graph_passes(self, chain3, annotation_issues):
         annotated = _two_cluster_annotated(chain3)
-        annotated.validate()  # should not raise
+        assert annotation_issues(annotated) == []
 
-    def test_uncopied_cross_cluster_value_edge_rejected(self, chain3):
+    def test_uncopied_cross_cluster_value_edge_rejected(
+        self, chain3, annotation_issues
+    ):
         machine = two_cluster_gp()
         annotated = AnnotatedDdg(
             ddg=chain3,
             machine=machine,
             cluster_of={0: 0, 1: 1, 2: 1},  # load on C0 feeds mult on C1
         )
-        with pytest.raises(ValueError):
-            annotated.validate()
+        (issue,) = annotation_issues(annotated)
+        assert issue.location == "edge 0->1"
+        assert "without a copy" in issue.message
 
-    def test_memory_ordering_edge_crosses_freely(self):
+    def test_memory_ordering_edge_crosses_freely(self, annotation_issues):
         graph = build_ddg(
             ops=[("st", Opcode.STORE), ("ld", Opcode.LOAD)],
             deps=[("st", "ld", 1)],  # loop-carried memory dependence
@@ -94,14 +98,19 @@ class TestValidation:
             machine=two_cluster_gp(),
             cluster_of={0: 0, 1: 1},
         )
-        annotated.validate()  # stores produce no value: no copy needed
+        # Stores produce no value: no copy needed.
+        assert annotation_issues(annotated) == []
 
-    def test_copy_feeding_untargeted_cluster_rejected(self, chain3):
+    def test_copy_feeding_untargeted_cluster_rejected(
+        self, chain3, annotation_issues
+    ):
         annotated = _two_cluster_annotated(chain3)
-        # Corrupt: claim the copy only targets cluster 0.
-        annotated.copy_targets[annotated.copy_nodes[0]] = (0,)
-        with pytest.raises(ValueError):
-            annotated.validate()
+        # Corrupt: move the copy's consumer to the copy's own cluster,
+        # which the copy does not write.
+        annotated.cluster_of[2] = 0
+        (issue,) = annotation_issues(annotated)
+        assert issue.location == "edge 3->2"
+        assert "copy feeds cluster 0 but only targets [1]" in issue.message
 
 
 class TestCopyMetadata:

@@ -74,6 +74,18 @@ class TestViewContent:
         ]
         assert list(view.edge_array) == expected
 
+    def test_dependence_specs_match_graph_edges(self, recurrence):
+        recurrence.add_edge(1, 1, distance=2)
+        view = recurrence.view()
+        for node_id in recurrence.node_ids:
+            assert view.in_specs[node_id] == tuple(
+                (e.src, recurrence.latency(e.src), e.distance)
+                for e in recurrence.in_edges(node_id)
+            )
+            assert view.out_specs[node_id] == tuple(
+                (e.dst, e.distance) for e in recurrence.out_edges(node_id)
+            )
+
     def test_latency_and_value_maps(self, recurrence):
         view = recurrence.view()
         for node_id in recurrence.node_ids:
@@ -115,8 +127,9 @@ class TestRecMiiMemoization:
             assert rec_mii_exceeds(fresh, ii) == (exact > ii)
 
     def test_exceeds_probes_promote_to_exact(self, recurrence):
-        # Walk candidate IIs upward like the Figure-5 driver does; by the
-        # time the exact value is requested the bounds are decisive.
+        # Walk candidate IIs upward like the Figure-5 driver does; the
+        # first threshold query stores the exact value, so the exact
+        # request afterwards is a cache hit.
         for ii in range(1, 5):
             rec_mii_exceeds(recurrence, ii)
         with obs.tracing() as trace:

@@ -92,8 +92,9 @@ def test_assignment_order_matches_reference(loops) -> None:
     for ddg in loops:
         base = max(rec_mii(ddg), 1)
         for ii in (base, base + 2):
-            assert assignment_order(ddg, ii) == reference_assignment_order(
-                ddg, ii
+            metrics = compute_metrics(ddg, ii)
+            assert assignment_order(ddg, metrics) == (
+                reference_assignment_order(ddg, ii)
             ), (ddg.name, ii)
 
 

@@ -42,10 +42,12 @@ class TestDerivedQuantities:
 class TestApproachTwo:
     """SCC-first + predicted copy use succeeds at II = 4 (Section 3.2)."""
 
-    def test_assignment_succeeds_at_mii(self, intro_example, toy_machine):
+    def test_assignment_succeeds_at_mii(
+        self, intro_example, toy_machine, annotation_issues
+    ):
         annotated = assign_clusters(intro_example, toy_machine, ii=4)
         assert annotated is not None
-        annotated.validate()
+        assert annotation_issues(annotated) == []
 
     def test_scc_not_split(self, intro_example, toy_machine):
         annotated = assign_clusters(intro_example, toy_machine, ii=4)

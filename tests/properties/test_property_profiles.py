@@ -84,8 +84,7 @@ def test_pool_compiles_like_the_process(pool, profile, seed):
     items = [(ddg, machine) for ddg in loops for machine in MACHINES]
     replies = pool.submit(
         "compile_batch",
-        [(ddg, machine, "heuristic-iterative", False)
-         for ddg, machine in items],
+        [(ddg, machine, "heuristic-iterative") for ddg, machine in items],
     ).result().value
     for (ddg, machine), reply in zip(items, replies):
         assert (

@@ -118,3 +118,66 @@ class TestBudget:
         # must not raise or loop forever.
         if result is not None:
             assert_valid(result)
+
+
+class TestOneMetricsPass:
+    """Each scheduling attempt computes its priority metrics once and
+    orders its operations (the SMS order) with that same object."""
+
+    @pytest.mark.parametrize("machine_name", ["2gp", "grid"])
+    def test_one_compute_metrics_call_per_attempt(
+        self, machine_name, monkeypatch
+    ):
+        import sys
+
+        import repro.scheduling.modulo as modulo
+        import repro.scheduling.swing as swing
+        from repro.core import compile_loop
+        from repro.machine import STANDARD_PRESETS
+        from repro.scheduling.priority import compute_metrics
+        from repro.workloads import paper_suite
+
+        attempts = []  # per attempt: (metrics computed, metrics ordered by)
+        inside = []
+
+        def counted_metrics(*args, **kwargs):
+            metrics = compute_metrics(*args, **kwargs)
+            if inside:
+                attempts[-1][0].append(metrics)
+            return metrics
+
+        def recorded_order(ddg, sets, metrics):
+            if inside:
+                attempts[-1][1].append(metrics)
+            return real_order(ddg, sets, metrics)
+
+        def scheduling_loop(*args, **kwargs):
+            attempts.append(([], []))
+            inside.append(True)
+            try:
+                return real_loop(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        # Every module binding of compute_metrics, wherever the
+        # scheduler might reach it.
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("repro")
+                    and getattr(module, "compute_metrics", None)
+                    is compute_metrics):
+                monkeypatch.setattr(
+                    module, "compute_metrics", counted_metrics
+                )
+        real_order = swing.swing_order
+        real_loop = modulo._modulo_schedule
+        monkeypatch.setattr(swing, "swing_order", recorded_order)
+        monkeypatch.setattr(modulo, "_modulo_schedule", scheduling_loop)
+
+        machine = STANDARD_PRESETS[machine_name]()
+        for ddg in paper_suite(30, 1998):
+            compile_loop(ddg, machine)
+        assert len(attempts) >= 30
+        for computed, ordered in attempts:
+            assert len(computed) == 1
+            assert len(ordered) == 1
+            assert ordered[0] is computed[0]

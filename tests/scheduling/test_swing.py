@@ -6,6 +6,11 @@ from repro.scheduling import assignment_order, compute_metrics, swing_order
 from repro.scheduling.swing import ordering_sets
 
 
+def _order(ddg, ii):
+    """The full SMS order of ``ddg`` at ``ii``."""
+    return assignment_order(ddg, compute_metrics(ddg, ii))
+
+
 class TestOrderingSets:
     def test_scc_sets_before_rest(self, intro_example):
         partition = find_sccs(intro_example)
@@ -35,18 +40,18 @@ class TestOrderingSets:
 
 class TestSwingOrder:
     def test_covers_every_node_once(self, intro_example):
-        order = assignment_order(intro_example, ii=4)
+        order = _order(intro_example, 4)
         assert sorted(order) == sorted(intro_example.node_ids)
 
     def test_scc_nodes_listed_first(self, intro_example):
-        order = assignment_order(intro_example, ii=4)
+        order = _order(intro_example, 4)
         scc_nodes = set(intro_example.node_ids[1:4])
         assert set(order[:3]) == scc_nodes
 
     def test_paper_ordering_property(self, intro_example):
         """Section 4.1: a node is listed after all its predecessors or
         after all its successors whenever possible."""
-        order = assignment_order(intro_example, ii=4)
+        order = _order(intro_example, 4)
         position = {node: i for i, node in enumerate(order)}
         violations = 0
         for node in intro_example.node_ids:
@@ -73,12 +78,12 @@ class TestSwingOrder:
         b = graph.add_node(Opcode.FP_ADD)  # no edges at all
         c = graph.add_node(Opcode.LOAD)
         graph.add_edge(a, c, distance=0)
-        order = assignment_order(graph, ii=1)
+        order = _order(graph, 1)
         assert sorted(order) == [a, b, c]
 
     def test_deterministic(self, intro_example):
-        first = assignment_order(intro_example, ii=4)
-        second = assignment_order(intro_example, ii=4)
+        first = _order(intro_example, 4)
+        second = _order(intro_example, 4)
         assert first == second
 
     def test_empty_sets_skipped(self, chain3):
@@ -98,6 +103,6 @@ class TestCriticalityFirst:
         slow = [graph.add_node(Opcode.FP_DIV) for _ in range(2)]
         graph.add_edge(slow[0], slow[1], distance=0)
         graph.add_edge(slow[1], slow[0], distance=1)
-        order = assignment_order(graph, ii=19)
+        order = _order(graph, 19)
         assert set(order[:2]) == set(slow)
         assert set(order[2:]) == set(fast)

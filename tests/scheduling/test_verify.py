@@ -34,8 +34,8 @@ class TestDependenceViolations:
             annotated=annotated, ii=4,
             start={ld: 0, mul: 1, st: 10},  # mul starts before load done
         )
-        violations = check_schedule(bad)
-        assert any(v.kind == "dependence" for v in violations)
+        issues = check_schedule(bad)
+        assert any(issue.code == "CERT604" for issue in issues)
 
     def test_loop_carried_slack_allows_earlier_start(
         self, accumulator, uni8
@@ -56,6 +56,7 @@ class TestDependenceViolations:
         )
         with pytest.raises(AssertionError) as exc:
             assert_valid(bad)
+        assert "CERT604" in str(exc.value)
         assert "dependence" in str(exc.value)
 
 
@@ -69,8 +70,8 @@ class TestResourceViolations:
         bad = Schedule(
             annotated=annotated, ii=2, start={n: 0 for n in nodes}
         )
-        violations = check_schedule(bad)
-        assert any(v.kind == "resource" for v in violations)
+        issues = check_schedule(bad)
+        assert any(issue.code == "CERT605" for issue in issues)
 
     def test_wrapped_rows_checked_modulo_ii(self, uni8):
         from repro.ddg import Ddg, Opcode
@@ -80,7 +81,7 @@ class TestResourceViolations:
         # Cycles 0 and 2 share row 0 at II 2.
         starts = {n: (0 if i < 5 else 2) for i, n in enumerate(nodes)}
         bad = Schedule(annotated=annotated, ii=2, start=starts)
-        assert any(v.kind == "resource" for v in check_schedule(bad))
+        assert any(issue.code == "CERT605" for issue in check_schedule(bad))
 
     def test_violation_str_is_informative(self, uni8):
         from repro.ddg import Ddg, Opcode
@@ -88,5 +89,5 @@ class TestResourceViolations:
         nodes = [graph.add_node(Opcode.ALU) for _ in range(9)]
         annotated = trivial_annotation(graph, uni8)
         bad = Schedule(annotated=annotated, ii=1, start={n: 0 for n in nodes})
-        violation = check_schedule(bad)[0]
-        assert "issue" in str(violation)
+        issue = check_schedule(bad)[0]
+        assert "issue" in str(issue)

@@ -1,7 +1,7 @@
 """Stable diagnostic codes on the independent schedule checker.
 
-Each defect class produces exactly one violation carrying the stable
-code of the certify section that caught it (``CERT603`` assignment,
+Each defect class produces exactly one certify issue carrying the
+stable code of the section that caught it (``CERT603`` assignment,
 ``CERT604`` timing, ``CERT605`` occupancy), and ``assert_valid``
 surfaces the code in its message -- so tests match on codes, not
 prose.
@@ -10,8 +10,8 @@ prose.
 import pytest
 
 from repro.ddg import Ddg, Opcode, trivial_annotation
+from repro.certify.check import CertIssue
 from repro.scheduling import Schedule, assert_valid, check_schedule
-from repro.scheduling.verify import Violation
 
 
 class TestOversubscribedRow:
@@ -23,10 +23,10 @@ class TestOversubscribedRow:
             ii=2,
             start={n: 0 for n in nodes},
         )
-        violations = check_schedule(schedule)
-        assert len(violations) == 1
-        assert violations[0].code == "CERT605"
-        assert violations[0].kind == "resource"
+        issues = check_schedule(schedule)
+        assert len(issues) == 1
+        assert issues[0].code == "CERT605"
+        assert issues[0].location == "('issue', 0, 'gp') row 0"
 
 
 class TestViolatedBackEdge:
@@ -41,11 +41,11 @@ class TestViolatedBackEdge:
             ii=1,
             start={mul: 0},
         )
-        violations = check_schedule(schedule)
-        assert len(violations) == 1
-        assert violations[0].code == "CERT604"
-        assert violations[0].kind == "dependence"
-        assert "distance 1" in violations[0].detail
+        issues = check_schedule(schedule)
+        assert len(issues) == 1
+        assert issues[0].code == "CERT604"
+        assert issues[0].location == f"edge {mul}->{mul}"
+        assert "distance 1" in issues[0].message
 
 
 class TestStructurallyInvalidGraph:
@@ -65,12 +65,12 @@ class TestStructurallyInvalidGraph:
         annotated.cluster_of[victim] = (
             1 - annotated.cluster_of[victim]
         )
-        violations = [
-            v for v in check_schedule(compiled.schedule)
-            if v.code == "CERT603"
+        issues = [
+            issue for issue in check_schedule(compiled.schedule)
+            if issue.code == "CERT603"
         ]
-        assert len(violations) == 1
-        assert violations[0].kind == "structure"
+        assert len(issues) == 1
+        assert "without a copy" in issues[0].message
 
 
 class TestCodesInMessages:
@@ -85,12 +85,8 @@ class TestCodesInMessages:
         with pytest.raises(AssertionError) as exc:
             assert_valid(schedule)
         assert "CERT605" in str(exc.value)
-        assert "resource" in str(exc.value)
+        assert "double-booked" in str(exc.value)
 
-    def test_handmade_violation_str_without_code(self):
-        v = Violation(kind="resource", detail="d")
-        assert str(v) == "[resource] d"
-
-    def test_violation_str_with_code(self):
-        v = Violation(kind="dependence", detail="d", code="CERT604")
-        assert str(v) == "[dependence:CERT604] d"
+    def test_issue_str_with_code(self):
+        issue = CertIssue("CERT604", "edge 0->1", "d")
+        assert str(issue) == "CERT604 [edge 0->1] d"
