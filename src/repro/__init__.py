@@ -73,7 +73,6 @@ from .scheduling import (
     assert_valid,
     check_schedule,
     modulo_schedule,
-    schedule_with_ii_search,
 )
 from .sim import assert_executes_correctly, simulate_schedule
 
@@ -120,7 +119,6 @@ __all__ = [
     "n_cluster_gp",
     "rec_mii",
     "res_mii",
-    "schedule_with_ii_search",
     "simulate_schedule",
     "stage_schedule",
     "trivial_annotation",

@@ -39,6 +39,9 @@ from .witness import Certificate
 #: optimization, not a wrong compile.
 CODE_LOOSE_II = "CERT690"
 
+#: Diagnostic code of a loop ``repro certify`` could not compile.
+CODE_COMPILE_FAILURE = "LINT002"
+
 
 class CertRule(NamedTuple):
     """How one certify code reports: rule slug, artifact family (the
@@ -236,37 +239,37 @@ def certify_loop_report(ddg, machine, variant, certify_config, severity):
 
     The ``repro certify`` per-loop unit, shared by the serial path and
     the worker pool's ``certify_loop`` task.  A loop that fails to
-    compile surfaces as a ``LINT002`` diagnostic (severity-overridable,
-    like deep lint); checker issues and the exact oracle's verdict flow
-    through :func:`artifact_diagnostics` with any ``--severity
-    CODE=LEVEL`` overrides applied afterwards, so exit codes track
-    effective severities only.
+    compile surfaces as one ``LINT002`` diagnostic; checker issues and
+    the exact oracle's verdict flow through :func:`artifact_diagnostics`.
+    Any ``--severity CODE=LEVEL`` override applies to all of them, so
+    exit codes track effective severities only.
     """
     import dataclasses
 
     from ..core.driver import CompilationError, compile_loop
-    from ..lint.diagnostics import (
-        CODE_COMPILE_FAILURE,
-        compile_failure,
-    )
     from ..lint.engine import LintReport
 
     report = LintReport(n_targets=1)
     try:
         compiled = compile_loop(ddg, machine, config=variant)
     except (CompilationError, ValueError) as exc:
-        report.diagnostics.append(
-            compile_failure(
-                ddg.name or "loop", exc,
-                severity=severity.get(
-                    CODE_COMPILE_FAILURE, SEVERITY_ERROR
-                ),
+        diagnostics = [
+            Diagnostic(
+                code=CODE_COMPILE_FAILURE,
+                severity=SEVERITY_ERROR,
+                rule="compile-failure",
+                loop=ddg.name or "loop",
+                artifact="pipeline",
+                message=f"loop failed to compile: {exc}",
+                hint="fix the loop (or machine) before the pipeline "
+                     "rules can run",
             )
-        )
-        return report
-    artifact = certify_compiled(compiled, certify_config)
-    report.rules_run = 7 + (1 if certify_config.exact else 0)
-    for diagnostic in artifact_diagnostics(artifact):
+        ]
+    else:
+        artifact = certify_compiled(compiled, certify_config)
+        report.rules_run = 7 + (1 if certify_config.exact else 0)
+        diagnostics = artifact_diagnostics(artifact)
+    for diagnostic in diagnostics:
         override = severity.get(diagnostic.code)
         if override is not None and override != diagnostic.severity:
             diagnostic = dataclasses.replace(

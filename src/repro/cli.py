@@ -13,8 +13,9 @@ Subcommands:
   baseline over the suite and print the II-deviation histogram
   (``--json`` emits histogram + obs counters as one JSON document).
 * ``lint`` — run the static-analysis rules (see ``docs/LINTING.md``)
-  over loop files, the bundled corpus, or a machine description, and
-  render the diagnostics as text, JSON, or SARIF 2.1.0; exits nonzero
+  over a machine description and the graphs of loop files, the bundled
+  corpus, the kernels or the suite, compiling nothing, and render the
+  diagnostics as text, JSON, or SARIF 2.1.0; exits nonzero
   only when error-severity diagnostics remain after config overrides
   (``--exit-zero`` forces a zero exit for report-only runs).
 * ``certify`` — compile loops and emit + independently verify their
@@ -24,9 +25,9 @@ Subcommands:
 
 ``compile`` and ``experiment`` also accept ``--lint[=strict]`` and
 ``--certify[=strict]`` to run the analyzer / certificate verifier as
-gates on every compiled artifact.  ``lint`` and ``certify`` accept
-``--workers N`` to fan loops out over worker processes; the merged
-report is byte-identical to a serial run.
+gates on every compiled artifact.  ``certify`` accepts ``--workers
+N`` to fan loops out over worker processes; the merged report is
+byte-identical to a serial run.
 
 A loop file that cannot be read or parsed, a loop that ``compile`` or
 ``trace`` rejects at the compile boundary (``PATH: CODE location:
@@ -450,8 +451,8 @@ def _severity_overrides(args: argparse.Namespace) -> Dict[str, str]:
 def _certify_severity(args: argparse.Namespace) -> Dict[str, str]:
     """``repro certify``'s ``--severity`` map, limited to the codes it
     can report: the certify codes and LINT002 (a compile failure)."""
-    from .certify.gate import CERT_RULES
-    from .lint.diagnostics import CODE_COMPILE_FAILURE, SEVERITIES
+    from .certify.gate import CERT_RULES, CODE_COMPILE_FAILURE
+    from .lint.diagnostics import SEVERITIES
 
     severity = _severity_overrides(args)
     for code, level in severity.items():
@@ -515,42 +516,15 @@ def _lint_loops(args: argparse.Namespace):
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .lint import (
-        LintReport,
-        LintTarget,
-        lint_corpus_deep,
-        lint_machine,
-        render,
-        run_lint,
-    )
+    from .lint import LintTarget, lint_machine, render, run_lint
 
     machine = _machine(args.machine)
     config = _lint_config_from_args(args)
-    loops = _lint_loops(args)
-    variant = VARIANTS[args.variant]
-    report = LintReport()
-    if args.fast:
-        # Shallow pass: graph + machine rules, no compilation.
-        report.extend(lint_machine(machine, config))
-        report.extend(run_lint(
-            (LintTarget(name=ddg.name, ddg=ddg) for ddg in loops),
-            config,
-        ))
-    elif args.workers >= 2 and len(loops) > 1:
-        # Parallel deep pass over the warm worker pool: the machine
-        # in the parent, one task per loop; per-loop reports merge
-        # back in suite order, so the rendered output is
-        # byte-identical to a serial run.
-        from .service import map_tasks
-
-        report.extend(lint_machine(machine, config))
-        payloads = [(ddg, machine, config, variant) for ddg in loops]
-        for loop_report in map_tasks(
-            "lint_loop", payloads, workers=args.workers
-        ):
-            report.extend(loop_report)
-    else:
-        report.extend(lint_corpus_deep(loops, machine, config, variant))
+    report = lint_machine(machine, config)
+    report.extend(run_lint(
+        (LintTarget(name=ddg.name, ddg=ddg) for ddg in _lint_loops(args)),
+        config,
+    ))
     rendered = render(report, args.format)
     if args.output:
         with open(args.output, "w") as handle:
@@ -808,10 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--machine", default="2gp", help=f"one of {sorted(MACHINES)}"
     )
     lint_parser.add_argument(
-        "--variant", default="heuristic-iterative",
-        choices=sorted(VARIANTS),
-    )
-    lint_parser.add_argument(
         "--kernels", action="store_true",
         help="also lint every hand-written paper kernel",
     )
@@ -825,22 +795,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="also lint paper_suite(N)",
     )
     lint_parser.add_argument(
-        "--fast", action="store_true",
-        help="shallow pass only (graph + machine rules, no "
-             "compilation)",
-    )
-    lint_parser.add_argument(
         "--format", default="text", choices=["text", "json", "sarif"],
         help="output format (default text)",
     )
     lint_parser.add_argument(
         "--output", default=None, metavar="FILE",
         help="write the rendered report to a file instead of stdout",
-    )
-    lint_parser.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="deep-lint loops over N worker processes (report is "
-             "byte-identical to a serial run)",
     )
     lint_parser.add_argument(
         "--exit-zero", action="store_true",

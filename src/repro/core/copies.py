@@ -225,10 +225,6 @@ class RoutingState:
         """Distinct nodes consuming ``producer``'s register value."""
         return list(self._value_consumers[producer])
 
-    def value_producers(self, consumer: int) -> List[int]:
-        """Distinct nodes whose register value ``consumer`` reads."""
-        return list(self._value_producers[consumer])
-
     def unassigned_value_consumers(self, producer: int) -> int:
         """The paper's ``UnassignedSuccessors(N_i)`` term."""
         return self._unassigned_consumers[producer]

@@ -1,23 +1,23 @@
 """``repro.lint`` — static analysis of the compiler's inputs.
 
 Every invariant the pipeline assumes of its inputs is a rule under a
-stable diagnostic code grouped by family (``DDG1xx``, ``MACH2xx``,
-``SCHED4xx``); the error rules report the compile boundary's own
-validators.  See ``docs/LINTING.md`` for the full catalog.  The compiled loop itself is
-checked by :mod:`repro.certify` (``--certify``), not here.
+stable diagnostic code grouped by family (``DDG1xx`` reads the loop's
+graph, ``MACH2xx`` the machine); the error rules report the compile
+boundary's own validators.  Lint compiles nothing.  See
+``docs/LINTING.md`` for the full catalog.  The compiled loop itself is
+checked by :mod:`repro.certify` (``repro certify``, ``--certify``), not
+here.
 
 Entry points:
 
-* :func:`lint_corpus_deep` / :func:`lint_loop_deep` — compile-and-lint
-  (what ``repro lint`` runs);
-* :func:`lint_compiled` — lint an already compiled loop (what the
+* :func:`lint_machine` and :func:`run_lint` — the machine once, then
+  each loop's graph (what ``repro lint`` runs);
+* :func:`lint_compiled` — lint the inputs of a compiled loop (what the
   ``--lint`` pipeline gate runs);
-* :func:`lint_machine` — machine description alone;
 * :func:`render` — text / JSON / SARIF 2.1.0 output.
 """
 
 from .diagnostics import (
-    CODE_COMPILE_FAILURE,
     CODE_RULE_CRASH,
     SEVERITY_ERROR,
     SEVERITY_INFO,
@@ -28,8 +28,6 @@ from .engine import (
     LintReport,
     LintTarget,
     lint_compiled,
-    lint_corpus_deep,
-    lint_loop_deep,
     lint_machine,
     lint_target,
     run_lint,
@@ -54,7 +52,6 @@ from .render import (
 )
 
 __all__ = [
-    "CODE_COMPILE_FAILURE",
     "CODE_RULE_CRASH",
     "DEFAULT_CONFIG",
     "Diagnostic",
@@ -72,8 +69,6 @@ __all__ = [
     "format_sarif",
     "format_text",
     "lint_compiled",
-    "lint_corpus_deep",
-    "lint_loop_deep",
     "lint_machine",
     "lint_target",
     "render",

@@ -83,9 +83,8 @@ class Diagnostic:
         return text
 
 
-#: Meta-diagnostic codes emitted by the engine itself (not by rules).
+#: Meta-diagnostic code emitted by the engine itself (not by a rule).
 CODE_RULE_CRASH = "LINT001"
-CODE_COMPILE_FAILURE = "LINT002"
 
 
 def rule_crash(
@@ -109,17 +108,3 @@ def rule_crash(
         hint="this is a lint bug, not an artifact defect",
     )
 
-
-def compile_failure(
-    loop: str, error: BaseException, severity: str = SEVERITY_ERROR
-) -> Diagnostic:
-    """Deep lint could not build the pipeline artifacts for a loop."""
-    return Diagnostic(
-        code=CODE_COMPILE_FAILURE,
-        severity=severity,
-        rule="compile-failure",
-        loop=loop,
-        artifact="pipeline",
-        message=f"loop failed to compile: {error}",
-        hint="fix the loop (or machine) before the pipeline rules can run",
-    )

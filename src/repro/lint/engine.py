@@ -1,33 +1,28 @@
 """The lint engine: targets, rule execution, reports.
 
-A :class:`LintTarget` bundles whatever pipeline artifacts exist for one
-unit of work — a bare machine, a parsed loop, or a fully compiled
-(annotated + scheduled) loop.  :func:`run_lint` executes every enabled
-rule whose requirements the target satisfies and collects the
-diagnostics into a :class:`LintReport`.
-
-``lint_compiled`` and ``lint_loop_deep`` are the two convenience
-builders used by the CLI and the ``--lint`` pipeline gates.
+A :class:`LintTarget` names one unit of work and carries the input it
+holds — a loop's dependence graph, a machine description, or both.
+:func:`run_lint` executes every enabled rule whose artifact the target
+carries and collects the diagnostics into a :class:`LintReport`.  Lint
+compiles nothing: ``repro lint`` runs :func:`lint_machine` once and
+:func:`run_lint` over each loop's graph, and the ``--lint`` gate runs
+:func:`lint_compiled` on the inputs of a loop that was just compiled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Set
 
 from .. import obs
 from ..ddg.graph import Ddg
-from ..ddg.transform import AnnotatedDdg
 from ..machine.machine import Machine
-from ..scheduling.schedule import Schedule
 from .diagnostics import (
-    CODE_COMPILE_FAILURE,
     CODE_RULE_CRASH,
     SEVERITY_ERROR,
     SEVERITY_INFO,
     SEVERITY_WARNING,
     Diagnostic,
-    compile_failure,
     rule_crash,
 )
 from .registry import DEFAULT_CONFIG, LintConfig, applicable_rules
@@ -35,46 +30,20 @@ from .registry import DEFAULT_CONFIG, LintConfig, applicable_rules
 
 @dataclass
 class LintTarget:
-    """The artifacts available to the rules for one lint unit."""
+    """The inputs the rules read for one lint unit."""
 
     name: str = ""
     ddg: Optional[Ddg] = None
     machine: Optional[Machine] = None
-    annotated: Optional[AnnotatedDdg] = None
-    schedule: Optional[Schedule] = None
-
-    @property
-    def graph(self) -> Optional[Ddg]:
-        """The dependence graph the DDG rules inspect."""
-        if self.ddg is not None:
-            return self.ddg
-        if self.annotated is not None:
-            return self.annotated.ddg
-        return None
-
-    @property
-    def effective_machine(self) -> Optional[Machine]:
-        """The machine description, wherever it is attached."""
-        if self.machine is not None:
-            return self.machine
-        if self.annotated is not None:
-            return self.annotated.machine
-        if self.schedule is not None:
-            return self.schedule.annotated.machine
-        return None
 
     @property
     def available(self) -> Set[str]:
-        """Artifact names present on this target (rule requirements)."""
+        """Artifact names present on this target (see ``Rule.artifact``)."""
         names: Set[str] = set()
-        if self.graph is not None:
-            names.add("graph")
-        if self.effective_machine is not None:
+        if self.ddg is not None:
+            names.add("ddg")
+        if self.machine is not None:
             names.add("machine")
-        if self.annotated is not None:
-            names.add("annotated")
-        if self.schedule is not None:
-            names.add("schedule")
         return names
 
 
@@ -139,15 +108,7 @@ def lint_target(
     target: LintTarget, config: LintConfig = DEFAULT_CONFIG
 ) -> LintReport:
     """Run every applicable enabled rule over one target."""
-    return _run_rules(
-        target, config, applicable_rules(config, frozenset(target.available))
-    )
-
-
-def _run_rules(
-    target: LintTarget, config: LintConfig, rules: Sequence
-) -> LintReport:
-    """Run ``rules`` over one target into a one-target report."""
+    rules = applicable_rules(config, frozenset(target.available))
     report = LintReport(n_targets=1)
     diagnostics = report.diagnostics
     with obs.span("lint", target=target.name):
@@ -204,13 +165,12 @@ def run_lint(
 def lint_compiled(
     compiled, config: LintConfig = DEFAULT_CONFIG
 ) -> LintReport:
-    """Lint one :class:`~repro.core.driver.CompiledLoop` end to end."""
+    """Lint the inputs of one :class:`~repro.core.driver.CompiledLoop`:
+    its dependence graph and its machine (the ``--lint`` gate)."""
     target = LintTarget(
         name=compiled.ddg.name or "loop",
         ddg=compiled.ddg,
         machine=compiled.machine,
-        annotated=compiled.annotated,
-        schedule=compiled.schedule,
     )
     return lint_target(target, config)
 
@@ -221,71 +181,3 @@ def lint_machine(
     """Lint a machine description alone (MACH2xx rules)."""
     target = LintTarget(name=machine.name or "machine", machine=machine)
     return lint_target(target, config)
-
-
-def lint_loop_deep(
-    ddg: Ddg,
-    machine: Machine,
-    config: LintConfig = DEFAULT_CONFIG,
-    variant=None,
-) -> LintReport:
-    """Lint one loop through the whole pipeline.
-
-    Runs the DDG rules first; when they find errors the loop is not
-    compiled (the graph is not trustworthy enough).  Otherwise the loop
-    is compiled for ``machine`` and the rules that read a schedule
-    (SCHED406) run on it; the compiled loop's correctness is ``repro
-    certify``'s job.  The machine rules are not run here: they read
-    nothing of the loop, so :func:`lint_corpus_deep` (and ``repro lint
-    --workers``) run them once per run through :func:`lint_machine`;
-    on a machine the compile boundary rejects (``Machine.defects``) no
-    loop is compiled, so its defects are not repeated per loop.
-    A compile failure surfaces as a ``LINT002`` diagnostic rather than
-    an exception so corpus-wide runs keep going.
-    """
-    name = ddg.name or "loop"
-    report = lint_target(LintTarget(name=name, ddg=ddg), config)
-    if not report.ok or machine.defects:
-        return report
-    from ..core.driver import CompilationError, compile_loop
-    from ..core.variants import HEURISTIC_ITERATIVE
-
-    try:
-        compiled = compile_loop(
-            ddg, machine,
-            config=variant if variant is not None else HEURISTIC_ITERATIVE,
-        )
-    except (CompilationError, ValueError) as exc:
-        obs.count("lint.compile_failures")
-        report.diagnostics.append(
-            compile_failure(
-                name, exc,
-                severity=config.severity.get(
-                    CODE_COMPILE_FAILURE, SEVERITY_ERROR
-                ),
-            )
-        )
-        return report
-    target = LintTarget(name=name, schedule=compiled.schedule)
-    schedule_rules = [
-        rule
-        for rule in applicable_rules(config, frozenset(target.available))
-        if "schedule" in rule.requires
-    ]
-    scheduled = _run_rules(target, config, schedule_rules)
-    report.diagnostics.extend(scheduled.diagnostics)
-    report.rules_run += scheduled.rules_run
-    return report
-
-
-def lint_corpus_deep(
-    loops: Sequence[Ddg],
-    machine: Machine,
-    config: LintConfig = DEFAULT_CONFIG,
-    variant=None,
-) -> LintReport:
-    """Deep-lint a corpus: the machine once, then every loop."""
-    report = lint_machine(machine, config)
-    for ddg in loops:
-        report.extend(lint_loop_deep(ddg, machine, config, variant))
-    return report

@@ -1,15 +1,14 @@
 """Rule registry and per-run configuration.
 
-A *rule* checks one invariant of the compiler's inputs (or one
-property the certificate checker does not decide) and reports findings;
-an error rule reports the records of the input validators
-(:mod:`repro.ddg.validate`, :mod:`repro.machine.validate`).  Rules are registered with the :func:`rule` decorator
-under a stable code grouped by family:
+A *rule* checks one invariant of the compiler's inputs and reports
+findings; an error rule reports the records of the input validators
+(:mod:`repro.ddg.validate`, :mod:`repro.machine.validate`).  Rules are
+registered with the :func:`rule` decorator under a stable code grouped
+by family, and the family decides what the rule reads:
 
 ========== ======================================================
-``DDG1xx``    graph well-formedness of the input DDG
-``MACH2xx``   machine-description consistency
-``SCHED4xx``  schedule-shape warning
+``DDG1xx``    graph well-formedness of the input DDG (reads the graph)
+``MACH2xx``   machine-description consistency (reads the machine)
 ========== ======================================================
 
 The compiled loop itself — annotated graph, schedule, register
@@ -27,20 +26,23 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple
 
-from .diagnostics import CODE_COMPILE_FAILURE, CODE_RULE_CRASH, SEVERITIES
+from .diagnostics import CODE_RULE_CRASH, SEVERITIES
 
 #: Rule families and what they inspect.
 FAMILIES = {
     "DDG1": "DDG well-formedness",
     "MACH2": "machine description",
-    "SCHED4": "schedule shape",
 }
 
-_CODE = re.compile(r"^(DDG1|MACH2|SCHED4)\d\d$")
+#: The :class:`~repro.lint.engine.LintTarget` artifact each family's
+#: rules read, which their diagnostics also name.
+_FAMILY_ARTIFACTS = {"DDG1": "ddg", "MACH2": "machine"}
 
-#: Codes the engine itself emits (rule crash, compile failure); they
-#: may be demoted with ``severity`` like any rule's code.
-_META_CODES = (CODE_RULE_CRASH, CODE_COMPILE_FAILURE)
+_CODE = re.compile(rf"^({'|'.join(FAMILIES)})\d\d$")
+
+#: Codes the engine itself emits (a rule crash); they may be demoted
+#: with ``severity`` like any rule's code.
+_META_CODES = (CODE_RULE_CRASH,)
 
 
 class Finding(NamedTuple):
@@ -62,18 +64,19 @@ class Rule:
     name: str
     default_severity: str
     description: str
-    #: Artifact names the target must provide: any of ``graph``,
-    #: ``machine``, ``annotated``, ``schedule``.
-    requires: FrozenSet[str]
     check: CheckFn
-    #: Artifact family reported in diagnostics (``ddg``/``machine``/...).
-    artifact: str
 
     @property
     def family(self) -> str:
-        """The family prefix of this rule's code (e.g. ``SCHED4``)."""
+        """The family prefix of this rule's code (e.g. ``MACH2``)."""
         match = _CODE.match(self.code)
         return match.group(1) if match else self.code
+
+    @property
+    def artifact(self) -> str:
+        """The artifact the rule reads off its target (``ddg`` or
+        ``machine``), which its diagnostics name."""
+        return _FAMILY_ARTIFACTS[self.family]
 
 
 #: The global registry: code -> rule, populated by module import.
@@ -93,12 +96,7 @@ def invalidate_rule_caches() -> None:
 
 
 def rule(
-    code: str,
-    name: str,
-    severity: str,
-    description: str,
-    requires: Iterable[str],
-    artifact: str,
+    code: str, name: str, severity: str, description: str
 ) -> Callable[[CheckFn], CheckFn]:
     """Register a check function under a stable diagnostic code."""
     if not _CODE.match(code):
@@ -115,9 +113,7 @@ def rule(
             name=name,
             default_severity=severity,
             description=description,
-            requires=frozenset(requires),
             check=check,
-            artifact=artifact,
         )
         return check
 
@@ -140,10 +136,10 @@ def all_rules() -> List[Rule]:
 def applicable_rules(
     config: "LintConfig", available: FrozenSet[str]
 ) -> tuple:
-    """Enabled rules whose requirements ``available`` satisfies.
+    """Enabled rules whose artifact is in ``available``.
 
     Rule selection depends only on the config's select/disable sets
-    and the target's artifact availability, so the filtered tuple
+    and the target's artifacts, so the filtered tuple
     is memoized across targets — the ``--lint`` gate lints one target
     per compiled loop and would otherwise re-filter every rule each
     time.
@@ -153,14 +149,14 @@ def applicable_rules(
     if cached is None:
         cached = tuple(
             r for r in all_rules()
-            if config.is_enabled(r) and r.requires <= available
+            if config.is_enabled(r) and r.artifact in available
         )
         _APPLICABLE[key] = cached
     return cached
 
 
 def rules_in_family(prefix: str) -> List[Rule]:
-    """Rules whose code starts with ``prefix`` (e.g. ``SCHED4``)."""
+    """Rules whose code starts with ``prefix`` (e.g. ``MACH2``)."""
     return [r for r in all_rules() if r.code.startswith(prefix)]
 
 
@@ -169,7 +165,6 @@ def _load_rule_modules() -> None:
     from . import (  # noqa: F401  (imported for registration side effect)
         rules_ddg,
         rules_machine,
-        rules_sched,
     )
 
 
@@ -179,10 +174,10 @@ class LintConfig:
 
     ``disable`` wins over everything.  ``select``, when non-empty,
     restricts the run to rules whose code matches one of its entries —
-    exactly (``DDG103``) or by family prefix (``DDG1``, ``SCHED4``).
+    exactly (``DDG103``) or by family prefix (``DDG1``, ``MACH2``).
     ``severity`` maps rule codes to overridden severities.  A code that
     names no registered rule (nor, for ``disable`` and ``severity``,
-    the engine's LINT001/LINT002) raises ``ValueError``, so a misspelt
+    the engine's LINT001) raises ``ValueError``, so a misspelt
     or deleted code fails loudly instead of silently selecting nothing.
     The config is immutable and picklable so it can ride into
     experiment worker processes unchanged.

@@ -2,10 +2,10 @@
 
 The error rules report the loop validator's findings
 (:mod:`repro.ddg.validate`, read from the graph's raw node and edge
-lists through the memoized :meth:`Ddg.defects`): the same checks
-:func:`~repro.core.driver.compile_loop` rejects a loop on, so a graph
-assembled or mutated outside the constructors is caught here with every
-defect listed, where the compile boundary stops at the first.  The
+lists through the memoized :meth:`Ddg.defects`): the same checks the
+compile boundary rejects a loop on, so a graph assembled or mutated
+outside the constructors is caught here with every defect listed, where
+the compile boundary stops at the first.  The
 cycle rules need every edge to land on a node, so they report nothing
 until DDG101 is fixed.  The warnings are rules of their own.
 """
@@ -27,11 +27,10 @@ def _error_rule(code: str, name: str, description: str,
         return [
             Finding(location=error.location, message=error.detail,
                     hint=hint)
-            for error in target.graph.defects() if error.code == code
+            for error in target.ddg.defects() if error.code == code
         ]
 
-    rule(code, name, "error", description, requires=["graph"],
-         artifact="ddg")(check)
+    rule(code, name, "error", description)(check)
 
 
 _error_rule(
@@ -64,10 +63,9 @@ _error_rule(
 @rule(
     "DDG102", "duplicate-edge", "warning",
     "the same (src, dst, distance) dependence appears more than once",
-    requires=["graph"], artifact="ddg",
 )
 def check_duplicate_edges(target, config):
-    graph = target.graph
+    graph = target.ddg
     seen: Dict[Tuple[int, int, int], int] = {}
     for edge in graph.edges:
         key = (edge.src, edge.dst, edge.distance)
@@ -88,10 +86,9 @@ def check_duplicate_edges(target, config):
     "DDG104", "zero-latency-recurrence", "warning",
     "a recurrence whose cycle latency sums to 0 contributes nothing "
     "to RecMII and is almost certainly a modelling mistake",
-    requires=["graph"], artifact="ddg",
 )
 def check_zero_latency_recurrences(target, config):
-    graph = target.graph
+    graph = target.ddg
     if any(error.code == "DDG101" for error in graph.defects()):
         return
     for component in scc_components(graph):
@@ -109,10 +106,9 @@ def check_zero_latency_recurrences(target, config):
     "DDG105", "isolated-node", "warning",
     "a node with no dependence edges at all is unreachable from the "
     "rest of the loop body",
-    requires=["graph"], artifact="ddg",
 )
 def check_isolated_nodes(target, config):
-    graph = target.graph
+    graph = target.ddg
     touched = set()
     for edge in graph.edges:
         touched.add(edge.src)
@@ -132,10 +128,9 @@ def check_isolated_nodes(target, config):
     "a node's latency differs from the paper's Table 2 value for its "
     "opcode (overrides are legal for synthetic graphs, but worth "
     "knowing about)",
-    requires=["graph"], artifact="ddg",
 )
 def check_latency_table(target, config):
-    graph = target.graph
+    graph = target.ddg
     for node in graph.nodes:
         expected = latency_of(node.opcode)
         if node.latency != expected:

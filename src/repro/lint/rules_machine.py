@@ -5,8 +5,8 @@ classes unschedulable or strand values on clusters they can never
 leave.  The error rules report the machine validator's findings
 (:mod:`repro.machine.validate`, read through the machine's public
 protocol once per machine object as :attr:`Machine.defects`): the same
-checks :func:`~repro.core.driver.compile_loop` rejects a machine on,
-so a machine mutated after construction is caught here.  The warnings
+checks the compile boundary rejects a machine on, so a machine mutated
+after construction is caught here.  The warnings
 are rules of their own; a loop that needs a class MACH202 warns about
 is rejected at the compile boundary.
 """
@@ -26,12 +26,11 @@ def _error_rule(code: str, name: str, description: str,
         return [
             Finding(location=error.location, message=error.detail,
                     hint=hint)
-            for error in target.effective_machine.defects
+            for error in target.machine.defects
             if error.code == code
         ]
 
-    rule(code, name, "error", description, requires=["machine"],
-         artifact="machine")(check)
+    rule(code, name, "error", description)(check)
 
 
 _error_rule(
@@ -61,10 +60,9 @@ _error_rule(
     "MACH202", "unsupported-fu-class", "warning",
     "no cluster has a unit for some function-unit class, so every "
     "loop using that class is unschedulable on this machine",
-    requires=["machine"], artifact="machine",
 )
 def check_unsupported_fu_classes(target, config):
-    machine = target.effective_machine
+    machine = target.machine
     for fu_class in REAL_FU_CLASSES:
         error = unsupported_fu_class(machine, fu_class)
         if error is not None:
@@ -78,10 +76,9 @@ def check_unsupported_fu_classes(target, config):
     "MACH204", "portless-cluster", "warning",
     "a clustered machine where some cluster has zero communication "
     "read or write ports cannot move values in or out of it",
-    requires=["machine"], artifact="machine",
 )
 def check_portless_clusters(target, config):
-    machine = target.effective_machine
+    machine = target.machine
     if machine.is_unified:
         return
     for cluster in machine.clusters:

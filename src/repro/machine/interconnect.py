@@ -31,6 +31,8 @@ from typing import Dict, FrozenSet, Hashable, List, Sequence, Tuple
 
 import networkx as nx
 
+from .validate import empty_channel
+
 
 class Interconnect:
     """Abstract inter-cluster fabric."""
@@ -71,8 +73,9 @@ class BusInterconnect(Interconnect):
     broadcast: bool = True
 
     def __post_init__(self) -> None:
-        if self.bus_count < 1:
-            raise ValueError("a bused machine needs at least one bus")
+        error = empty_channel("bus", self.bus_count)
+        if error is not None:
+            raise error
 
     def reachable(self, src: int, dst: int) -> bool:
         return True

@@ -7,8 +7,9 @@ code: MACH201 (a cluster with no unit), MACH203 (an unroutable cluster
 pair), MACH205 (hop channels that disagree with the advertised channel
 pools) or MACH206 (a channel pool of capacity <= 0).  The defects are
 found once per machine object (:attr:`Machine.defects`); lint's error
-rules report them, and :class:`UnitMix` refuses an empty mix through
-:func:`empty_units`.
+rules report them.  :class:`UnitMix` refuses an empty mix through
+:func:`empty_units`, and :class:`BusInterconnect` a bus pool without
+buses through :func:`empty_channel`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,16 @@ def empty_units(width: int, location: str) -> Optional[ValidationError]:
     return ValidationError(
         "MACH201", location,
         f"issue width {width}: a cluster needs at least one unit",
+    )
+
+
+def empty_channel(channel, capacity: int) -> Optional[ValidationError]:
+    """MACH206: a channel pool of per-cycle capacity <= 0."""
+    if capacity > 0:
+        return None
+    return ValidationError(
+        "MACH206", f"channel {channel!r}",
+        f"channel pool {channel!r} has capacity {capacity}",
     )
 
 
@@ -76,11 +87,9 @@ def find_machine_defects(machine) -> Iterator[ValidationError]:
                         f"advertised channel pools",
                     )
     for channel, capacity in sorted(pools.items(), key=str):
-        if capacity <= 0:
-            yield ValidationError(
-                "MACH206", f"channel {channel!r}",
-                f"channel pool {channel!r} has capacity {capacity}",
-            )
+        error = empty_channel(channel, capacity)
+        if error is not None:
+            yield error
 
 
 def validate_machine(machine) -> None:

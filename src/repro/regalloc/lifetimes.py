@@ -18,7 +18,7 @@ from ..scheduling.schedule import Schedule
 class Lifetime(NamedTuple):
     """One value's live range in absolute cycles of iteration 0.
 
-    A ``NamedTuple`` rather than a dataclass: the lint gate re-extracts
+    A ``NamedTuple`` rather than a dataclass: the certify gate re-extracts
     lifetimes for every compiled loop, and tuple construction is the
     bulk of that cost.
     """

@@ -27,7 +27,7 @@ class RegisterAssignment(NamedTuple):
     """One unroll instance of one value mapped to a physical register.
 
     A ``NamedTuple``: allocations are rebuilt per compiled loop on the
-    lint gate's hot path, and one assignment exists per unroll instance
+    certify gate's hot path, and one assignment exists per unroll instance
     per lifetime.
     """
 

@@ -4,7 +4,6 @@ from .modulo import (
     DEFAULT_BUDGET_RATIO,
     SchedulerStats,
     modulo_schedule,
-    schedule_with_ii_search,
 )
 from .priority import PriorityDivergenceError, PriorityMetrics, compute_metrics
 from .schedule import Schedule
@@ -25,7 +24,6 @@ __all__ = [
     "compute_metrics",
     "modulo_schedule",
     "ordering_sets",
-    "schedule_with_ii_search",
     "stage_schedule",
     "swing_order",
     "total_lifetime",

@@ -228,21 +228,3 @@ def _modulo_schedule(
         stats.succeeded = True
     return schedule
 
-
-def schedule_with_ii_search(
-    annotated: AnnotatedDdg,
-    min_ii: int,
-    max_ii: int,
-    budget_ratio: int = DEFAULT_BUDGET_RATIO,
-) -> Optional[Schedule]:
-    """Schedule at the smallest feasible II in ``[min_ii, max_ii]``.
-
-    This is the classic modulo scheduling driver for the unified baseline;
-    clustered machines instead re-run *assignment* at each II (paper
-    Figure 5), see :mod:`repro.core.driver`.
-    """
-    for ii in range(max(1, min_ii), max_ii + 1):
-        schedule = modulo_schedule(annotated, ii, budget_ratio=budget_ratio)
-        if schedule is not None:
-            return schedule
-    return None

@@ -6,8 +6,8 @@ to serial on the corpus' millisecond-scale compile tasks):
 
 * :mod:`repro.service.pool` — the persistent work-stealing
   :class:`WorkerPool` (fork-server start, warm presets, crash recovery,
-  deadline recycle) shared by the experiment runner, ``repro lint`` /
-  ``repro certify`` ``--workers``, and the front door;
+  deadline recycle) shared by the experiment runner, ``repro certify
+  --workers``, and the front door;
 * :mod:`repro.service.tasks` — the worker-side task registry and
   prewarm;
 * :mod:`repro.service.cache` — the sharded content-addressed result

@@ -1,9 +1,9 @@
 """Persistent fork-server worker pool with work-stealing dispatch.
 
 The one process-fan-out implementation in the repository: the
-experiment runner (:mod:`repro.analysis.experiment`), the ``repro lint``
-/ ``repro certify`` ``--workers`` paths, and the compile service's async
-front door all dispatch through a :class:`WorkerPool`.
+experiment runner (:mod:`repro.analysis.experiment`), the ``repro
+certify --workers`` path, and the compile service's async front door
+all dispatch through a :class:`WorkerPool`.
 
 Why not ``ProcessPoolExecutor``?  The corpus' per-loop compiles are a
 few milliseconds each, so cold per-run pool startup and per-call
@@ -569,7 +569,7 @@ def shared_pool(workers: int = 1) -> WorkerPool:
     """The process-wide warm pool, grown to at least ``workers``.
 
     The first caller pays pool startup; every later dispatch — another
-    experiment run, a lint sweep, the async front door — reuses the
+    experiment run, a certify sweep, the async front door — reuses the
     same warm workers.  The pool is shut down at interpreter exit.
     """
     global _shared

@@ -19,8 +19,6 @@ Registered tasks:
 ``engine_chunk``
     One chunk of experiment loops
     (:func:`repro.analysis.experiment._run_chunk`).
-``lint_loop``
-    Deep-lint one loop (the ``repro lint --workers`` unit).
 ``certify_loop``
     Compile + certify one loop (the ``repro certify --workers`` unit).
 ``compile_batch``
@@ -124,14 +122,6 @@ def engine_chunk(payload):
     return _run_chunk(payload)
 
 
-def lint_loop(payload):
-    """Deep-lint one loop: payload is (ddg, machine, config, variant)."""
-    from ..lint import lint_loop_deep
-
-    ddg, machine, config, variant = payload
-    return lint_loop_deep(ddg, machine, config, variant)
-
-
 def certify_loop(payload):
     """Compile + certify one loop into a lint-style report."""
     from ..certify.gate import certify_loop_report
@@ -183,7 +173,6 @@ TASKS: Dict[str, Callable] = {
     "ping": ping,
     "sleep": sleep,
     "engine_chunk": engine_chunk,
-    "lint_loop": lint_loop,
     "certify_loop": certify_loop,
     "compile_batch": compile_batch,
 }

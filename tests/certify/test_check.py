@@ -11,10 +11,10 @@ import dataclasses
 import pytest
 
 from repro.certify import emit_certificate
-from repro.certify.check import check_certificate
+from repro.certify.check import CertIssue, check_certificate
 from repro.core import compile_loop
 from repro.machine import four_cluster_grid, two_cluster_gp
-from repro.workloads import bundled_corpus
+from repro.workloads import build_kernel, bundled_corpus
 
 
 def codes(issues):
@@ -125,6 +125,33 @@ class TestSeededDefects:
         )
         issues = check_certificate(forged, ddg, two_gp)
         assert "CERT603" in codes(issues)
+
+    def test_copy_hop_off_the_fabric(self, grid):
+        # Retarget a copy at the cluster its source has no link to (the
+        # grid's diagonal).  The emitter refuses to witness such a copy,
+        # so only a forged certificate reaches the checker's hop check.
+        ddg = build_kernel("lk1_hydro")
+        cert = emit_certificate(compile_loop(ddg, grid))
+        copy = cert.assignment.copies[0]
+        (diagonal,) = [
+            cluster for cluster in grid.cluster_indices
+            if cluster != copy.src_cluster
+            and not grid.interconnect.reachable(copy.src_cluster, cluster)
+        ]
+        forged = dataclasses.replace(
+            cert,
+            assignment=dataclasses.replace(
+                cert.assignment,
+                copies=(dataclasses.replace(copy, targets=(diagonal,)),)
+                + cert.assignment.copies[1:],
+            ),
+        )
+        issues = check_certificate(forged, ddg, grid)
+        assert CertIssue(
+            "CERT603", f"copy {copy.copy_id}",
+            f"hop {copy.src_cluster}->{diagonal} is not legal on this "
+            f"interconnect",
+        ) in issues
 
     def test_tampered_cluster_assignment(self, compiled_intro):
         cert = emit_certificate(compiled_intro)

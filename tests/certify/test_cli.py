@@ -162,20 +162,6 @@ class TestDeterministicFanOut:
         assert rc == 0
         assert fanned == serial
 
-    @pytest.mark.parametrize("fmt", ["json", "sarif"])
-    def test_lint_workers_byte_identical(
-        self, corpus_file, fmt, capsys
-    ):
-        rc = main(["lint", corpus_file, "--format", fmt])
-        serial = capsys.readouterr().out
-        assert rc == 0
-        rc = main([
-            "lint", corpus_file, "--format", fmt, "--workers", "2",
-        ])
-        fanned = capsys.readouterr().out
-        assert rc == 0
-        assert fanned == serial
-
 
 class TestPipelineGates:
     def test_compile_certify_reports(self, clean_loop_file, capsys):

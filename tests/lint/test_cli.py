@@ -54,8 +54,7 @@ class TestLintCommand:
 
     def test_disable_silences_a_rule(self, defective_loop_file, capsys):
         rc = main([
-            "lint", defective_loop_file, "--fast",
-            "--disable", "DDG103",
+            "lint", defective_loop_file, "--disable", "DDG103",
         ])
         capsys.readouterr()
         assert rc == 0
@@ -64,7 +63,7 @@ class TestLintCommand:
         self, defective_loop_file, capsys
     ):
         rc = main([
-            "lint", defective_loop_file, "--fast",
+            "lint", defective_loop_file,
             "--severity", "DDG103=warning", "--format", "json",
         ])
         doc = json.loads(capsys.readouterr().out)
@@ -74,14 +73,11 @@ class TestLintCommand:
     def test_malformed_severity_flag_rejected(self, clean_loop_file):
         with pytest.raises(SystemExit):
             main([
-                "lint", clean_loop_file, "--fast",
-                "--severity", "DDG103",
+                "lint", clean_loop_file, "--severity", "DDG103",
             ])
 
     def test_fast_pass_emits_json(self, clean_loop_file, capsys):
-        rc = main([
-            "lint", clean_loop_file, "--fast", "--format", "json",
-        ])
+        rc = main(["lint", clean_loop_file, "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert doc["summary"]["ok"] is True
@@ -110,6 +106,26 @@ class TestLintCommand:
             assert rc == 0, doc
             assert doc["summary"]["errors"] == 0
 
+    def test_compiles_nothing(self, monkeypatch, capsys):
+        # Lint reads inputs only: the machine once and every loop's
+        # graph, while any compile would raise.
+        from repro.workloads import all_kernels, paper_suite
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("repro lint compiled a loop")
+
+        monkeypatch.setattr("repro.core.driver.compile_loop", refuse)
+        monkeypatch.setattr("repro.cli.compile_loop", refuse)
+        loops = {ddg.name for ddg in paper_suite(200) + all_kernels()}
+        for machine in ("2gp", "grid"):
+            rc = main([
+                "lint", "--suite", "200", "--kernels",
+                "--machine", machine, "--format", "json",
+            ])
+            doc = json.loads(capsys.readouterr().out)
+            assert rc == 0, doc
+            assert doc["summary"]["targets"] == 1 + len(loops)
+
 
 class TestRuleSelection:
     def test_rule_prefix_scopes_the_run(
@@ -118,13 +134,13 @@ class TestRuleSelection:
         # The loop carries a DDG103 defect, but a MACH2-only run must
         # not see it...
         rc = main([
-            "lint", defective_loop_file, "--fast", "--rule", "MACH2",
+            "lint", defective_loop_file, "--rule", "MACH2",
         ])
         capsys.readouterr()
         assert rc == 0
         # ...while selecting its own family keeps the gate shut.
         rc = main([
-            "lint", defective_loop_file, "--fast", "--rule", "DDG1",
+            "lint", defective_loop_file, "--rule", "DDG1",
         ])
         capsys.readouterr()
         assert rc == 1
@@ -134,7 +150,7 @@ class TestRuleSelection:
         path = tmp_path / "cycle-and-island.loop"
         path.write_text(DEFECTIVE_LOOP + "c: alu\n")
         rc = main([
-            "lint", str(path), "--fast", "--format", "json",
+            "lint", str(path), "--format", "json",
             "--rule", "DDG103", "--rule", "DDG105",
         ])
         doc = json.loads(capsys.readouterr().out)
@@ -160,21 +176,22 @@ class TestUnknownCodes:
 
     def test_rule_flag(self, clean_loop_file):
         self._rejects(
-            ["lint", clean_loop_file, "--fast", "--rule", "DF74"], "DF74"
+            ["lint", clean_loop_file, "--rule", "DF74"], "DF74"
         )
 
     def test_disable_flag(self, clean_loop_file):
         self._rejects(
-            ["lint", clean_loop_file, "--fast", "--disable", "DF701"],
+            ["lint", clean_loop_file, "--disable", "DF701"],
             "DF701",
         )
 
     def test_severity_flag(self, clean_loop_file):
-        self._rejects(
-            ["lint", clean_loop_file, "--fast",
-             "--severity", "SCHED490=warning"],
-            "SCHED490",
-        )
+        # Deleted codes, and LINT002, which only certify reports.
+        for code in ("SCHED490", "SCHED406", "LINT002"):
+            self._rejects(
+                ["lint", clean_loop_file, "--severity", f"{code}=warning"],
+                code,
+            )
 
     def test_certify_severity_flag(self, clean_loop_file):
         # certify reports CERT6xx and LINT002 only; a lint code is

@@ -2,17 +2,12 @@
 
 import pytest
 
-from repro.core import CompilationError
 from repro.lint import (
-    CODE_COMPILE_FAILURE,
     CODE_RULE_CRASH,
-    DEFAULT_CONFIG,
     LintConfig,
     LintReport,
     LintTarget,
     lint_compiled,
-    lint_corpus_deep,
-    lint_loop_deep,
     lint_machine,
     lint_target,
 )
@@ -23,13 +18,6 @@ from repro.lint.registry import (
     all_rules,
     invalidate_rule_caches,
 )
-from repro.machine import (
-    ClusterSpec,
-    Machine,
-    PointToPointInterconnect,
-    gp_units,
-)
-from repro.service.tasks import lint_loop
 
 
 class TestTargetAvailability:
@@ -37,23 +25,10 @@ class TestTargetAvailability:
         assert LintTarget().available == set()
 
     def test_ddg_only(self, chain3):
-        assert LintTarget(ddg=chain3).available == {"graph"}
+        assert LintTarget(ddg=chain3).available == {"ddg"}
 
     def test_machine_only(self, two_gp):
         assert LintTarget(machine=two_gp).available == {"machine"}
-
-    def test_annotated_exposes_graph_and_machine(self, compiled_chain):
-        target = LintTarget(annotated=compiled_chain.annotated)
-        assert target.available == {"graph", "machine", "annotated"}
-        assert target.graph is compiled_chain.annotated.ddg
-        assert target.effective_machine is compiled_chain.machine
-
-    def test_schedule_exposes_machine_but_not_graph(self, compiled_chain):
-        # A schedule-only target carries its machine (the schedule's
-        # annotated graph names it) but not the input graph: the
-        # annotated graph differs from the input graph (copies).
-        target = LintTarget(schedule=compiled_chain.schedule)
-        assert target.available == {"machine", "schedule"}
 
 
 class TestLintTarget:
@@ -81,8 +56,7 @@ class TestLintTarget:
 
         crashing = Rule(
             code="DDG199", name="crash-test", default_severity="error",
-            description="always crashes", requires=frozenset({"graph"}),
-            check=explode, artifact="ddg",
+            description="always crashes", check=explode,
         )
         RULES[crashing.code] = crashing
         invalidate_rule_caches()
@@ -141,103 +115,3 @@ class TestLintReport:
         with pytest.raises(ValueError):
             Diagnostic(code="DDG101", severity="fatal", message="m")
 
-
-class TestDeepLint:
-    def test_clean_loop_single_logical_target(self, chain3, two_gp):
-        report = lint_loop_deep(chain3, two_gp)
-        assert report.ok
-        assert report.n_targets == 1
-
-    def test_graph_errors_skip_compilation(self, two_gp):
-        from repro.ddg import Ddg, Opcode
-
-        graph = Ddg(name="combinational")
-        a = graph.add_node(Opcode.ALU)
-        b = graph.add_node(Opcode.ALU)
-        graph.add_edge(a, b, distance=0)
-        graph.add_edge(b, a, distance=0)
-        report = lint_loop_deep(graph, two_gp)
-        assert [d.code for d in report.errors] == ["DDG103"]
-        # No schedule-level diagnostics: the pipeline never ran.
-        assert not any(
-            d.code.startswith("SCHED4") for d in report.diagnostics
-        )
-
-    def test_compile_failure_becomes_lint002(
-        self, chain3, two_gp, monkeypatch
-    ):
-        import repro.core.driver as driver
-
-        def refuse(*args, **kwargs):
-            raise CompilationError("no schedule found")
-
-        monkeypatch.setattr(driver, "compile_loop", refuse)
-        report = lint_loop_deep(chain3, two_gp)
-        assert [d.code for d in report.errors] == [CODE_COMPILE_FAILURE]
-
-    def test_corpus_lints_machine_once(self, chain3, accumulator, two_gp):
-        report = lint_corpus_deep([chain3, accumulator], two_gp)
-        assert report.ok
-        # machine target + one logical target per loop
-        assert report.n_targets == 3
-
-
-class TestDeepLintReportsOnce:
-    """Deep lint runs the machine rules once per run, the graph rules
-    once per loop, and only the schedule rules on the compiled loop."""
-
-    @staticmethod
-    def _stranded_machine():
-        """Cluster 1 is off the fabric: the only link joins 0 and 2,
-        so the pairs 0-1 and 1-2 are unroutable (two MACH203s).  The
-        compile boundary rejects the machine, so no loop is compiled."""
-        return Machine(
-            clusters=tuple(ClusterSpec(i, gp_units(2)) for i in range(3)),
-            interconnect=PointToPointInterconnect(links=[(0, 2)]),
-            name="stranded",
-        )
-
-    def test_crashing_graph_rule_reported_once_per_loop(
-        self, chain3, accumulator, two_gp
-    ):
-        def explode(target, config):
-            raise RuntimeError("boom")
-
-        RULES["DDG199"] = Rule(
-            code="DDG199", name="crash-test", default_severity="error",
-            description="always crashes", requires=frozenset({"graph"}),
-            check=explode, artifact="ddg",
-        )
-        invalidate_rule_caches()
-        try:
-            # Demoted, the crash no longer stops the loop compiling.
-            config = LintConfig(severity={CODE_RULE_CRASH: "warning"})
-            report = lint_corpus_deep([chain3, accumulator], two_gp, config)
-        finally:
-            del RULES["DDG199"]
-            invalidate_rule_caches()
-        crashes = [
-            d.loop for d in report.diagnostics if d.code == CODE_RULE_CRASH
-        ]
-        assert sorted(crashes) == sorted([chain3.name, accumulator.name])
-        assert report.ok
-
-    def test_stranded_cluster_reported_once_per_run(
-        self, chain3, accumulator
-    ):
-        machine = self._stranded_machine()
-        report = lint_corpus_deep([chain3, accumulator], machine)
-        unroutable = [
-            (d.loop, d.location)
-            for d in report.diagnostics if d.code == "MACH203"
-        ]
-        assert unroutable == [
-            ("stranded", "clusters 0<->1"), ("stranded", "clusters 1<->2"),
-        ]
-        # No loop was compiled on the rejected machine, so no LINT002
-        # repeats its defect per loop, and no other finding either.
-        assert report.codes() == ["MACH203"]
-        # The pool task of ``repro lint --workers`` is one loop's
-        # share: no machine findings (the parent lints the machine).
-        loop_report = lint_loop((chain3, machine, DEFAULT_CONFIG, None))
-        assert loop_report.diagnostics == []

@@ -1,21 +1,24 @@
 """Exit-code semantics: nonzero only for surviving errors.
 
 A report is "failing" exactly when error-severity diagnostics remain
-after config overrides — demoting LINT001/LINT002 (rule crash, compile
-failure) to warnings must unblock the exit code, and ``--exit-zero``
-reports without ever gating.
+after config overrides — demoting lint's LINT001 (rule crash) or
+``repro certify``'s LINT002 (compile failure) to a warning must unblock
+the exit code, and ``--exit-zero`` reports without ever gating.
 """
 
 import pytest
 
-from repro.cli import main
-from repro.core import CompilationError
-from repro.lint import (
+from repro.certify.gate import (
     CODE_COMPILE_FAILURE,
+    DEFAULT_CERTIFY,
+    certify_loop_report,
+)
+from repro.cli import main
+from repro.core import HEURISTIC_ITERATIVE, CompilationError
+from repro.lint import (
     CODE_RULE_CRASH,
     LintConfig,
     LintTarget,
-    lint_loop_deep,
     lint_target,
 )
 from repro.lint.registry import RULES, Rule, invalidate_rule_caches
@@ -41,7 +44,7 @@ def crashing_rule():
     rule = Rule(
         code="DDG198", name="crash-demotion-test",
         default_severity="error", description="always crashes",
-        requires=frozenset({"graph"}), check=explode, artifact="ddg",
+        check=explode,
     )
     RULES[rule.code] = rule
     invalidate_rule_caches()
@@ -78,10 +81,10 @@ class TestSeverityDemotion:
             raise CompilationError("no schedule found")
 
         monkeypatch.setattr(driver, "compile_loop", refuse)
-        config = LintConfig(
-            severity={CODE_COMPILE_FAILURE: "warning"}
+        report = certify_loop_report(
+            chain3, two_gp, HEURISTIC_ITERATIVE, DEFAULT_CERTIFY,
+            {CODE_COMPILE_FAILURE: "warning"},
         )
-        report = lint_loop_deep(chain3, two_gp, config)
         assert [d.code for d in report.warnings] == \
             [CODE_COMPILE_FAILURE]
         assert report.ok
@@ -107,11 +110,10 @@ class TestExitZero:
     def test_cli_severity_demotion_of_lint002(
         self, defective_loop_file, capsys
     ):
-        # The cyclic loop fails DDG lint; silence the graph rule and
-        # demote the resulting compile failure: report-only run.
+        # The cyclic loop does not compile, so certify reports LINT002;
+        # demoted, it no longer gates: report-only run.
         rc = main([
-            "lint", defective_loop_file,
-            "--disable", "DDG103",
+            "certify", defective_loop_file,
             "--severity", "LINT002=warning",
             "--format", "json",
         ])
@@ -120,3 +122,4 @@ class TestExitZero:
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0, doc
         assert doc["summary"]["errors"] == 0
+        assert [d["code"] for d in doc["diagnostics"]] == ["LINT002"]

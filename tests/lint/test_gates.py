@@ -120,13 +120,12 @@ class TestEngineGate:
         # replays the codes its day's rules emitted, so registering (or
         # deleting) a rule must change the fingerprint.
         rule(
-            "SCHED499", "fingerprint-probe", "info", "registered by a test",
-            requires=["graph"], artifact="ddg",
+            "DDG199", "fingerprint-probe", "info", "registered by a test",
         )(lambda target, config: ())
         try:
             assert lint_fingerprint(DEFAULT_CONFIG) != a
         finally:
-            del RULES["SCHED499"]
+            del RULES["DDG199"]
             invalidate_rule_caches()
         assert lint_fingerprint(DEFAULT_CONFIG) == a
 
@@ -147,12 +146,12 @@ class TestEngineGate:
         outcome = LoopOutcome(
             loop_name="x", unified_ii=3, clustered_ii=4, copies=2,
             lint_errors=1, lint_warnings=2,
-            lint_codes=("DDG102", "SCHED406"),
+            lint_codes=("DDG102", "DDG105"),
         )
         cache.put("key", dataclasses.asdict(outcome))
         loaded = LoopOutcome.from_doc(cache.get("key"))
         assert loaded == outcome
-        assert loaded.lint_codes == ("DDG102", "SCHED406")
+        assert loaded.lint_codes == ("DDG102", "DDG105")
 
     def test_cached_run_replays_lint_fields(
         self, island_loop, two_gp, tmp_path

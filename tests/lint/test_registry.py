@@ -13,10 +13,10 @@ from repro.lint import (
 )
 
 CODE_PATTERN = re.compile(
-    r"^(DDG1|MACH2|SCHED4)\d\d$"
+    r"^(DDG1|MACH2)\d\d$"
 )
 
-KNOWN_ARTIFACTS = {"graph", "machine", "annotated", "schedule"}
+KNOWN_ARTIFACTS = {"ddg", "machine"}
 
 
 class TestRegistry:
@@ -36,7 +36,7 @@ class TestRegistry:
     def test_rule_count_is_stable(self):
         # Adding a rule is fine -- bump this count alongside the
         # docs/LINTING.md catalog so they cannot drift apart.
-        assert len(all_rules()) == 16
+        assert len(all_rules()) == 15
 
     def test_family_property_matches_prefix(self):
         for rule in all_rules():
@@ -45,7 +45,7 @@ class TestRegistry:
 
     def test_requirements_name_known_artifacts(self):
         for rule in all_rules():
-            assert rule.requires <= KNOWN_ARTIFACTS, rule.code
+            assert rule.artifact in KNOWN_ARTIFACTS, rule.code
 
     def test_descriptions_and_names_present(self):
         for rule in all_rules():
@@ -72,8 +72,8 @@ class TestLintConfig:
         assert not config.is_enabled(self._rule("DDG101"))
 
     def test_select_implies_enablement_but_disable_wins(self):
-        config = LintConfig(select=frozenset({"SCHED406"}))
-        assert config.is_enabled(self._rule("SCHED406"))
+        config = LintConfig(select=frozenset({"MACH204"}))
+        assert config.is_enabled(self._rule("MACH204"))
         config = LintConfig(
             select=frozenset({"DDG1"}), disable=frozenset({"DDG101"})
         )
@@ -101,10 +101,10 @@ class TestLintConfig:
                 LintConfig(**{field: value})
 
     def test_select_must_prefix_a_rule(self):
-        for entry in ("DF74", "DF7", "LINT001", "DDG1x"):
+        for entry in ("DF74", "DF7", "LINT001", "DDG1x", "SCHED4"):
             with pytest.raises(ValueError, match=entry):
                 LintConfig(select=frozenset({entry}))
-        assert LintConfig(select=frozenset({"MACH", "SCHED406"}))
+        assert LintConfig(select=frozenset({"MACH", "DDG109"}))
 
     def test_config_is_hashable_and_picklable(self):
         import pickle

@@ -57,7 +57,7 @@ SARIF_SCHEMA = {
                                                     "type": "string",
                                                     "pattern": (
                                                         "^(DDG1|MACH2|"
-                                                        "SCHED4|CERT6)"
+                                                        "CERT6)"
                                                         "[0-9]{2}$"
                                                     ),
                                                 },

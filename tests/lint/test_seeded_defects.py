@@ -12,8 +12,7 @@ graph, schedule, register allocation) are certify's:
 
 import pytest
 
-from repro.core import compile_loop
-from repro.ddg import Ddg, Opcode, build_ddg
+from repro.ddg import Ddg, Opcode
 from repro.ddg.graph import Edge
 from repro.lint import LintConfig, LintTarget, all_rules, lint_target
 from repro.lint.registry import RULES
@@ -214,22 +213,6 @@ def _zero_capacity_channel():
         name="broken-bus",
     )
     return _machine_target(machine)
-
-
-@seed("SCHED406")
-def _runaway_start():
-    loop = build_ddg(
-        ops=[("ld", Opcode.LOAD), ("mul", Opcode.FP_MULT),
-             ("st", Opcode.STORE)],
-        deps=[("ld", "mul", 0), ("mul", "st", 0)],
-        name="runaway",
-    )
-    schedule = compile_loop(loop, two_cluster_gp()).schedule
-    # The store drifts 100 cycles late: legal, but far past the
-    # 2 + 3 + 1 serial-chain bound.
-    store = max(schedule.start, key=schedule.start.get)
-    schedule.start[store] += 100
-    return LintTarget(name=loop.name, schedule=schedule)
 
 
 class TestSeededDefects:

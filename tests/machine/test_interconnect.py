@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ddg.validate import ValidationError
 from repro.machine import (
     BusInterconnect,
     NoInterconnect,
@@ -29,8 +30,9 @@ class TestBus:
         assert BusInterconnect(bus_count=2).channel_for_hop(0, 1) == "bus"
 
     def test_zero_buses_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError) as exc:
             BusInterconnect(bus_count=0)
+        assert exc.value.code == "MACH206"
 
 
 class TestPointToPoint:

@@ -8,7 +8,6 @@ from repro.scheduling import (
     SchedulerStats,
     assert_valid,
     modulo_schedule,
-    schedule_with_ii_search,
 )
 
 
@@ -87,23 +86,22 @@ class TestResourceContention:
 
 class TestIiSearch:
     def test_search_finds_minimum(self, intro_example, uni8):
-        annotated = _annotate(intro_example, uni8)
-        schedule = schedule_with_ii_search(annotated, min_ii=1, max_ii=10)
-        assert schedule is not None
-        assert schedule.ii == 4  # RecMII of the intro example
-
-    def test_search_respects_bounds(self, intro_example, uni8):
-        annotated = _annotate(intro_example, uni8)
-        assert schedule_with_ii_search(annotated, 1, 3) is None
+        # Started below the RecMII, compile_loop's search fails cleanly
+        # at IIs 1-3 and stops at the first feasible one.
+        from repro.core import compile_loop
+        compiled = compile_loop(intro_example, uni8, min_ii=1)
+        assert compiled.ii == 4  # RecMII of the intro example
+        assert compiled.attempts == 4
 
     def test_search_matches_mii_for_kernels(self, uni8):
+        # The unified baseline's II search is compile_loop's: every
+        # kernel schedules within 8 cycles of its MII.
+        from repro.core import compile_loop
         from repro.workloads import all_kernels
         for graph in all_kernels():
-            annotated = _annotate(graph, uni8)
-            lower = mii(graph, uni8)
-            schedule = schedule_with_ii_search(annotated, lower, lower + 8)
-            assert schedule is not None
-            assert_valid(schedule)
+            compiled = compile_loop(graph, uni8)
+            assert compiled.ii <= mii(graph, uni8) + 8
+            assert_valid(compiled.schedule)
 
 
 class TestBudget:

@@ -91,7 +91,6 @@ def _sleep(pool, monkeypatch, capsys):
 #: Task name -> a case that dispatches it the way its real caller does.
 CASES = {
     "engine_chunk": _engine_chunk,
-    "lint_loop": _cli("lint"),
     "certify_loop": _cli("certify"),
     "compile_batch": _compile_batch,
     "ping": _ping,
