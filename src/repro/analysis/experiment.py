@@ -41,7 +41,6 @@ on the unified and the clustered machine.
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -400,27 +399,23 @@ def _run_chunk(payload: Tuple) -> Tuple:
     Returns ``(records, events, meta)`` where ``records`` is the
     chunk's list of ``(suite_index, outcome, baseline_seconds)``,
     ``events`` is the worker trace's serialized event list (None when
-    the parent was not tracing), and ``meta`` carries the worker-side
-    correlation facts — pid, trace id, the worker trace's wall-clock
-    epoch, and the chunk's execute wall time — that let the parent
-    rebase the grafted spans onto its own timeline and split queue wait
-    from execution.
+    the parent was not tracing), and ``meta`` carries the worker
+    trace's id and wall-clock epoch, which let the parent rebase the
+    grafted spans onto its own timeline.  The worker pid and the queue
+    wait / execute split come from the pool's ``TaskResult``.
     """
     items, job, want_trace = payload
     trace = obs.Trace() if want_trace else None
     meta = None
     if trace is not None:
         obs.install(trace)
-    started = time.perf_counter()
     try:
         records = list(_measure_items(items, job))
         events = obs.trace_events(trace) if trace is not None else None
         if trace is not None:
             meta = {
-                "pid": os.getpid(),
                 "trace_id": trace.trace_id,
                 "epoch_wall": trace.epoch_wall,
-                "execute_s": time.perf_counter() - started,
             }
     finally:
         if trace is not None:

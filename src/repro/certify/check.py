@@ -26,7 +26,7 @@ cyclic-interval bitmask packing for register lifetimes.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .witness import Certificate, RecMiiWitness, resource_key_str
 
@@ -272,18 +272,24 @@ def _op_keys(machine, ddg, opcode_str: str, cluster: int) -> List[str]:
     return keys
 
 
-def _copy_resources(cert: Certificate, machine, copy) -> List[str]:
-    """Independent recomputation of one copy's resource pools."""
+def _copy_resources(cert: Certificate, machine, copy) -> Optional[List[str]]:
+    """Independent recomputation of one copy's resource pools.
+
+    None when the machine refuses the copy (a hop off the fabric, a
+    target equal to the source): CERT603 reports it, and the recounts
+    of CERT602 and CERT605 leave it out.
+    """
     memo = _memo_for(machine).setdefault("copy", {})
     key = (copy.src_cluster, copy.targets)
     keys = memo.get(key)
     if keys is None:
-        keys = [
-            resource_key_str(k)
-            for k in machine.copy_hop_resources(
+        try:
+            pools = machine.copy_hop_resources(
                 copy.src_cluster, list(copy.targets)
             )
-        ]
+        except ValueError:
+            return None
+        keys = [resource_key_str(k) for k in pools]
         memo[key] = keys
     return keys
 
@@ -633,7 +639,7 @@ def _sched_resource_demand(
     uses: Dict[str, int] = {}
     for node_id, opcode, _ in cert.graph.nodes:
         if node_id in copies:
-            keys = _copy_resources(cert, machine, copies[node_id])
+            keys = _copy_resources(cert, machine, copies[node_id]) or ()
         else:
             keys = _op_keys(machine, ddg, opcode, cluster_of[node_id])
         for key in keys:
@@ -688,7 +694,13 @@ def _check_assignment(cert: Certificate, ddg, machine, issues) -> None:
                 break
         else:
             recomputed = _copy_resources(cert, machine, copy)
-            if list(copy.resources) != recomputed:
+            if recomputed is None:
+                add(CertIssue(
+                    "CERT603", where,
+                    f"the machine refuses a copy from cluster "
+                    f"{copy.src_cluster} to {list(copy.targets)}",
+                ))
+            elif list(copy.resources) != recomputed:
                 add(CertIssue(
                     "CERT603", where,
                     f"claims resources {list(copy.resources)}, machine "
@@ -859,7 +871,7 @@ def _check_occupancy(cert: Certificate, ddg, machine, issues) -> None:
         if cycle is None or cluster is None:
             return  # structure already reported elsewhere
         if node_id in copies:
-            keys = _copy_resources(cert, machine, copies[node_id])
+            keys = _copy_resources(cert, machine, copies[node_id]) or ()
         else:
             keys = _op_keys(machine, ddg, opcode, cluster)
         row = cycle % ii

@@ -5,9 +5,8 @@ Subcommands:
 * ``compile`` — read a loop in the textual format of
   :mod:`repro.ddg.parse`, assign + schedule it for a chosen machine,
   print the assignment, kernel, copies, and register pressure
-  (``--trace`` adds the span tree, ``--trace-out`` a JSONL event log).
-* ``trace`` — compile one loop with tracing on and print only the
-  observability report (see ``docs/OBSERVABILITY.md``).
+  (``--trace`` adds the span tree, phase profile and counters of
+  ``docs/OBSERVABILITY.md``, ``--trace-out`` a JSONL event log).
 * ``stats`` — print the Table 1 statistics of the evaluation suite.
 * ``experiment`` — run one clustered configuration against its unified
   baseline over the suite and print the II-deviation histogram
@@ -22,6 +21,8 @@ Subcommands:
   compilation certificates (see ``docs/CERTIFICATES.md``); ``--exact``
   additionally runs the bounded II-tightness oracle.  Renders through
   the same text/JSON/SARIF renderers as ``lint``.
+* ``campaign`` — regenerate every paper table and figure as one
+  markdown report.
 
 ``compile`` and ``experiment`` also accept ``--lint[=strict]`` and
 ``--certify[=strict]`` to run the analyzer / certificate verifier as
@@ -29,10 +30,10 @@ gates on every compiled artifact.  ``certify`` accepts ``--workers
 N`` to fan loops out over worker processes; the merged report is
 byte-identical to a serial run.
 
-A loop file that cannot be read or parsed, a loop that ``compile`` or
-``trace`` rejects at the compile boundary (``PATH: CODE location:
-message``), or an unknown machine name, exits with a one-line message
-instead of a traceback.  Performance is measured outside the CLI, by
+A loop file that cannot be read or parsed, a loop that ``compile``
+rejects at the compile boundary (``PATH: CODE location: message``), or
+an unknown machine name, exits with a one-line message instead of a
+traceback.  Performance is measured outside the CLI, by
 the benchmark ledger (``docs/PERFORMANCE.md``).
 """
 
@@ -53,7 +54,8 @@ from .analysis import (
 )
 from .analysis.registers import format_pressure, register_pressure
 from .codegen import expand_pipeline, format_kernel_only, format_pipelined
-from .core import ALL_VARIANTS, CompilationError, compile_loop
+from .core import CompilationError, compile_loop
+from .core.variants import VARIANTS_BY_SLUG
 from .ddg.dot import annotated_to_dot
 from .ddg.graph import Ddg
 from .ddg.parse import parse_loop
@@ -70,9 +72,6 @@ from .workloads import (
 #: warm workers (:data:`repro.machine.STANDARD_PRESETS`), so a preset
 #: named on the command line resolves against pre-built state there.
 MACHINES: Dict[str, Callable[[], Machine]] = STANDARD_PRESETS
-
-VARIANTS = {config.name.lower().replace(" ", "-"): config
-            for config in ALL_VARIANTS}
 
 
 def _machine(name: str) -> Machine:
@@ -153,7 +152,7 @@ def _emit_trace(trace: Optional[obs.Trace],
 def _cmd_compile(args: argparse.Namespace) -> int:
     loop = _read_loop(args)
     machine = _machine(args.machine)
-    config = VARIANTS[args.variant]
+    config = VARIANTS_BY_SLUG[args.variant]
     lint_config = (
         _lint_config_from_args(args) if args.lint is not None else None
     )
@@ -253,30 +252,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    loop = _read_loop(args)
-    machine = _machine(args.machine)
-    config = VARIANTS[args.variant]
-    try:
-        with obs.tracing() as trace:
-            result = compile_loop(loop, machine, config=config)
-    except CompilationError as exc:
-        print(f"compilation failed: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        raise SystemExit(f"{args.loop}: {exc}")
-    print(f"machine: {machine}")
-    print(f"II = {result.ii} (MII: {result.mii}, "
-          f"attempts: {result.attempts})")
-    print()
-    print(obs.format_trace_report(trace))
-    if args.out:
-        n_events = obs.write_jsonl(trace, args.out)
-        print()
-        print(f"wrote {args.out} ({n_events} events)")
-    return 0
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     loops = paper_suite(args.loops)
     print(suite_statistics(loops).format_table())
@@ -296,7 +271,7 @@ def _engine_options(args: argparse.Namespace) -> EngineOptions:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     loops = paper_suite(args.loops)
     machine = _machine(args.machine)
-    config = VARIANTS[args.variant]
+    config = VARIANTS_BY_SLUG[args.variant]
     lint_config = (
         _lint_config_from_args(args) if args.lint is not None else None
     )
@@ -467,12 +442,9 @@ def _certify_config_from_args(args: argparse.Namespace):
     """Build a :class:`repro.certify.CertifyConfig` from parsed flags."""
     from .certify.gate import CertifyConfig
 
-    exact = getattr(args, "exact", False)
-    if getattr(args, "fast", False):
-        exact = False
     return CertifyConfig(
         strict=getattr(args, "certify", None) == "strict",
-        exact=exact,
+        exact=getattr(args, "exact", False),
         exact_node_budget=getattr(args, "exact_budget", 12),
         exact_backtrack_budget=getattr(args, "exact_backtracks", 20000),
     )
@@ -541,7 +513,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     from .lint.engine import LintReport
 
     machine = _machine(args.machine)
-    variant = VARIANTS[args.variant]
+    variant = VARIANTS_BY_SLUG[args.variant]
     severity = _certify_severity(args)
     loops = _lint_loops(args)
     certify_config = _certify_config_from_args(args)
@@ -700,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compile_parser.add_argument(
         "--variant", default="heuristic-iterative",
-        choices=sorted(VARIANTS),
+        choices=sorted(VARIANTS_BY_SLUG),
     )
     compile_parser.add_argument(
         "--dot", default=None, metavar="FILE",
@@ -721,25 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lint_select_flags(compile_parser)
     compile_parser.set_defaults(func=_cmd_compile)
 
-    trace_parser = sub.add_parser(
-        "trace",
-        help="compile one loop with tracing on and print the span "
-             "tree, phase profile, and counters",
-    )
-    trace_parser.add_argument("loop", help="loop file ('-' for stdin)")
-    trace_parser.add_argument(
-        "--machine", default="2gp", help=f"one of {sorted(MACHINES)}"
-    )
-    trace_parser.add_argument(
-        "--variant", default="heuristic-iterative",
-        choices=sorted(VARIANTS),
-    )
-    trace_parser.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="also write the JSONL event log",
-    )
-    trace_parser.set_defaults(func=_cmd_trace)
-
     stats_parser = sub.add_parser(
         "stats", help="print Table 1 statistics of the loop suite"
     )
@@ -754,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment_parser.add_argument(
         "--variant", default="heuristic-iterative",
-        choices=sorted(VARIANTS),
+        choices=sorted(VARIANTS_BY_SLUG),
     )
     experiment_parser.add_argument("--loops", type=int, default=250)
     experiment_parser.add_argument(
@@ -825,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     certify_parser.add_argument(
         "--variant", default="heuristic-iterative",
-        choices=sorted(VARIANTS),
+        choices=sorted(VARIANTS_BY_SLUG),
     )
     certify_parser.add_argument(
         "--kernels", action="store_true",
@@ -839,11 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
     certify_parser.add_argument(
         "--suite", type=int, default=0, metavar="N",
         help="also certify paper_suite(N)",
-    )
-    certify_parser.add_argument(
-        "--fast", action="store_true",
-        help="certificate verification only: never run the exact "
-             "oracle (overrides --exact)",
     )
     certify_parser.add_argument(
         "--format", default="text", choices=["text", "json", "sarif"],

@@ -23,11 +23,7 @@ from ..ddg.transform import AnnotatedDdg
 from ..ddg.validate import validate_loop
 from ..machine.machine import Machine
 from ..machine.validate import validate_machine
-from ..scheduling.modulo import (
-    DEFAULT_BUDGET_RATIO,
-    SchedulerStats,
-    modulo_schedule,
-)
+from ..scheduling.modulo import SchedulerStats, modulo_schedule
 from ..scheduling.schedule import Schedule
 from ..scheduling.verify import assert_valid
 from .assignment import AssignmentStats, assign_clusters
@@ -89,7 +85,6 @@ def compile_loop(
     ddg: Ddg,
     machine: Machine,
     config: AssignmentConfig = HEURISTIC_ITERATIVE,
-    scheduler_budget_ratio: int = DEFAULT_BUDGET_RATIO,
     verify: bool = False,
     min_ii: Optional[int] = None,
     lint_config=None,
@@ -142,10 +137,7 @@ def compile_loop(
                     continue
                 scheduler_stats = SchedulerStats(ii=candidate_ii)
                 schedule = modulo_schedule(
-                    annotated,
-                    candidate_ii,
-                    budget_ratio=scheduler_budget_ratio,
-                    stats=scheduler_stats,
+                    annotated, candidate_ii, stats=scheduler_stats,
                 )
                 if schedule is None:
                     obs.count("driver.schedule_failures")

@@ -19,6 +19,7 @@ first node that fits nowhere and retry at a larger II.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Dict
 
 #: Default eviction/assignment budget multiplier (steps per node before
 #: declaring failure at the current II), mirroring Rau's scheduler budget.
@@ -64,6 +65,13 @@ HEURISTIC_ITERATIVE = AssignmentConfig(
 )
 
 ALL_VARIANTS = (SIMPLE, HEURISTIC, SIMPLE_ITERATIVE, HEURISTIC_ITERATIVE)
+
+#: Slug ("heuristic-iterative") → variant: the names the CLI's
+#: ``--variant`` and the compile service's requests use.
+VARIANTS_BY_SLUG: Dict[str, AssignmentConfig] = {
+    config.name.lower().replace(" ", "-"): config
+    for config in ALL_VARIANTS
+}
 
 #: Ablations called out in DESIGN.md.
 NO_PREDICTION = AssignmentConfig(

@@ -14,8 +14,8 @@ to serial on the corpus' millisecond-scale compile tasks):
   cache keyed by compile fingerprints, versioned by its
   ``CACHE_VERSION``;
 * :mod:`repro.service.frontdoor` — :class:`CompileService`, the
-  ``asyncio`` admission layer with backpressure, per-tenant quotas,
-  and micro-batched dispatch.
+  ``asyncio`` front door with result caching, duplicate coalescing and
+  micro-batched dispatch.
 
 See ``docs/SERVICE.md`` for the architecture,
 ``benchmarks/test_service.py`` for the serving-overhead gate, and the
@@ -28,7 +28,6 @@ from .frontdoor import (
     CompileReply,
     CompileRequest,
     CompileService,
-    QuotaExceededError,
     ServiceConfig,
     ServiceStats,
     replay,
@@ -60,7 +59,6 @@ __all__ = [
     "DeadlineExceeded",
     "PoolClosedError",
     "PoolError",
-    "QuotaExceededError",
     "RemoteTaskError",
     "ServiceConfig",
     "ServiceStats",

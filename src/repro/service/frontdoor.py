@@ -1,24 +1,21 @@
-"""The compile-as-a-service front door: async admission over the pool.
+"""The compile-as-a-service front door: async dispatch over the pool.
 
 :class:`CompileService` turns the warm fork-server pool into a serving
-layer: thousands of concurrent :meth:`~CompileService.submit` coroutines
-are admitted through
+layer.  Each :meth:`~CompileService.submit` coroutine goes through
 
-* **per-tenant quotas** — a tenant with ``tenant_quota`` requests
-  already in flight is rejected immediately with
-  :class:`QuotaExceededError` (the HTTP-429 analogue), so one noisy
-  tenant cannot starve the rest;
-* **backpressure** — at most ``max_pending`` requests occupy the
-  service at once; excess awaiters queue on the admission semaphore
-  instead of ballooning the dispatch queue;
 * **the sharded result cache** — a request whose compile fingerprint
   (:func:`repro.workloads.fingerprint.compile_fingerprint` +
   ``CACHE_VERSION``) is cached returns without touching the pool;
-* **micro-batching** — admitted misses are drained into chunks of up
-  to ``batch_size`` (waiting at most ``batch_window_s`` for stragglers)
-  and dispatched as one ``compile_batch`` pool task each, so per-task
-  IPC cost amortizes over the batch while idle workers still steal
-  whatever chunk is next.
+* **coalescing** — a request identical to one already compiling awaits
+  that compile instead of dispatching a duplicate;
+* **micro-batching** — misses are drained into chunks of up to
+  ``batch_size`` (waiting at most :data:`BATCH_WINDOW_S` for
+  stragglers) and dispatched as one ``compile_batch`` pool task each,
+  so per-task IPC cost amortizes over the batch while idle workers
+  still steal whatever chunk is next.
+
+Callers bound their own concurrency: :func:`replay` keeps at most
+:data:`REPLAY_CONCURRENCY` requests in flight.
 
 Replies are bit-identical to a direct serial
 :func:`repro.core.driver.compile_loop` call — the worker runs exactly
@@ -31,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
@@ -46,9 +43,11 @@ from .pool import (
 )
 from .tasks import resolve_machine, resolve_variant
 
+#: How long the dispatcher waits for a batch to fill (seconds).
+BATCH_WINDOW_S = 0.002
 
-class QuotaExceededError(RuntimeError):
-    """The tenant already has ``tenant_quota`` requests in flight."""
+#: Requests :func:`replay` keeps in flight at once.
+REPLAY_CONCURRENCY = 256
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,6 @@ class CompileRequest:
     loop: Ddg
     machine: object = "2gp"
     variant: object = "heuristic-iterative"
-    tenant: str = "default"
 
 
 @dataclass(frozen=True)
@@ -88,12 +86,6 @@ class ServiceConfig:
     workers: int = 1
     #: Requests per dispatched pool chunk (micro-batch ceiling).
     batch_size: int = 16
-    #: How long the dispatcher waits for a batch to fill (seconds).
-    batch_window_s: float = 0.002
-    #: Admission ceiling: requests occupying the service at once.
-    max_pending: int = 1024
-    #: Max in-flight requests per tenant; 0 = unlimited.
-    tenant_quota: int = 0
     #: Sharded result-cache directory; None disables caching.
     cache_dir: Optional[str] = None
     #: Per-batch watchdog deadline (seconds); 0 disables it.
@@ -102,7 +94,7 @@ class ServiceConfig:
 
 @dataclass
 class ServiceStats:
-    """Lifetime counters + latency reservoir of one service."""
+    """Lifetime counters of one service."""
 
     requests: int = 0
     completed: int = 0
@@ -110,29 +102,9 @@ class ServiceStats:
     #: Requests served by awaiting an identical in-flight request
     #: instead of dispatching a duplicate compile.
     coalesced: int = 0
-    quota_rejections: int = 0
     batches: int = 0
     worker_crash_failures: int = 0
     deadline_timeouts: int = 0
-    latencies_s: List[float] = field(default_factory=list)
-
-    _LATENCY_CAP = 200_000
-
-    def record_latency(self, latency_s: float) -> None:
-        if len(self.latencies_s) < self._LATENCY_CAP:
-            self.latencies_s.append(latency_s)
-
-    def latency_percentile(self, q: float) -> float:
-        """Linear-interpolated latency percentile (q in [0, 100])."""
-        samples = sorted(self.latencies_s)
-        if not samples:
-            return 0.0
-        if len(samples) == 1:
-            return samples[0]
-        rank = (q / 100.0) * (len(samples) - 1)
-        low = int(rank)
-        high = min(low + 1, len(samples) - 1)
-        return samples[low] + (samples[high] - samples[low]) * (rank - low)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -162,7 +134,6 @@ class CompileService:
         pool: Optional[WorkerPool] = None,
     ) -> None:
         self.config = config or ServiceConfig()
-        self._own_pool = pool is None
         self._pool = pool or shared_pool(self.config.workers)
         self._cache: Optional[ShardedResultCache] = None
         if self.config.cache_dir:
@@ -170,22 +141,11 @@ class CompileService:
                 self.config.cache_dir, version=CACHE_VERSION
             )
         self.stats = ServiceStats()
-        self._inflight_by_tenant: Dict[str, int] = {}
         #: Cache key → future of the request already compiling it.
         self._inflight_keys: Dict[str, "asyncio.Future"] = {}
-        self._admission = asyncio.Semaphore(self.config.max_pending)
         self._queue: "asyncio.Queue" = asyncio.Queue()
         self._dispatcher: Optional[asyncio.Task] = None
         self._batch_tasks: set = set()
-        self._closing = False
-
-    @property
-    def cache(self) -> Optional[ShardedResultCache]:
-        return self._cache
-
-    @property
-    def pool(self) -> WorkerPool:
-        return self._pool
 
     # -- lifecycle ------------------------------------------------------
     async def __aenter__(self) -> "CompileService":
@@ -208,7 +168,6 @@ class CompileService:
         The pool itself is left warm when it is the shared pool; a
         dedicated pool passed by the caller stays the caller's to close.
         """
-        self._closing = True
         if self._dispatcher is not None:
             await self._queue.put(None)
             await self._dispatcher
@@ -217,36 +176,15 @@ class CompileService:
             await asyncio.gather(
                 *list(self._batch_tasks), return_exceptions=True
             )
-        self._closing = False
 
     # -- the request path ----------------------------------------------
     async def submit(self, request: CompileRequest) -> CompileReply:
-        """Admit one request; resolves when its reply is ready."""
+        """Serve one request; resolves when its reply is ready."""
         started = time.perf_counter()
-        quota = self.config.tenant_quota
-        tenant = request.tenant
-        inflight = self._inflight_by_tenant.get(tenant, 0)
-        if quota and inflight >= quota:
-            self.stats.quota_rejections += 1
-            obs.count("service.quota_rejections")
-            raise QuotaExceededError(
-                f"tenant {tenant!r} already has {inflight} requests "
-                f"in flight (quota {quota})"
-            )
-        self._inflight_by_tenant[tenant] = inflight + 1
         self.stats.requests += 1
         obs.count("service.requests")
-        try:
-            async with self._admission:
-                reply = await self._serve(request, started)
-        finally:
-            remaining = self._inflight_by_tenant[tenant] - 1
-            if remaining:
-                self._inflight_by_tenant[tenant] = remaining
-            else:
-                del self._inflight_by_tenant[tenant]
+        reply = await self._serve(request, started)
         self.stats.completed += 1
-        self.stats.record_latency(reply.latency_s)
         return reply
 
     async def _serve(
@@ -316,8 +254,7 @@ class CompileService:
             batch = [item]
             if self.config.batch_size > 1:
                 deadline = (
-                    asyncio.get_running_loop().time()
-                    + self.config.batch_window_s
+                    asyncio.get_running_loop().time() + BATCH_WINDOW_S
                 )
                 while len(batch) < self.config.batch_size:
                     try:
@@ -392,13 +329,12 @@ class CompileService:
 
 
 async def replay(
-    service: CompileService,
-    requests,
-    concurrency: int = 256,
+    service: CompileService, requests,
 ) -> List[CompileReply]:
-    """Drive a request sequence through the service, ``concurrency`` at
-    a time, returning replies in request order (the benchmark loop)."""
-    semaphore = asyncio.Semaphore(concurrency)
+    """Drive a request sequence through the service,
+    :data:`REPLAY_CONCURRENCY` at a time, returning replies in request
+    order (the benchmark loop)."""
+    semaphore = asyncio.Semaphore(REPLAY_CONCURRENCY)
 
     async def one(request: CompileRequest) -> CompileReply:
         async with semaphore:

@@ -209,15 +209,12 @@ def _worker_main(task_queue, result_queue, crash_once_path) -> None:
 def _pick_context() -> multiprocessing.context.BaseContext:
     """The best available start method: forkserver > fork > spawn.
 
-    ``REPRO_SERVICE_START_METHOD`` overrides the choice.  The
-    fork-server keeps worker creation cheap *and* safe to call from a
-    process that already runs threads (the collector); plain ``fork``
+    The fork-server keeps worker creation cheap *and* safe to call from
+    a process that already runs threads (the collector); plain ``fork``
     is the fallback on platforms without it.
     """
-    preferred = os.environ.get("REPRO_SERVICE_START_METHOD")
     methods = multiprocessing.get_all_start_methods()
-    order = [preferred] if preferred else ["forkserver", "fork", "spawn"]
-    for method in order:
+    for method in ("forkserver", "fork", "spawn"):
         if method in methods:
             context = multiprocessing.get_context(method)
             if method == "forkserver":

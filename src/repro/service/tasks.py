@@ -35,16 +35,9 @@ from typing import Callable, Dict, List, Tuple
 # Imported eagerly so fork-server children inherit a warm interpreter
 # image and spawned workers front-load the cost before their first task.
 from ..core.driver import CompilationError, compile_loop
-from ..core.variants import ALL_VARIANTS, AssignmentConfig
+from ..core.variants import VARIANTS_BY_SLUG, AssignmentConfig
 from ..machine.machine import Machine
 from ..machine.presets import STANDARD_PRESETS
-
-#: Slugged variant name ("heuristic-iterative") → AssignmentConfig; the
-#: same naming the CLI exposes.
-VARIANTS: Dict[str, AssignmentConfig] = {
-    config.name.lower().replace(" ", "-"): config
-    for config in ALL_VARIANTS
-}
 
 _PRESETS: Dict[str, Machine] = {}
 _WARM = False
@@ -88,10 +81,11 @@ def resolve_variant(ref) -> AssignmentConfig:
     """A concrete config from a slug name or a pickled config."""
     if isinstance(ref, str):
         try:
-            return VARIANTS[ref]
+            return VARIANTS_BY_SLUG[ref]
         except KeyError:
             raise ValueError(
-                f"unknown variant {ref!r}; choose from {sorted(VARIANTS)}"
+                f"unknown variant {ref!r}; choose from "
+                f"{sorted(VARIANTS_BY_SLUG)}"
             )
     return ref
 

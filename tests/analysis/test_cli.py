@@ -83,7 +83,7 @@ class TestBadLoopFiles:
         )
         assert "\n" not in message
 
-    @pytest.mark.parametrize("command", ["compile", "trace"])
+    @pytest.mark.parametrize("command", ["compile"])
     @pytest.mark.parametrize("text, code", [
         ("a: alu <- b\nb: alu <- a\n", "DDG103"),
         ("ld: load\nmov: copy <- ld\nst: store <- mov\n", "DDG109"),
@@ -262,7 +262,10 @@ class TestTraceOutputs:
         assert "phase profile:" not in capsys.readouterr().out
 
     def test_trace_subcommand(self, loop_file, capsys):
-        assert main(["trace", loop_file, "--machine", "4gp"]) == 0
+        # The report a trace run prints comes from ``compile --trace``.
+        assert main(
+            ["compile", loop_file, "--machine", "4gp", "--trace"]
+        ) == 0
         out = capsys.readouterr().out
         assert "II = " in out
         assert "trace:" in out
@@ -272,7 +275,9 @@ class TestTraceOutputs:
     def test_trace_subcommand_writes_jsonl(self, loop_file, tmp_path,
                                            capsys):
         path = tmp_path / "out.jsonl"
-        assert main(["trace", loop_file, "--out", str(path)]) == 0
+        assert main(
+            ["compile", loop_file, "--trace", "--trace-out", str(path)]
+        ) == 0
         assert path.read_text().startswith('{"ev": "trace"')
 
 

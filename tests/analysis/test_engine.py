@@ -7,10 +7,12 @@ against another run mode of the same runner.
 """
 
 import asyncio
+import multiprocessing
 import time
 
 import pytest
 
+import repro.service.pool as pool_module
 from repro import obs
 from repro.analysis import (
     EngineOptions,
@@ -171,7 +173,10 @@ class TestTimeout:
 
         monkeypatch.setattr(experiment_module, "compile_loop", sluggish)
         # Forked workers inherit the patched compile_loop.
-        monkeypatch.setenv("REPRO_SERVICE_START_METHOD", "fork")
+        monkeypatch.setattr(
+            pool_module, "_pick_context",
+            lambda: multiprocessing.get_context("fork"),
+        )
         pool = WorkerPool(workers=max(1, workers))
         try:
             started = time.monotonic()

@@ -103,17 +103,6 @@ class TestCertifyCommand:
         capsys.readouterr()
         assert rc == 0
 
-    def test_fast_overrides_exact(self, clean_loop_file, capsys):
-        rc = main([
-            "certify", clean_loop_file, "--fast", "--exact",
-            "--format", "json",
-        ])
-        doc = json.loads(capsys.readouterr().out)
-        assert rc == 0
-        # --fast suppresses the oracle: no CERT690 can appear and the
-        # run still verifies everything else.
-        assert doc["summary"]["errors"] == 0
-
     def test_exact_flags_accepted(self, clean_loop_file, capsys):
         rc = main([
             "certify", clean_loop_file, "--exact",

@@ -201,7 +201,7 @@ class TestUnknownCodes:
             "DDG103",
         )
         rc = main([
-            "certify", clean_loop_file, "--fast",
+            "certify", clean_loop_file,
             "--severity", "CERT690=info", "--severity", "LINT002=warning",
         ])
         assert rc == 0
