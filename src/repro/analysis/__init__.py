@@ -14,7 +14,6 @@ from .experiment import (
     run_sweep,
     run_variant_comparison,
 )
-from .figures import grouped_bar_chart, outcomes_to_csv, results_to_csv
 from .histogram import DeviationHistogram, histogram_of
 from .registers import (
     RegisterPressure,
@@ -51,13 +50,10 @@ __all__ = [
     "deviation_table",
     "experiment_summary",
     "format_pressure",
-    "grouped_bar_chart",
     "histogram_of",
     "match_bar_chart",
     "mve_unroll_factor",
-    "outcomes_to_csv",
     "register_pressure",
-    "results_to_csv",
     "run_campaign",
     "run_experiment",
     "run_sweep",

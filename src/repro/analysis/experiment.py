@@ -660,14 +660,11 @@ def _raise_on_first_failure(result: ExperimentResult) -> None:
 def run_sweep(
     loops: Sequence[Ddg],
     machines: Iterable[Machine],
-    config: AssignmentConfig = HEURISTIC_ITERATIVE,
     labels: Optional[Sequence[str]] = None,
     baseline: Optional[UnifiedBaseline] = None,
-    strict: bool = False,
-    lint_config=None,
-    certify_config=None,
 ) -> List[ExperimentResult]:
-    """Run one experiment per machine (the bus/port sweep pattern)."""
+    """Run one Heuristic Iterative experiment per machine (the bus/port
+    sweep pattern)."""
     if baseline is None:
         baseline = UnifiedBaseline()
     machine_list = list(machines)
@@ -678,9 +675,8 @@ def run_sweep(
         label = labels[index] if labels is not None else ""
         results.append(
             run_experiment(
-                loops, machine, config,
-                label=label, baseline=baseline, strict=strict,
-                lint_config=lint_config, certify_config=certify_config,
+                loops, machine, HEURISTIC_ITERATIVE,
+                label=label, baseline=baseline,
             )
         )
     return results
@@ -691,18 +687,13 @@ def run_variant_comparison(
     machine: Machine,
     configs: Iterable[AssignmentConfig],
     baseline: Optional[UnifiedBaseline] = None,
-    strict: bool = False,
-    lint_config=None,
-    certify_config=None,
 ) -> List[ExperimentResult]:
     """Run one experiment per algorithm variant (Figures 12–13 pattern)."""
     if baseline is None:
         baseline = UnifiedBaseline()
     return [
         run_experiment(
-            loops, machine, config,
-            label=config.name, baseline=baseline, strict=strict,
-            lint_config=lint_config, certify_config=certify_config,
+            loops, machine, config, label=config.name, baseline=baseline,
         )
         for config in configs
     ]

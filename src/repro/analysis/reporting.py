@@ -15,10 +15,12 @@ from .experiment import ExperimentResult
 #: Width of the ASCII bars in chart rendering.
 BAR_WIDTH = 40
 
+#: Last II deviation the tables give a row (the deviation table's last
+#: row also holds every larger deviation).
+MAX_DEVIATION = 3
 
-def deviation_table(
-    results: Sequence[ExperimentResult], max_bucket: int = 3
-) -> str:
+
+def deviation_table(results: Sequence[ExperimentResult]) -> str:
     """Figure-style table: one column per series, one row per deviation."""
     if not results:
         return "(no results)"
@@ -28,8 +30,10 @@ def deviation_table(
         f"{label:>{col_width}}" for label in labels
     )
     lines = [header, "-" * len(header)]
-    bucket_rows = [result.histogram.buckets(max_bucket) for result in results]
-    for row_index in range(max_bucket + 1):
+    bucket_rows = [
+        result.histogram.buckets(MAX_DEVIATION) for result in results
+    ]
+    for row_index in range(MAX_DEVIATION + 1):
         bucket_label = bucket_rows[0][row_index][0]
         cells = "".join(
             f"{rows[row_index][1]:>{col_width - 1}.1f}%"
@@ -56,9 +60,7 @@ def match_bar_chart(results: Sequence[ExperimentResult]) -> str:
     return "\n".join(lines)
 
 
-def cumulative_table(
-    results: Sequence[ExperimentResult], max_deviation: int = 3
-) -> str:
+def cumulative_table(results: Sequence[ExperimentResult]) -> str:
     """Cumulative view: percent of loops within x cycles of unified."""
     if not results:
         return "(no results)"
@@ -68,7 +70,7 @@ def cumulative_table(
         f"{label:>{col_width}}" for label in labels
     )
     lines = [header, "-" * len(header)]
-    for deviation in range(max_deviation + 1):
+    for deviation in range(MAX_DEVIATION + 1):
         cells = "".join(
             f"{result.histogram.percentage_at_most(deviation):>{col_width - 1}.1f}%"
             for result in results

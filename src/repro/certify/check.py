@@ -132,6 +132,20 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _demand_mismatch(
+    witnessed: Dict[str, Tuple[int, int]],
+    expected: Dict[str, Tuple[int, int]],
+) -> str:
+    """Each pool whose witnessed ``(uses, capacity)`` differs from the
+    recount, with both sides (``absent`` where a side lacks the pool)."""
+    return "; ".join(
+        f"{pool}: witness {witnessed.get(pool, 'absent')}, "
+        f"recount {expected.get(pool, 'absent')}"
+        for pool in sorted(witnessed.keys() | expected.keys(), key=str)
+        if witnessed.get(pool) != expected.get(pool)
+    )
+
+
 def _positive_cycle(
     nodes: List[int],
     edges: List[Tuple[int, int, int, int]],
@@ -548,8 +562,8 @@ def _check_resources(cert: Certificate, ddg, machine, issues) -> None:
     if witnessed != expected:
         add(CertIssue(
             "CERT602", "resmii",
-            f"counting evidence {sorted(witnessed)} does not match the "
-            f"machine's recount {sorted(expected)}",
+            f"counting evidence does not match the machine's recount: "
+            f"{_demand_mismatch(witnessed, expected)}",
         ))
     else:
         for pool, (uses, capacity) in expected.items():
@@ -577,9 +591,8 @@ def _check_resources(cert: Certificate, ddg, machine, issues) -> None:
     if sched_witnessed != sched_expected:
         add(CertIssue(
             "CERT602", "sched_resources",
-            f"counting evidence does not match recount "
-            f"(witness {sorted(sched_witnessed)}, "
-            f"recount {sorted(sched_expected)})",
+            f"counting evidence does not match the machine's recount: "
+            f"{_demand_mismatch(sched_witnessed, sched_expected)}",
         ))
     else:
         value = max(

@@ -94,10 +94,6 @@ class GraphWitness:
         """Node id -> latency map."""
         return {node_id: latency for node_id, _, latency in self.nodes}
 
-    def opcode_of(self) -> Dict[int, str]:
-        """Node id -> opcode string map."""
-        return {node_id: opcode for node_id, opcode, _ in self.nodes}
-
 
 @dataclass(frozen=True)
 class CopyWitness:

@@ -161,23 +161,26 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         if args.certify is not None else None
     )
     trace = _trace_requested(args)
-    if trace is not None:
-        obs.install(trace)
     try:
-        result = compile_loop(
-            loop, machine, config=config, verify=True,
-            lint_config=lint_config,
-            certify_config=certify_config,
-        )
+        # Only the clustered compile is traced, so the report's counts
+        # are one compile's; the unified baseline runs untraced.
+        if trace is not None:
+            obs.install(trace)
+        try:
+            result = compile_loop(
+                loop, machine, config=config, verify=True,
+                lint_config=lint_config,
+                certify_config=certify_config,
+            )
+        finally:
+            if trace is not None:
+                obs.uninstall()
         unified = compile_loop(loop, machine.unified_equivalent())
     except CompilationError as exc:
         print(f"compilation failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         raise SystemExit(f"{args.loop}: {exc}")
-    finally:
-        if trace is not None:
-            obs.uninstall()
 
     stats = result.assignment_stats
     print(f"machine: {machine}")

@@ -26,14 +26,13 @@ TOOL_NAME = "repro-lint"
 TOOL_URI = "https://example.invalid/repro"
 
 
-def format_text(report: LintReport, verbose: bool = False) -> str:
-    """Plain-text rendering: one line per diagnostic plus a summary."""
+def format_text(report: LintReport) -> str:
+    """Plain-text rendering: one line per diagnostic, then a blank line
+    and the summary (the summary alone for a clean report)."""
     lines: List[str] = [str(d) for d in report.diagnostics]
-    if verbose or not lines:
-        lines.append(report.summary())
-    else:
+    if lines:
         lines.append("")
-        lines.append(report.summary())
+    lines.append(report.summary())
     return "\n".join(lines)
 
 

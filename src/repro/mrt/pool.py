@@ -17,13 +17,14 @@ The pools are two flat integer lists over the machine's
 :class:`~repro.machine.machine.ResourceTable` indices.  The assignment
 phase probes them with precomputed ``((index, count), ...)`` demand
 vectors (:meth:`ResourcePools.fits` / :meth:`~ResourcePools.take` /
-:meth:`~ResourcePools.give`), which never raise; the key-based methods
-translate their keys through the table and call the same code.
+:meth:`~ResourcePools.give`), which never raise;
+:meth:`ResourceTable.demand <repro.machine.machine.ResourceTable.demand>`
+turns a list of resource keys into one.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
 from ..machine.machine import Demand, Machine, ResourceKey
 
@@ -41,13 +42,11 @@ class ResourcePools:
     """Per-resource slot counters of an assignment-phase MRT of length II."""
 
     # Slots keep copy() cheap: the assigner makes one per trial.
-    __slots__ = ("machine", "ii", "table", "_capacity", "_used")
+    __slots__ = ("table", "_capacity", "_used")
 
     def __init__(self, machine: Machine, ii: int) -> None:
         if ii < 1:
             raise ValueError("II must be >= 1")
-        self.machine = machine
-        self.ii = ii
         self.table = machine.resource_table
         self._capacity: List[int] = [
             per_cycle * ii for per_cycle in self.table.per_cycle
@@ -59,8 +58,6 @@ class ResourcePools:
         usage counts: the scratch a read-only probe replays a tentative
         placement on."""
         scratch = object.__new__(ResourcePools)
-        scratch.machine = self.machine
-        scratch.ii = self.ii
         scratch.table = self.table
         scratch._capacity = self._capacity
         scratch._used = self._used.copy()
@@ -109,54 +106,6 @@ class ResourcePools:
         raise ValueError("the demand fits")
 
     # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def capacity(self, key: ResourceKey) -> int:
-        """Total slots of ``key`` over the whole kernel (per-cycle × II)."""
-        return self._capacity[self.table.index[key]]
-
-    def used(self, key: ResourceKey) -> int:
-        """Slots of ``key`` currently reserved."""
-        return self._used[self.table.index[key]]
-
-    def free(self, key: ResourceKey) -> int:
-        """Slots of ``key`` still available."""
-        index = self.table.index[key]
-        return self._capacity[index] - self._used[index]
-
-    def keys(self) -> List[ResourceKey]:
-        """All pool keys."""
-        return list(self.table.keys)
-
-    def can_reserve(self, keys: Iterable[ResourceKey]) -> bool:
-        """True when one slot of each key in ``keys`` is available.
-
-        ``keys`` may repeat a key; repetitions demand multiple slots.
-        """
-        return self.fits(self.table.demand(keys))
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def reserve(self, keys: Iterable[ResourceKey]) -> None:
-        """Reserve one slot per key; raises and leaves state unchanged on
-        overflow."""
-        demand = self.table.demand(keys)
-        if not self.take(demand):
-            raise self.overflow_error(demand)
-
-    def release(self, keys: Iterable[ResourceKey]) -> None:
-        """Release one slot per key (must have been reserved); raises and
-        leaves state unchanged otherwise."""
-        demand = self.table.demand(keys)
-        for index, count in demand:
-            if self._used[index] < count:
-                raise ValueError(
-                    f"releasing unreserved resource {self.table.keys[index]!r}"
-                )
-        self.give(demand)
-
-    # ------------------------------------------------------------------
     # Cluster-level summaries used by the selection heuristic
     # ------------------------------------------------------------------
     def _free_of(self, indices) -> int:
@@ -166,10 +115,6 @@ class ResourcePools:
         for index in indices:
             total += capacity[index] - used[index]
         return total
-
-    def free_issue_slots(self, cluster_index: int) -> int:
-        """Free function-unit slots on one cluster (all classes pooled)."""
-        return self._free_of(self.table.issue[cluster_index])
 
     def free_cluster_slots(self, cluster_index: int) -> int:
         """Free slots of every pool local to one cluster (issue + ports).
@@ -204,4 +149,4 @@ class ResourcePools:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         used = sum(self._used)
         cap = sum(self._capacity)
-        return f"ResourcePools(ii={self.ii}, used={used}/{cap})"
+        return f"ResourcePools(used={used}/{cap})"

@@ -17,9 +17,11 @@ Occupancy is maintained twice, on purpose:
   :meth:`conflicting_ops` and :meth:`remove` to identify displacement
   victims.
 
-Callers on the hot path pre-compile each operation's resource demand once
-per scheduling attempt with :meth:`compile_demand` and probe with
-:meth:`probe`; :meth:`available` keeps the one-shot API.
+The scheduler pre-compiles each operation's resource demand once per
+scheduling attempt with :meth:`compile_demand` and probes with
+:meth:`probe`.  :meth:`place` books without re-checking the fit: the
+scheduler displaces every op :meth:`conflicting_ops` names first, and
+certify's CERT605 recounts every slot of the finished kernel.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ class ModuloReservationTable:
     def __init__(self, machine: Machine, ii: int) -> None:
         if ii < 1:
             raise ValueError("II must be >= 1")
-        self.machine = machine
         self.ii = ii
         self._capacity: Dict[ResourceKey, int] = machine.resource_capacities()
         # (key, row) -> list of op ids holding a slot there.  Entries are
@@ -52,10 +53,6 @@ class ModuloReservationTable:
         }
         # op id -> list of (key, row) it holds.
         self._held: Dict[OpId, List[Tuple[ResourceKey, int]]] = {}
-
-    def row(self, cycle: int) -> int:
-        """Kernel row of an absolute cycle."""
-        return cycle % self.ii
 
     def _occupancy(self, key: ResourceKey, row: int) -> List[OpId]:
         return self._slots.get((key, row), [])
@@ -87,12 +84,6 @@ class ModuloReservationTable:
                 return False
         return True
 
-    def available(
-        self, keys: Iterable[ResourceKey], cycle: int
-    ) -> bool:
-        """True when one slot of every key is free in ``cycle``'s row."""
-        return self.probe(self.compile_demand(keys), cycle)
-
     def conflicting_ops(
         self, keys: Iterable[ResourceKey], cycle: int
     ) -> Set[OpId]:
@@ -103,7 +94,7 @@ class ModuloReservationTable:
         reservation will fit (each key's full row occupancy is returned
         when the row is saturated for that key).
         """
-        row = self.row(cycle)
+        row = cycle % self.ii
         conflicting: Set[OpId] = set()
         demand: Dict[ResourceKey, int] = {}
         for key in keys:
@@ -115,30 +106,20 @@ class ModuloReservationTable:
         return conflicting
 
     def place(
-        self,
-        op_id: OpId,
-        keys: Iterable[ResourceKey],
-        cycle: int,
-        check: bool = True,
+        self, op_id: OpId, keys: Iterable[ResourceKey], cycle: int
     ) -> None:
         """Reserve one slot of each key at ``cycle`` for ``op_id``.
 
-        ``check=False`` skips the availability re-validation for callers
-        that already probed (the scheduler displaces every conflicting op
-        before placing, so the fit is guaranteed).
+        The fit is not re-checked: the caller probed, or displaced every
+        op :meth:`conflicting_ops` names, before placing.
         """
         if op_id in self._held:
             raise ValueError(f"operation {op_id!r} is already placed")
-        key_list = keys if type(keys) is list else list(keys)
-        if check and not self.available(key_list, cycle):
-            raise RuntimeError(
-                f"resources for {op_id!r} unavailable at cycle {cycle}"
-            )
         row = cycle % self.ii
         held = []
         slots = self._slots
         usage = self._usage
-        for key in key_list:
+        for key in keys:
             slot = (key, row)
             slots.setdefault(slot, []).append(op_id)
             usage[key][row] += 1
@@ -156,22 +137,6 @@ class ModuloReservationTable:
             if not holders:
                 del self._slots[(key, row)]
             self._usage[key][row] -= 1
-
-    def is_placed(self, op_id: OpId) -> bool:
-        """True when ``op_id`` currently holds slots."""
-        return op_id in self._held
-
-    def placed_ops(self) -> List[OpId]:
-        """All operations currently holding slots."""
-        return list(self._held)
-
-    def utilization(self) -> Dict[ResourceKey, float]:
-        """Fraction of each resource's kernel slots in use."""
-        return {
-            key: sum(self._usage[key]) / (self._capacity[key] * self.ii)
-            for key in self._capacity
-            if self._capacity[key] > 0
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

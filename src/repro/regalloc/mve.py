@@ -73,20 +73,6 @@ def _occupied_cycles(start: int, length: int, span: int) -> List[int]:
     return [(start + offset) % span for offset in range(min(length, span))]
 
 
-def _occupied_mask(start: int, length: int, span: int) -> int:
-    """Bitmask form of :func:`_occupied_cycles` (bit c = cycle c busy).
-
-    A full-span lifetime wraps onto every cycle, so the mask saturates
-    at ``span`` set bits.  Built as one contiguous bit block shifted to
-    ``start mod span``; since ``length <= span`` the block wraps around
-    the kernel end at most once, so folding the overflow back with a
-    single shift is exact.
-    """
-    length = max(1, min(length, span))
-    block = ((1 << length) - 1) << (start % span)
-    return (block >> span) | (block & ((1 << span) - 1))
-
-
 def allocate_mve(
     schedule: Schedule, lifetimes: Optional[List[Lifetime]] = None
 ) -> MveAllocation:
@@ -122,9 +108,12 @@ def allocate_mve(
             length = lifetime.death - lifetime.birth
             if length < 0:
                 length = 0
-            # _occupied_mask inlined: the bit block is built once per
-            # lifetime, and each unroll instance shifts the start row
-            # by II (mod span) rather than recomputing it.
+            # The bitmask of _occupied_cycles: a block of ``length``
+            # bits (at least one, at most ``span``) at the start row,
+            # its overflow past the kernel end folded back with one
+            # shift, which is exact since the block wraps at most once.
+            # The block is built once per lifetime; each unroll
+            # instance moves the start row by II (mod span).
             block_bits = (1 << max(1, min(length, span))) - 1
             row = lifetime.birth % span
             for instance in range(unroll):

@@ -18,8 +18,8 @@ Algorithm (Rau's formulation):
    past the op's previous placement to guarantee progress) and displace
    every op that conflicts in resources or violates a dependence to the
    newly placed op.
-4. A budget of ``budget_ratio × n_ops`` placements bounds the effort at
-   one II; exhausting it means failure at this II.
+4. A budget of ``DEFAULT_BUDGET_RATIO × n_ops`` placements bounds the
+   effort at one II; exhausting it means failure at this II.
 
 Hot-path structure: the next op comes off a rank-keyed binary heap
 (displaced ops are pushed back; an op's rank never changes, so the heap
@@ -44,7 +44,8 @@ from .priority import compute_metrics
 from .schedule import Schedule
 from .swing import assignment_order
 
-#: Default placement budget multiplier (Rau reports 3–6 works well).
+#: Placement budget multiplier, read at call time (Rau reports 3–6
+#: works well).
 DEFAULT_BUDGET_RATIO = 6
 
 
@@ -61,7 +62,6 @@ class SchedulerStats:
 def modulo_schedule(
     annotated: AnnotatedDdg,
     ii: int,
-    budget_ratio: int = DEFAULT_BUDGET_RATIO,
     stats: Optional[SchedulerStats] = None,
 ) -> Optional[Schedule]:
     """Attempt a modulo schedule of ``annotated`` at initiation interval
@@ -75,9 +75,7 @@ def modulo_schedule(
         obs_count("sched.recmii_rejections")
         return None
     with obs_span("schedule", ii=ii) as sched_span:
-        schedule = _modulo_schedule(
-            annotated, ii, budget_ratio, stats, ddg
-        )
+        schedule = _modulo_schedule(annotated, ii, stats, ddg)
         sched_span.note(succeeded=schedule is not None)
     return schedule
 
@@ -85,7 +83,6 @@ def modulo_schedule(
 def _modulo_schedule(
     annotated: AnnotatedDdg,
     ii: int,
-    budget_ratio: int,
     stats: Optional[SchedulerStats],
     ddg,
 ) -> Optional[Schedule]:
@@ -109,7 +106,7 @@ def _modulo_schedule(
     start: Dict[int, int] = {}
     previous_start: Dict[int, int] = {}
     unscheduled: Set[int] = set(view.node_ids)
-    budget = max(budget_ratio * len(ddg), len(ddg) + 1)
+    budget = max(DEFAULT_BUDGET_RATIO * len(ddg), len(ddg) + 1)
     # Rank-keyed ready heap.  ``order`` lists ranks 0..n-1 ascending, so
     # the initial list is already a valid heap.  Displacement pushes the
     # victim back; membership in ``unscheduled`` filters the (defensive)
@@ -194,7 +191,7 @@ def _modulo_schedule(
         # Displace resource conflicts at the chosen row.
         for victim in list(mrt.conflicting_ops(resources[node_id], chosen)):
             displace(victim)
-        mrt.place(node_id, resources[node_id], chosen, check=False)
+        mrt.place(node_id, resources[node_id], chosen)
         start[node_id] = chosen
         previous_start[node_id] = chosen
         unscheduled.discard(node_id)

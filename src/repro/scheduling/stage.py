@@ -13,7 +13,8 @@ in decreasing-slack order; for each, compute the feasible stage window
 from its dependences (which are invariant under multiple-of-II shifts of
 the whole schedule, so the window is exact) and choose the shift that
 minimizes the total lifetime of the values it produces and consumes.
-Repeat until a sweep makes no improvement.
+Repeat until a sweep makes no improvement, at most :data:`MAX_SWEEPS`
+times.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from typing import Dict
 
 from ..ddg.graph import Ddg
 from .schedule import Schedule
+
+#: Greedy sweeps over the operations before stage scheduling stops.
+MAX_SWEEPS = 4
 
 
 @dataclass
@@ -92,9 +96,7 @@ def _stage_window(
     return low_shift, high_shift
 
 
-def stage_schedule(
-    schedule: Schedule, max_sweeps: int = 4
-) -> StageScheduleResult:
+def stage_schedule(schedule: Schedule) -> StageScheduleResult:
     """Reduce register lifetimes by stage moves; returns a new schedule.
 
     The input schedule is not modified.  Kernel rows — and therefore the
@@ -144,7 +146,7 @@ def stage_schedule(
     # so clamp the search to a span-sized neighborhood of the current
     # position.
     span = (max(start.values()) - min(start.values())) // ii + 2
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         changed = False
         for node_id in ddg.node_ids:
             low, high = _stage_window(ddg, start, ii, node_id)

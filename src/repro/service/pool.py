@@ -380,14 +380,10 @@ class WorkerPool:
         self._enqueue(pending)
         return future
 
-    def map(self, fn_name: str, payloads,
-            deadline: Optional[float] = None):
+    def map(self, fn_name: str, payloads):
         """Submit every payload, then yield values in submission order
         (deterministic merge regardless of completion order)."""
-        futures = [
-            self.submit(fn_name, payload, deadline=deadline)
-            for payload in payloads
-        ]
+        futures = [self.submit(fn_name, payload) for payload in payloads]
         for future in futures:
             yield future.result().value
 

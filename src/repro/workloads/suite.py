@@ -12,11 +12,11 @@ full 1327.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..ddg.graph import Ddg
 from .kernels import all_kernels
-from .synthetic import GeneratorProfile, generate_suite
+from .synthetic import generate_suite
 
 #: Size of the paper's suite.
 PAPER_SUITE_SIZE = 1327
@@ -28,7 +28,6 @@ DEFAULT_SEED = 1998
 def paper_suite(
     n_loops: int = PAPER_SUITE_SIZE,
     seed: int = DEFAULT_SEED,
-    profile: Optional[GeneratorProfile] = None,
     include_kernels: bool = True,
 ) -> List[Ddg]:
     """Build the evaluation suite: kernels first, synthetic fill after.
@@ -41,9 +40,4 @@ def paper_suite(
     loops: List[Ddg] = all_kernels() if include_kernels else []
     if len(loops) >= n_loops:
         return loops[:n_loops]
-    synthetic = generate_suite(
-        n_loops - len(loops),
-        seed=seed,
-        profile=profile if profile is not None else GeneratorProfile(),
-    )
-    return loops + synthetic
+    return loops + generate_suite(n_loops - len(loops), seed=seed)

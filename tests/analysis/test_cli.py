@@ -280,6 +280,25 @@ class TestTraceOutputs:
         ) == 0
         assert path.read_text().startswith('{"ev": "trace"')
 
+    def test_trace_holds_the_clustered_compile_only(self, loop_file,
+                                                    tmp_path, capsys):
+        # The unified-baseline compile runs untraced, so one compile of
+        # the 4-op loop reports one attempt and four placements.
+        import re
+
+        from repro import obs
+
+        path = tmp_path / "out.jsonl"
+        assert main(
+            ["compile", loop_file, "--machine", "4gp", "--trace",
+             "--trace-out", str(path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^ +driver\.attempts += 1$", out, re.M)
+        assert re.search(r"^ +sched\.placements += 4$", out, re.M)
+        roots = obs.read_trace(str(path)).roots
+        assert [root.name for root in roots] == ["compile"]
+
 
 class TestAssignmentStatsSurfaced:
     def test_compile_prints_assignment_stats(self, loop_file, capsys):

@@ -1,4 +1,4 @@
-"""Grouped charts, CSV exports, population slices."""
+"""Population slices."""
 
 import pytest
 
@@ -7,9 +7,6 @@ from repro.analysis import (
     LoopOutcome,
     by_recurrence,
     by_size,
-    grouped_bar_chart,
-    outcomes_to_csv,
-    results_to_csv,
     slice_result,
 )
 from repro.workloads import build_kernel, paper_suite
@@ -29,46 +26,6 @@ def _result(label, deviations):
             )
         )
     return result
-
-
-class TestGroupedBarChart:
-    def test_axis_and_legend(self):
-        chart = grouped_bar_chart([_result("A", [0, 0, 1])])
-        assert "x = II deviation" in chart
-        assert "# = A" in chart
-        assert "66.7% at x=0" in chart
-
-    def test_multiple_series_distinct_glyphs(self):
-        chart = grouped_bar_chart(
-            [_result("A", [0]), _result("B", [1])]
-        )
-        assert "# = A" in chart
-        assert "* = B" in chart
-
-    def test_empty(self):
-        assert grouped_bar_chart([]) == "(no results)"
-
-    def test_bar_heights_scale(self):
-        chart = grouped_bar_chart([_result("A", [0] * 9 + [1])], height=10)
-        # 90% bar: 9 of 10 rows; 10% bar: 1 row.
-        hash_rows = [line for line in chart.splitlines() if "#" in line
-                     and "=" not in line]
-        assert len(hash_rows) == 9
-
-
-class TestCsvExports:
-    def test_results_csv_shape(self):
-        csv = results_to_csv([_result("A", [0, 1, 5])], max_bucket=3)
-        lines = csv.strip().splitlines()
-        assert lines[0] == "label,machine,config,deviation,percent,loops"
-        assert len(lines) == 1 + 4  # buckets 0,1,2,3+
-
-    def test_outcomes_csv_rows(self):
-        csv = outcomes_to_csv(_result("A", [0, 2]))
-        lines = csv.strip().splitlines()
-        assert len(lines) == 3
-        assert lines[1] == "loop0,3,3,0,0,ok"
-        assert lines[2] == "loop1,3,5,2,0,ok"
 
 
 class TestSlices:

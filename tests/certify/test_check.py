@@ -101,6 +101,27 @@ class TestSeededDefects:
         )
         assert "CERT602" in codes(issues)
 
+    @pytest.mark.parametrize("table", ["resmii", "sched_resources"])
+    def test_count_forgery_names_pool_and_counts(self, two_gp, table):
+        # One count off: the message names the pool and both sides'
+        # (uses, capacity), not just the pool names both sides share.
+        ddg = build_kernel("lk1_hydro")
+        cert = emit_certificate(compile_loop(ddg, two_gp))
+        witness = getattr(cert, table)
+        pool, uses, capacity = witness.demand[0]
+        forged = dataclasses.replace(cert, **{table: dataclasses.replace(
+            witness,
+            demand=((pool, uses + 1, capacity),) + witness.demand[1:],
+        )})
+        issues = check_certificate(forged, ddg, two_gp)
+        assert [
+            issue.message for issue in issues if issue.location == table
+        ] == [
+            "counting evidence does not match the machine's recount: "
+            f"{pool}: witness ({uses + 1}, {capacity}), "
+            f"recount ({uses}, {capacity})"
+        ]
+
     def test_illegal_copy_route(self, two_gp):
         # Find a corpus loop whose compile inserts at least one copy,
         # then teleport a copy's source cluster so its witnessed route

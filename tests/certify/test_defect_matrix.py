@@ -245,11 +245,13 @@ def orphaned_copy(compiled, monkeypatch):
                 home, target
             ):
                 continue
-            keys = machine.copy_hop_resources(home, [target])
+            profile = table.compile_demand(
+                machine.copy_hop_resources(home, [target])
+            )
             ready = compiled.schedule.start[node.node_id] + node.latency
             free = [
                 cycle for cycle in range(ready, ready + ii)
-                if table.available(keys, cycle)
+                if table.probe(profile, cycle)
             ]
             if not free:
                 continue

@@ -116,7 +116,9 @@ class TestEvaluateTransactionality:
         # without replanning (or rolling back) anything.
         assigner = _assigner(pair_graph, two_gp, ii=1)
         assigner.commit(0, 0)
-        assigner.pools.reserve([("issue", 1, "gp")] * 4)
+        assert assigner.pools.take(
+            assigner.pools.table.demand([("issue", 1, "gp")] * 4)
+        )
         with tracing() as trace:
             info = assigner.evaluate(1, 1)
         assert not info.feasible and not info.op_fits
@@ -198,7 +200,8 @@ class TestEvictionCascades:
         assert assigner.routing.total_copies() == 1
         assert assigner.evict(1, protect=set())
         assert assigner.routing.total_copies() == 0
-        assert assigner.pools.used("bus") == 0
+        pools = assigner.pools
+        assert pools._used[pools.table.index["bus"]] == 0
         assert 1 in assigner.unassigned
 
     def test_grid_eviction_reroute_cascade_safe(self):
@@ -215,10 +218,9 @@ class TestEvictionCascades:
         # Evicting the 1-hop consumer may reroute the diagonal path.
         assert assigner.evict(consumers[0], protect=set())
         # State stays consistent: replanning accounted below capacity.
-        for key in assigner.pools.keys():
-            assert 0 <= assigner.pools.used(key) <= (
-                assigner.pools.capacity(key)
-            )
+        pools = assigner.pools
+        for used, per_cycle in zip(_counts(pools), pools.table.per_cycle):
+            assert 0 <= used <= per_cycle * 2
 
 
 def _fresh(assigner):

@@ -14,6 +14,11 @@ from repro.machine import (
 from repro.mrt import PoolOverflowError, ResourcePools
 
 
+def _used(pools, key):
+    """Slots of ``key`` the pools hold reserved."""
+    return pools._used[pools.table.index[key]]
+
+
 class TestPlanCopies:
     def test_no_needed_clusters_empty_plan(self, two_gp):
         plan = plan_copies(two_gp, producer=0, producer_cluster=0,
@@ -88,7 +93,7 @@ class TestRoutingState:
         state.set_cluster(0, 0)
         state.set_cluster(1, 0)
         assert state.total_copies() == 0
-        assert pools.used("bus") == 0
+        assert _used(pools, "bus") == 0
 
     def test_cross_cluster_consumer_triggers_copy(self, routing):
         state, graph, pools = routing
@@ -96,9 +101,9 @@ class TestRoutingState:
         state.set_cluster(1, 1)
         assert state.total_copies() == 1
         assert state.required_copies(0) == 1
-        assert pools.used("bus") == 1
-        assert pools.used(("rd", 0)) == 1
-        assert pools.used(("wr", 1)) == 1
+        assert _used(pools, "bus") == 1
+        assert _used(pools, ("rd", 0)) == 1
+        assert _used(pools, ("wr", 1)) == 1
 
     def test_broadcast_extends_without_second_copy(self, routing):
         state, graph, pools = routing
@@ -115,7 +120,7 @@ class TestRoutingState:
         for producer in state.affected_producers(1):
             state.replan(producer)
         assert state.total_copies() == 0
-        assert pools.used("bus") == 0
+        assert _used(pools, "bus") == 0
 
     def test_unassigned_value_consumers(self, routing):
         state, graph, pools = routing
@@ -216,4 +221,4 @@ class TestReplanMisfits:
         with pytest.raises(CopyRoutingError):
             state.set_cluster(1, 2)
         assert state.replan(0) is False
-        assert all(pools.used(key) == 0 for key in pools.keys())
+        assert not any(pools._used)

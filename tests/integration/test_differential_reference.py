@@ -28,6 +28,8 @@ from repro.baselines import (
 from repro.core.driver import compile_loop
 from repro.ddg.mii import rec_mii
 from repro.machine.presets import (
+    four_cluster_fs,
+    four_cluster_gp,
     four_cluster_grid,
     two_cluster_fs,
     two_cluster_gp,
@@ -103,8 +105,11 @@ def test_assignment_order_matches_reference(loops) -> None:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "machine_factory",
-    [two_cluster_gp, two_cluster_fs, four_cluster_grid],
-    ids=["2gp-bus", "2fs-bus", "4grid-p2p"],
+    [
+        two_cluster_gp, two_cluster_fs, four_cluster_gp, four_cluster_fs,
+        four_cluster_grid,
+    ],
+    ids=["2gp-bus", "2fs-bus", "4gp-bus", "4fs-bus", "4grid-p2p"],
 )
 def test_compilation_bit_identical(machine_factory, loops) -> None:
     machine = machine_factory()

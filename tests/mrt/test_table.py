@@ -15,38 +15,43 @@ def mrt(uni8):
 ISSUE = ("issue", 0, "gp")
 
 
+def fits(mrt, keys, cycle):
+    """True when one slot of every key is free in ``cycle``'s row."""
+    return mrt.probe(mrt.compile_demand(keys), cycle)
+
+
 class TestPlacement:
     def test_place_and_query(self, mrt):
         mrt.place("op1", [ISSUE], cycle=2)
-        assert mrt.is_placed("op1")
-        assert "op1" in mrt.placed_ops()
+        assert mrt._held["op1"] == [(ISSUE, 2)]
+        assert mrt._slots[(ISSUE, 2)] == ["op1"]
 
     def test_row_wraps_modulo_ii(self, mrt):
-        assert mrt.row(0) == 0
-        assert mrt.row(4) == 0
-        assert mrt.row(7) == 3
+        # Cycles 3 and 7 share kernel row 3 at II = 4, and so do the
+        # negative cycles a forced placement may choose.
+        for i in range(7):
+            mrt.place(f"op{i}", [ISSUE], cycle=7)
+        mrt.place("op7", [ISSUE], cycle=-1)
+        assert mrt._usage[ISSUE] == [0, 0, 0, 8]
+        assert mrt.conflicting_ops([ISSUE], 3) == {
+            f"op{i}" for i in range(8)
+        }
 
     def test_cycles_congruent_mod_ii_share_rows(self, mrt):
         for i in range(8):
             mrt.place(f"op{i}", [ISSUE], cycle=1)  # row 1 holds 8 slots
-        assert not mrt.available([ISSUE], 1)
-        assert not mrt.available([ISSUE], 5)  # same row
-        assert mrt.available([ISSUE], 2)
+        assert not fits(mrt, [ISSUE], 1)
+        assert not fits(mrt, [ISSUE], 5)  # same row
+        assert fits(mrt, [ISSUE], 2)
 
     def test_double_place_rejected(self, mrt):
         mrt.place("op1", [ISSUE], cycle=0)
         with pytest.raises(ValueError):
             mrt.place("op1", [ISSUE], cycle=1)
 
-    def test_place_when_full_raises(self, mrt):
-        for i in range(8):
-            mrt.place(f"op{i}", [ISSUE], cycle=0)
-        with pytest.raises(RuntimeError):
-            mrt.place("late", [ISSUE], cycle=0)
-
     def test_unknown_key_raises(self, mrt):
         with pytest.raises(KeyError):
-            mrt.available([("nope",)], 0)
+            fits(mrt, [("nope",)], 0)
 
     def test_ii_must_be_positive(self, uni8):
         with pytest.raises(ValueError):
@@ -57,8 +62,8 @@ class TestRemoval:
     def test_remove_frees_slots(self, mrt):
         mrt.place("op1", [ISSUE], cycle=3)
         mrt.remove("op1")
-        assert not mrt.is_placed("op1")
-        assert mrt.available([ISSUE] * 8, 3)
+        assert "op1" not in mrt._held
+        assert fits(mrt, [ISSUE] * 8, 3)
 
     def test_remove_unplaced_raises(self, mrt):
         with pytest.raises(ValueError):
@@ -84,15 +89,7 @@ class TestConflicts:
         conflicts = mrt.conflicting_ops(copy_keys, 0)
         assert conflicts == {"cp0"}
         # Other row is free.
-        assert mrt.available(copy_keys, 1)
-
-
-class TestUtilization:
-    def test_utilization_fractions(self, mrt):
-        mrt.place("op0", [ISSUE], cycle=0)
-        mrt.place("op1", [ISSUE], cycle=1)
-        # 2 used of 8 units x 4 rows = 32 slots.
-        assert mrt.utilization()[ISSUE] == pytest.approx(2 / 32)
+        assert fits(mrt, copy_keys, 1)
 
 
 class TestDemandProfiles:
@@ -111,23 +108,26 @@ class TestDemandProfiles:
             mrt.compile_demand([("issue", 9, "nope")])
 
     def test_probe_matches_available(self, mrt):
+        # A profile compiled before the placements sees them: it fails
+        # exactly in the saturated row.
         profile = mrt.compile_demand([ISSUE])
         for i in range(8):
             mrt.place(f"op{i}", [ISSUE], cycle=2)
         for cycle in range(8):
-            assert mrt.probe(profile, cycle) == mrt.available([ISSUE], cycle)
+            assert mrt.probe(profile, cycle) == (cycle % 4 != 2)
 
 
 class TestUncheckedPlacement:
     def test_place_unchecked_skips_validation(self, mrt):
         for i in range(8):
             mrt.place(f"op{i}", [ISSUE], cycle=0)
-        # check=False trusts the caller's prior probe; it must not raise
-        # even though the row is full (the scheduler displaces conflicts
+        # place trusts the caller's prior probe; it must not raise even
+        # though the row is full (the scheduler displaces conflicts
         # before placing, so this state never occurs on the hot path).
-        mrt.place("late", [ISSUE], cycle=0, check=False)
+        mrt.place("late", [ISSUE], cycle=0)
+        assert mrt._usage[ISSUE][0] == 9
         mrt.remove("late")
-        assert mrt.available([ISSUE], 4) is False  # row 0 still full
+        assert fits(mrt, [ISSUE], 4) is False  # row 0 still full
 
 
 class TestSlotHygiene:

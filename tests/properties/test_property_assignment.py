@@ -82,9 +82,9 @@ class TestRoutingStateInvariants:
                 # contract; a real caller rolls back — do the same.
                 return
         actual = {
-            key: pools.used(key)
-            for key in pools.keys()
-            if pools.used(key) > 0
+            key: used
+            for key, used in zip(pools.table.keys, pools._used)
+            if used > 0
         }
         assert actual == _expected_copy_reservations(state)
         # The kept UnassignedSuccessors counts follow every action.

@@ -1,6 +1,5 @@
 """Property-based tests on resource pool invariants."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +8,15 @@ from repro.mrt import PoolOverflowError, ResourcePools
 
 
 def _keys(pools):
-    return sorted(pools.keys(), key=str)
+    return sorted(pools.table.keys, key=str)
+
+
+def _free(pools, key):
+    """Free slots of ``key``: the largest demand of it that fits."""
+    count = 0
+    while pools.fits(pools.table.demand([key] * (count + 1))):
+        count += 1
+    return count
 
 
 @st.composite
@@ -25,6 +32,23 @@ def pool_operations(draw):
     return ii, ops
 
 
+def _apply(pools, keys, taken, sequence):
+    """Take one slot per "reserve"; give back one the same pools took
+    earlier per "release" (a release with nothing taken is skipped, as
+    the assigner gives back only what it holds)."""
+    for kind, key_index in sequence:
+        key = keys[key_index % len(keys)]
+        demand = pools.table.demand([key])
+        if kind == "reserve":
+            if pools.take(demand):
+                taken[key] = taken.get(key, 0) + 1
+            else:
+                assert _free(pools, key) == 0
+        elif taken.get(key):
+            pools.give(demand)
+            taken[key] -= 1
+
+
 class TestPoolInvariants:
     @given(pool_operations())
     @settings(max_examples=80, deadline=None)
@@ -32,19 +56,14 @@ class TestPoolInvariants:
         ii, ops = case
         pools = ResourcePools(two_cluster_gp(), ii=ii)
         keys = _keys(pools)
+        table = pools.table
+        taken = {}
         for kind, key_index in ops:
+            _apply(pools, keys, taken, [(kind, key_index)])
             key = keys[key_index % len(keys)]
-            if kind == "reserve":
-                try:
-                    pools.reserve([key])
-                except PoolOverflowError:
-                    assert pools.free(key) == 0
-            else:
-                try:
-                    pools.release([key])
-                except ValueError:
-                    assert pools.used(key) == 0
-            assert 0 <= pools.used(key) <= pools.capacity(key)
+            capacity = table.per_cycle[table.index[key]] * ii
+            assert _free(pools, key) == capacity - taken.get(key, 0)
+            assert 0 <= taken.get(key, 0) <= capacity
 
     @given(pool_operations())
     @settings(max_examples=60, deadline=None)
@@ -54,48 +73,44 @@ class TestPoolInvariants:
         pools = ResourcePools(machine, ii=ii)
         keys = _keys(pools)
 
-        def apply(target, sequence):
-            for kind, key_index in sequence:
-                key = keys[key_index % len(keys)]
-                try:
-                    target.reserve([key]) if kind == "reserve" else (
-                        target.release([key])
-                    )
-                except (PoolOverflowError, ValueError):
-                    pass
-
         # Apply the first half, copy, apply the rest to the copy only:
         # the original keeps its counts, and the copy ends where
         # applying every operation to one set of pools ends.
         half = len(ops) // 2
-        apply(pools, ops[:half])
-        expected = {key: pools.used(key) for key in keys}
+        taken = {}
+        _apply(pools, keys, taken, ops[:half])
+        expected = {key: _free(pools, key) for key in keys}
         scratch = pools.copy()
-        apply(scratch, ops[half:])
-        assert {key: pools.used(key) for key in keys} == expected
+        _apply(scratch, keys, dict(taken), ops[half:])
+        assert {key: _free(pools, key) for key in keys} == expected
         whole = ResourcePools(machine, ii=ii)
-        apply(whole, ops)
-        assert {key: scratch.used(key) for key in keys} == {
-            key: whole.used(key) for key in keys
+        _apply(whole, keys, {}, ops)
+        assert {key: _free(scratch, key) for key in keys} == {
+            key: _free(whole, key) for key in keys
         }
 
     @given(st.integers(min_value=1, max_value=12))
     @settings(max_examples=20, deadline=None)
     def test_capacity_linear_in_ii(self, ii):
         pools = ResourcePools(two_cluster_gp(), ii=ii)
-        assert pools.capacity("bus") == 2 * ii
-        assert pools.capacity(("issue", 0, "gp")) == 4 * ii
+        assert _free(pools, "bus") == 2 * ii
+        assert _free(pools, ("issue", 0, "gp")) == 4 * ii
 
     @given(st.lists(st.integers(min_value=0, max_value=8), max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_can_reserve_agrees_with_reserve(self, key_indices):
+        # fits, take and overflow_error agree on every demand vector;
+        # a take that does not fit reserves nothing.
         pools = ResourcePools(two_cluster_gp(), ii=2)
         keys = _keys(pools)
         request = [keys[i % len(keys)] for i in key_indices]
         if not request:
             return
-        if pools.can_reserve(request):
-            pools.reserve(request)  # must not raise
+        demand = pools.table.demand(request)
+        before = {key: _free(pools, key) for key in keys}
+        if pools.fits(demand):
+            assert pools.take(demand)
         else:
-            with pytest.raises(PoolOverflowError):
-                pools.reserve(request)
+            assert not pools.take(demand)
+            assert isinstance(pools.overflow_error(demand), PoolOverflowError)
+            assert {key: _free(pools, key) for key in keys} == before

@@ -105,17 +105,24 @@ class TestIiSearch:
 
 
 class TestBudget:
-    def test_tiny_budget_fails_gracefully(self, intro_example, uni8):
-        annotated = _annotate(intro_example, uni8)
-        # budget_ratio floor keeps it at len+1; use a machine too narrow
-        # to finish in that many placements at the minimum II.
-        machine = unified_gp(1)
-        annotated = _annotate(intro_example, machine)
-        result = modulo_schedule(annotated, ii=6, budget_ratio=0)
-        # Either schedules within the floor budget or returns None;
-        # must not raise or loop forever.
-        if result is not None:
-            assert_valid(result)
+    def test_tiny_budget_fails_gracefully(self, intro_example, monkeypatch):
+        # One issue slot per cycle cannot hold six ops at II 5, so the
+        # attempt spends its whole budget, DEFAULT_BUDGET_RATIO x 6
+        # placements, read at call time; a zero ratio leaves the
+        # len+1 floor, which still schedules at II 6.
+        annotated = _annotate(intro_example, unified_gp(1))
+        stats = SchedulerStats(ii=5)
+        assert modulo_schedule(annotated, ii=5, stats=stats) is None
+        assert stats.placements == 6 * 6
+        monkeypatch.setattr(
+            "repro.scheduling.modulo.DEFAULT_BUDGET_RATIO", 0
+        )
+        stats = SchedulerStats(ii=5)
+        assert modulo_schedule(annotated, ii=5, stats=stats) is None
+        assert stats.placements == 6 + 1
+        result = modulo_schedule(annotated, ii=6)
+        assert result is not None
+        assert_valid(result)
 
 
 class TestOneMetricsPass:

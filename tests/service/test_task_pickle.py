@@ -47,9 +47,9 @@ class _PicklingPool:
         future.set_result(TaskResult(value, os.getpid(), 0.0, 0.0))
         return future
 
-    def map(self, fn_name, payloads, deadline=None):
+    def map(self, fn_name, payloads):
         for payload in payloads:
-            yield self.submit(fn_name, payload, deadline).result().value
+            yield self.submit(fn_name, payload).result().value
 
 
 def _engine_chunk(pool, monkeypatch, capsys):
