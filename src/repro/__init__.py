@@ -26,7 +26,6 @@ from .core import (
     SIMPLE,
     SIMPLE_ITERATIVE,
     AssignmentConfig,
-    AssignmentStats,
     CompilationError,
     CompiledLoop,
     assign_clusters,
@@ -82,7 +81,6 @@ __all__ = [
     "ALL_VARIANTS",
     "AnnotatedDdg",
     "AssignmentConfig",
-    "AssignmentStats",
     "BusInterconnect",
     "ClusterSpec",
     "CompilationError",

@@ -10,6 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
+#: Last II deviation the figures and tables give a row (the last row
+#: also holds every larger deviation).
+MAX_DEVIATION = 3
+
 
 @dataclass
 class DeviationHistogram:
@@ -61,14 +65,14 @@ class DeviationHistogram:
             return 0.0
         return sum(dev * count for dev, count in self.counts.items()) / total
 
-    def buckets(self, max_bucket: int = 3) -> List[Tuple[str, float]]:
-        """Figure-style buckets: 0, 1, ..., max_bucket-1, and
-        ``>= max_bucket`` collapsed into one final bucket."""
+    def buckets(self) -> List[Tuple[str, float]]:
+        """Figure-style buckets: 0, 1, ..., MAX_DEVIATION-1, and
+        ``>= MAX_DEVIATION`` collapsed into one final bucket."""
         rows: List[Tuple[str, float]] = [
-            (str(dev), self.percentage(dev)) for dev in range(max_bucket)
+            (str(dev), self.percentage(dev)) for dev in range(MAX_DEVIATION)
         ]
-        tail = 100.0 - self.percentage_at_most(max_bucket - 1)
-        rows.append((f"{max_bucket}+", tail if self.n_loops else 0.0))
+        tail = 100.0 - self.percentage_at_most(MAX_DEVIATION - 1)
+        rows.append((f"{MAX_DEVIATION}+", tail if self.n_loops else 0.0))
         return rows
 
 

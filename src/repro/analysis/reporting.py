@@ -11,13 +11,10 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from .experiment import ExperimentResult
+from .histogram import MAX_DEVIATION
 
 #: Width of the ASCII bars in chart rendering.
 BAR_WIDTH = 40
-
-#: Last II deviation the tables give a row (the deviation table's last
-#: row also holds every larger deviation).
-MAX_DEVIATION = 3
 
 
 def deviation_table(results: Sequence[ExperimentResult]) -> str:
@@ -30,9 +27,7 @@ def deviation_table(results: Sequence[ExperimentResult]) -> str:
         f"{label:>{col_width}}" for label in labels
     )
     lines = [header, "-" * len(header)]
-    bucket_rows = [
-        result.histogram.buckets(MAX_DEVIATION) for result in results
-    ]
+    bucket_rows = [result.histogram.buckets() for result in results]
     for row_index in range(MAX_DEVIATION + 1):
         bucket_label = bucket_rows[0][row_index][0]
         cells = "".join(

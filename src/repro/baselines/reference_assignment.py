@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Union
 
 from ..core.annotate import build_annotated
-from ..core.assignment import AssignmentStats
 from ..core.copies import (
     CopyPlan,
     CopyRoutingError,
@@ -37,6 +36,19 @@ from ..ddg.graph import Ddg
 from ..ddg.transform import AnnotatedDdg, trivial_annotation
 from ..machine.machine import Machine, ResourceKey
 from ..mrt.pool import PoolOverflowError
+
+
+@dataclass
+class AssignmentStats:
+    """Bookkeeping from one seed assignment attempt (the optimized phase
+    counts these events on the trace instead)."""
+
+    ii: int
+    placements: int = 0
+    forced_placements: int = 0
+    evictions: int = 0
+    copies: int = 0
+    succeeded: bool = False
 
 
 # ----------------------------------------------------------------------

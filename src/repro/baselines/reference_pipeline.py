@@ -30,7 +30,6 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
-from ..core.assignment import AssignmentStats
 from ..core.ordering import AssignmentOrder
 from ..core.variants import HEURISTIC_ITERATIVE, AssignmentConfig
 from ..ddg.graph import Ddg
@@ -558,7 +557,10 @@ def reference_compile_loop(
     (:func:`repro.baselines.reference_assignment.reference_assign_clusters`),
     scheduling, and the reservation table.
     """
-    from .reference_assignment import reference_assign_clusters
+    from .reference_assignment import (
+        AssignmentStats,
+        reference_assign_clusters,
+    )
 
     unified = machine.unified_equivalent()
     machine_mii = reference_mii(ddg, unified)

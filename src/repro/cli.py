@@ -4,7 +4,8 @@ Subcommands:
 
 * ``compile`` — read a loop in the textual format of
   :mod:`repro.ddg.parse`, assign + schedule it for a chosen machine,
-  print the assignment, kernel, copies, and register pressure
+  print the assignment, kernel, copies, search stats (read from the
+  final ``attempt`` span of its always-on trace) and register pressure
   (``--trace`` adds the span tree, phase profile and counters of
   ``docs/OBSERVABILITY.md``, ``--trace-out`` a JSONL event log).
 * ``stats`` — print the Table 1 statistics of the evaluation suite.
@@ -42,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Callable, Dict, List, Optional
 
 from . import obs
@@ -117,15 +119,6 @@ def _read_loop(args: argparse.Namespace) -> Ddg:
     return loops[0]
 
 
-def _trace_requested(args: argparse.Namespace) -> Optional[obs.Trace]:
-    """A fresh trace when any tracing flag asks for one, else None."""
-    if (getattr(args, "trace", False)
-            or getattr(args, "trace_out", None)
-            or getattr(args, "trace_chrome", None)):
-        return obs.Trace()
-    return None
-
-
 def _emit_trace(trace: Optional[obs.Trace],
                 args: argparse.Namespace) -> None:
     """Print the trace report and/or write the event logs, as flagged."""
@@ -160,21 +153,17 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         _certify_config_from_args(args)
         if args.certify is not None else None
     )
-    trace = _trace_requested(args)
+    trace = obs.Trace()
     try:
-        # Only the clustered compile is traced, so the report's counts
-        # are one compile's; the unified baseline runs untraced.
-        if trace is not None:
-            obs.install(trace)
-        try:
+        # Only the clustered compile is traced, so the stats lines and
+        # the report hold one compile's counts; the unified baseline
+        # runs untraced.
+        with obs.tracing(trace):
             result = compile_loop(
                 loop, machine, config=config, verify=True,
                 lint_config=lint_config,
                 certify_config=certify_config,
             )
-        finally:
-            if trace is not None:
-                obs.uninstall()
         unified = compile_loop(loop, machine.unified_equivalent())
     except CompilationError as exc:
         print(f"compilation failed: {exc}", file=sys.stderr)
@@ -182,18 +171,18 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(f"{args.loop}: {exc}")
 
-    stats = result.assignment_stats
+    # The final attempt's search events, counted by its span.
+    counts = Counter(trace.find("attempt")[-1].total_counters())
     print(f"machine: {machine}")
     print(f"II = {result.ii} (unified machine: {unified.ii}, "
           f"MII: {result.mii})")
     print(f"copies inserted: {result.copy_count}")
-    print(f"assignment stats: placements={stats.placements} "
-          f"forced={stats.forced_placements} "
-          f"evictions={stats.evictions} copies={stats.copies} "
-          f"(II attempts: {result.attempts})")
-    sched = result.scheduler_stats
-    print(f"scheduler stats: placements={sched.placements} "
-          f"displacements={sched.evictions}")
+    print(f"assignment stats: placements={counts['assign.placements']} "
+          f"forced={counts['assign.select.forced']} "
+          f"evictions={counts['assign.evictions']} "
+          f"copies={result.copy_count} (II attempts: {result.attempts})")
+    print(f"scheduler stats: placements={counts['sched.placements']} "
+          f"displacements={counts['sched.backtracks']}")
     print()
     print("assignment:")
     for node in result.annotated.ddg.nodes:
@@ -282,10 +271,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         _certify_config_from_args(args)
         if args.certify is not None else None
     )
-    trace = _trace_requested(args)
-    if args.json and trace is None:
-        # --json reports obs counters, so it always traces.
-        trace = obs.Trace()
+    # --json reports obs counters, so it always traces.
+    traced = args.json or args.trace or args.trace_out or args.trace_chrome
+    trace = obs.Trace() if traced else None
     if trace is not None:
         obs.install(trace)
     try:

@@ -1,7 +1,7 @@
 """The paper's contribution: pre-scheduling cluster assignment."""
 
 from .annotate import build_annotated
-from .assignment import AssignmentStats, assign_clusters
+from .assignment import assign_clusters
 from .copies import CopyPlan, CopySpec, RoutingState, plan_copies
 from .driver import CompilationError, CompiledLoop, compile_loop, ii_search_bound
 from .ordering import AssignmentOrder, build_assignment_order
@@ -29,7 +29,6 @@ __all__ = [
     "ALL_VARIANTS",
     "AssignmentConfig",
     "AssignmentOrder",
-    "AssignmentStats",
     "CandidateInfo",
     "CompilationError",
     "CompiledLoop",

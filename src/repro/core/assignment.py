@@ -22,12 +22,13 @@
 
 Returns the annotated graph (original ops tagged with clusters, copies
 inserted) or ``None`` when no valid assignment was found at this II.
+Search events are counted on the trace only (``assign.*`` in
+``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..ddg.graph import Ddg
@@ -53,18 +54,6 @@ from .variants import HEURISTIC_ITERATIVE, AssignmentConfig
 StepFacts = Tuple[ProducerFacts, int, int]
 
 
-@dataclass
-class AssignmentStats:
-    """Bookkeeping from one assignment attempt."""
-
-    ii: int
-    placements: int = 0
-    forced_placements: int = 0
-    evictions: int = 0
-    copies: int = 0
-    succeeded: bool = False
-
-
 class _Assigner:
     """Mutable state of one assignment attempt at a fixed II."""
 
@@ -74,13 +63,11 @@ class _Assigner:
         machine: Machine,
         ii: int,
         config: AssignmentConfig,
-        stats: AssignmentStats,
     ) -> None:
         self.ddg = ddg
         self.machine = machine
         self.ii = ii
         self.config = config
-        self.stats = stats
         self.order: AssignmentOrder = build_assignment_order(
             ddg, ii, scc_first=config.scc_first
         )
@@ -291,7 +278,6 @@ class _Assigner:
         if self.state is not None:
             self.state += (cluster + 1) << (self._rank[node_id] * self._width)
         self._record_history(node_id, cluster)
-        self.stats.placements += 1
         obs_count("assign.placements")
 
     def evict(self, node_id: int, protect: Set[int]) -> bool:
@@ -312,7 +298,6 @@ class _Assigner:
         heapq.heappush(
             self._ready, (self.order.priority_of(node_id), node_id)
         )
-        self.stats.evictions += 1
         obs_count("assign.evictions")
         for producer in self.routing.affected_producers(node_id):
             if not self._replan_or_evict(producer, protect):
@@ -396,10 +381,7 @@ class _Assigner:
             if not self._replan_or_evict(producer, protect):
                 return False
         self._record_history(node_id, cluster)
-        self.stats.placements += 1
-        self.stats.forced_placements += 1
         obs_count("assign.placements")
-        obs_count("assign.forced_placements")
         return True
 
     # ------------------------------------------------------------------
@@ -480,8 +462,6 @@ class _Assigner:
                 return None
             obs_count("assign.select.forced")
 
-        self.stats.copies = self.routing.total_copies()
-        self.stats.succeeded = True
         return build_annotated(
             self.ddg,
             self.machine,
@@ -495,7 +475,6 @@ def assign_clusters(
     machine: Machine,
     ii: int,
     config: AssignmentConfig = HEURISTIC_ITERATIVE,
-    stats: Optional[AssignmentStats] = None,
 ) -> Optional[AnnotatedDdg]:
     """Run one assignment attempt at candidate ``ii``.
 
@@ -505,19 +484,15 @@ def assign_clusters(
     """
     if len(ddg) == 0:
         raise ValueError("cannot assign an empty graph")
-    if stats is None:
-        stats = AssignmentStats(ii=ii)
     if machine.is_unified:
-        stats.succeeded = True
         return trivial_annotation(ddg, machine)
     with obs_span("assign", ii=ii) as assign_span:
-        assigner = _Assigner(ddg, machine, ii, config, stats)
+        assigner = _Assigner(ddg, machine, ii, config)
         annotated = assigner.run()
+        succeeded = annotated is not None
         assign_span.note(
-            succeeded=annotated is not None,
-            placements=stats.placements,
-            evictions=stats.evictions,
-            copies=stats.copies,
+            succeeded=succeeded,
+            copies=assigner.routing.total_copies() if succeeded else 0,
         )
         if assigner.stop is not None:
             assign_span.note(stop=assigner.stop)

@@ -9,6 +9,7 @@ For each candidate II starting at the unified machine's MII:
    failure, again restart the whole process at II + 1.
 
 The first II at which both phases succeed is the loop's final II.
+Each candidate runs in an ``attempt`` span holding its search counters.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from ..ddg.transform import AnnotatedDdg
 from ..ddg.validate import validate_loop
 from ..machine.machine import Machine
 from ..machine.validate import validate_machine
-from ..scheduling.modulo import SchedulerStats, modulo_schedule
+from ..scheduling.modulo import modulo_schedule
 from ..scheduling.schedule import Schedule
 from ..scheduling.verify import assert_valid
-from .assignment import AssignmentStats, assign_clusters
+from .assignment import assign_clusters
 from .variants import HEURISTIC_ITERATIVE, AssignmentConfig
 
 
@@ -45,8 +46,6 @@ class CompiledLoop:
     mii: int
     annotated: AnnotatedDdg
     schedule: Schedule
-    assignment_stats: AssignmentStats
-    scheduler_stats: SchedulerStats
     attempts: int
     #: Populated when compilation ran with a lint gate
     #: (``lint_config`` passed to :func:`compile_loop`).
@@ -126,19 +125,12 @@ def compile_loop(
             attempts += 1
             obs.count("driver.attempts")
             with obs.span("attempt", ii=candidate_ii) as attempt_span:
-                assignment_stats = AssignmentStats(ii=candidate_ii)
-                annotated = assign_clusters(
-                    ddg, machine, candidate_ii, config,
-                    stats=assignment_stats,
-                )
+                annotated = assign_clusters(ddg, machine, candidate_ii, config)
                 if annotated is None:
                     obs.count("driver.assign_failures")
                     attempt_span.note(outcome="assign_failed")
                     continue
-                scheduler_stats = SchedulerStats(ii=candidate_ii)
-                schedule = modulo_schedule(
-                    annotated, candidate_ii, stats=scheduler_stats,
-                )
+                schedule = modulo_schedule(annotated, candidate_ii)
                 if schedule is None:
                     obs.count("driver.schedule_failures")
                     attempt_span.note(outcome="schedule_failed")
@@ -146,9 +138,7 @@ def compile_loop(
                 if verify:
                     assert_valid(schedule)
                 attempt_span.note(outcome="ok")
-            compile_span.note(
-                ii=candidate_ii, ii_restarts=attempts - 1
-            )
+            compile_span.note(ii=candidate_ii)
             compiled = CompiledLoop(
                 ddg=ddg,
                 machine=machine,
@@ -157,8 +147,6 @@ def compile_loop(
                 mii=machine_mii,
                 annotated=annotated,
                 schedule=schedule,
-                assignment_stats=assignment_stats,
-                scheduler_stats=scheduler_stats,
                 attempts=attempts,
             )
             if lint_config is not None:
@@ -166,7 +154,6 @@ def compile_loop(
 
                 report = lint_compiled(compiled, lint_config)
                 compiled.lint_report = report
-                obs.count("driver.lint_errors", len(report.errors))
                 if lint_config.strict and not report.ok:
                     obs.count("driver.lint_rejections")
                     raise CompilationError(
@@ -181,9 +168,6 @@ def compile_loop(
 
                 certified = certify_compiled(compiled, certify_config)
                 compiled.certified = certified
-                obs.count(
-                    "driver.certify_failures", len(certified.issues)
-                )
                 if certify_config.strict and not certified.ok:
                     obs.count("driver.certify_rejections")
                     raise CompilationError(

@@ -18,7 +18,7 @@ first node that fits nowhere and retry at a larger II.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict
 
 #: Default eviction/assignment budget multiplier (steps per node before
@@ -44,10 +44,6 @@ class AssignmentConfig:
     #: ordered but critical recurrences get no assignment priority and
     #: no cluster-affinity selection.
     scc_first: bool = True
-
-    def with_budget(self, ratio: int) -> "AssignmentConfig":
-        """This configuration with a different budget multiplier."""
-        return replace(self, budget_ratio=ratio)
 
 
 #: The four variants of Figures 12–13.

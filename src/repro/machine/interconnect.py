@@ -105,8 +105,9 @@ class PointToPointInterconnect(Interconnect):
     broadcast = False
 
     def __init__(self, links: Sequence[Tuple[int, int]]) -> None:
-        if not links:
-            raise ValueError("a point-to-point fabric needs links")
+        error = empty_channel("links", len(links))
+        if error is not None:
+            raise error
         normalized: List[FrozenSet[int]] = []
         for a, b in links:
             if a == b:

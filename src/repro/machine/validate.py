@@ -9,7 +9,8 @@ pools) or MACH206 (a channel pool of capacity <= 0).  The defects are
 found once per machine object (:attr:`Machine.defects`); lint's error
 rules report them.  :class:`UnitMix` refuses an empty mix through
 :func:`empty_units`, and :class:`BusInterconnect` a bus pool without
-buses through :func:`empty_channel`.
+buses and :class:`PointToPointInterconnect` a fabric without links
+through :func:`empty_channel`.
 """
 
 from __future__ import annotations

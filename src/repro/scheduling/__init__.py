@@ -1,10 +1,6 @@
 """Modulo scheduling: priorities, SMS ordering, iterative scheduler."""
 
-from .modulo import (
-    DEFAULT_BUDGET_RATIO,
-    SchedulerStats,
-    modulo_schedule,
-)
+from .modulo import DEFAULT_BUDGET_RATIO, modulo_schedule
 from .priority import PriorityDivergenceError, PriorityMetrics, compute_metrics
 from .schedule import Schedule
 from .stage import StageScheduleResult, stage_schedule, total_lifetime
@@ -16,7 +12,6 @@ __all__ = [
     "PriorityDivergenceError",
     "PriorityMetrics",
     "Schedule",
-    "SchedulerStats",
     "StageScheduleResult",
     "assert_valid",
     "assignment_order",

@@ -28,12 +28,13 @@ dependence bounds are computed from the compiled DDG view's pre-extracted
 edge specs, and resource probes use demand profiles pre-compiled against
 the reservation table once per attempt (see
 :meth:`repro.mrt.table.ModuloReservationTable.compile_demand`).
+Search events are counted on the trace only (``sched.*`` in
+``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from ..ddg.mii import rec_mii_exceeds
@@ -49,20 +50,9 @@ from .swing import assignment_order
 DEFAULT_BUDGET_RATIO = 6
 
 
-@dataclass
-class SchedulerStats:
-    """Bookkeeping from one scheduling attempt."""
-
-    ii: int
-    placements: int = 0
-    evictions: int = 0
-    succeeded: bool = False
-
-
 def modulo_schedule(
     annotated: AnnotatedDdg,
     ii: int,
-    stats: Optional[SchedulerStats] = None,
 ) -> Optional[Schedule]:
     """Attempt a modulo schedule of ``annotated`` at initiation interval
     ``ii``; returns None when the placement budget runs out."""
@@ -75,7 +65,7 @@ def modulo_schedule(
         obs_count("sched.recmii_rejections")
         return None
     with obs_span("schedule", ii=ii) as sched_span:
-        schedule = _modulo_schedule(annotated, ii, stats, ddg)
+        schedule = _modulo_schedule(annotated, ii, ddg)
         sched_span.note(succeeded=schedule is not None)
     return schedule
 
@@ -83,7 +73,6 @@ def modulo_schedule(
 def _modulo_schedule(
     annotated: AnnotatedDdg,
     ii: int,
-    stats: Optional[SchedulerStats],
     ddg,
 ) -> Optional[Schedule]:
     """The scheduling loop proper (inside the ``schedule`` span)."""
@@ -140,8 +129,6 @@ def _modulo_schedule(
         unscheduled.add(node_id)
         heapq.heappush(ready, (rank[node_id], node_id))
         obs_count("sched.backtracks")
-        if stats is not None:
-            stats.evictions += 1
 
     while unscheduled:
         if budget <= 0:
@@ -196,8 +183,6 @@ def _modulo_schedule(
         previous_start[node_id] = chosen
         unscheduled.discard(node_id)
         obs_count("sched.placements")
-        if stats is not None:
-            stats.placements += 1
 
         # Displace scheduled neighbors whose dependence the placement
         # violates (successors too early, predecessors too late — the
@@ -220,8 +205,5 @@ def _modulo_schedule(
     if lowest < 0:
         shift = ((-lowest + ii - 1) // ii) * ii
         start = {node_id: t + shift for node_id, t in start.items()}
-    schedule = Schedule(annotated=annotated, ii=ii, start=start)
-    if stats is not None:
-        stats.succeeded = True
-    return schedule
+    return Schedule(annotated=annotated, ii=ii, start=start)
 

@@ -29,7 +29,6 @@ from .frontdoor import (
     CompileRequest,
     CompileService,
     ServiceConfig,
-    ServiceStats,
     replay,
 )
 from .pool import (
@@ -61,7 +60,6 @@ __all__ = [
     "PoolError",
     "RemoteTaskError",
     "ServiceConfig",
-    "ServiceStats",
     "ShardedResultCache",
     "TaskResult",
     "WorkerCrashError",

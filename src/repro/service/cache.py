@@ -12,7 +12,8 @@ independently.
 
 Writes are atomic (temp file + rename), replays are validated against
 the writer's ``version`` (:data:`CACHE_VERSION`), and a corrupt or torn
-entry reads as a miss, never an error.
+entry reads as a miss, never an error.  Callers count hits and misses
+on the trace.
 """
 
 from __future__ import annotations
@@ -30,14 +31,11 @@ CACHE_VERSION = 4
 
 
 class ShardedResultCache:
-    """Directory-sharded key→document store with hit/miss counters."""
+    """Directory-sharded key→document store."""
 
     def __init__(self, root: str, version: int) -> None:
         self.root = root
         self.version = version
-        self.hits = 0
-        self.misses = 0
-        self._lock = threading.Lock()
         os.makedirs(root, exist_ok=True)
 
     def _path(self, key: str) -> str:
@@ -46,20 +44,14 @@ class ShardedResultCache:
         return os.path.join(self.root, key[:2], f"{key}.json")
 
     def get(self, key: str) -> Optional[Dict]:
-        """The cached document under ``key``, or None (counts hit/miss)."""
+        """The cached document under ``key``, or None."""
         try:
             with open(self._path(key)) as handle:
                 doc = json.load(handle)
         except (FileNotFoundError, json.JSONDecodeError, OSError):
-            with self._lock:
-                self.misses += 1
             return None
         if doc.get("version") != self.version:
-            with self._lock:
-                self.misses += 1
             return None
-        with self._lock:
-            self.hits += 1
         return doc.get("value")
 
     def put(self, key: str, value: Dict) -> None:
@@ -82,9 +74,3 @@ class ShardedResultCache:
                 if entry.endswith(".json")
             )
         return count
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache so far."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -22,6 +22,9 @@ Replies are bit-identical to a direct serial
 that function — and a crashed worker or blown deadline degrades to a
 ``failed`` / ``timeout`` reply instead of an exception, mirroring the
 experiment runner's fault taxonomy.
+
+Requests, cache hits, coalescing, batches and failures are counted on
+the trace only (``service.*`` in ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -92,28 +95,6 @@ class ServiceConfig:
     deadline_s: float = 0.0
 
 
-@dataclass
-class ServiceStats:
-    """Lifetime counters of one service."""
-
-    requests: int = 0
-    completed: int = 0
-    cache_hits: int = 0
-    #: Requests served by awaiting an identical in-flight request
-    #: instead of dispatching a duplicate compile.
-    coalesced: int = 0
-    batches: int = 0
-    worker_crash_failures: int = 0
-    deadline_timeouts: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Requests served without a compile (cache + coalescing)."""
-        if not self.requests:
-            return 0.0
-        return (self.cache_hits + self.coalesced) / self.requests
-
-
 class CompileService:
     """Async front door over the warm worker pool.
 
@@ -140,7 +121,6 @@ class CompileService:
             self._cache = ShardedResultCache(
                 self.config.cache_dir, version=CACHE_VERSION
             )
-        self.stats = ServiceStats()
         #: Cache key → future of the request already compiling it.
         self._inflight_keys: Dict[str, "asyncio.Future"] = {}
         self._queue: "asyncio.Queue" = asyncio.Queue()
@@ -181,21 +161,12 @@ class CompileService:
     async def submit(self, request: CompileRequest) -> CompileReply:
         """Serve one request; resolves when its reply is ready."""
         started = time.perf_counter()
-        self.stats.requests += 1
         obs.count("service.requests")
-        reply = await self._serve(request, started)
-        self.stats.completed += 1
-        return reply
-
-    async def _serve(
-        self, request: CompileRequest, started: float,
-    ) -> CompileReply:
         key = None
         if self._cache is not None:
             key = self._request_key(request)
             hit = self._cache.get(key)
             if hit is not None:
-                self.stats.cache_hits += 1
                 obs.count("service.cache_hits")
                 return self._reply_from_doc(
                     hit, cached=True,
@@ -205,7 +176,6 @@ class CompileService:
             if inflight is not None:
                 # An identical request is already compiling: await its
                 # result instead of dispatching a duplicate.
-                self.stats.coalesced += 1
                 obs.count("service.coalesced")
                 doc, _pid = await asyncio.shield(inflight)
                 return self._reply_from_doc(
@@ -283,7 +253,6 @@ class CompileService:
             (request.loop, request.machine, request.variant)
             for request, _, _ in batch
         ]
-        self.stats.batches += 1
         obs.count("service.batches")
         pool_future = self._pool.submit(
             "compile_batch", payload,
@@ -299,13 +268,11 @@ class CompileService:
         try:
             result = await wrapped
         except DeadlineExceeded as exc:
-            self.stats.deadline_timeouts += len(batch)
-            obs.count("service.deadline_timeouts")
+            obs.count("service.deadline_timeouts", len(batch))
             self._fail_batch(batch, "timeout", str(exc))
             return
         except WorkerCrashError as exc:
-            self.stats.worker_crash_failures += len(batch)
-            obs.count("service.worker_crash_failures")
+            obs.count("service.worker_crash_failures", len(batch))
             self._fail_batch(batch, "failed", f"worker crashed: {exc}")
             return
         except Exception as exc:  # RemoteTaskError, pool closed, ...

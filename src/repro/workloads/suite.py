@@ -28,7 +28,6 @@ DEFAULT_SEED = 1998
 def paper_suite(
     n_loops: int = PAPER_SUITE_SIZE,
     seed: int = DEFAULT_SEED,
-    include_kernels: bool = True,
 ) -> List[Ddg]:
     """Build the evaluation suite: kernels first, synthetic fill after.
 
@@ -37,7 +36,7 @@ def paper_suite(
     """
     if n_loops < 1:
         raise ValueError("a suite needs at least one loop")
-    loops: List[Ddg] = all_kernels() if include_kernels else []
+    loops = all_kernels()
     if len(loops) >= n_loops:
         return loops[:n_loops]
     return loops + generate_suite(n_loops - len(loops), seed=seed)

@@ -281,11 +281,10 @@ def generate_suite(
     n_loops: int,
     seed: int = 1998,
     profile: GeneratorProfile = GeneratorProfile(),
-    name_prefix: str = "synth",
 ) -> List[Ddg]:
     """Generate a deterministic suite of ``n_loops`` synthetic loops."""
     rng = random.Random(seed)
     return [
-        generate_loop(rng, profile, name=f"{name_prefix}{i:04d}")
+        generate_loop(rng, profile, name=f"synth{i:04d}")
         for i in range(n_loops)
     ]

@@ -256,8 +256,10 @@ class TestTraceOutputs:
         rebuilt = obs.trace_from_events(obs.read_jsonl(str(path)))
         assert rebuilt.counter("sched.placements") > 0
 
-    def test_compile_without_flags_does_not_trace(self, loop_file,
-                                                  capsys):
+    def test_compile_without_flags_prints_no_report(self, loop_file,
+                                                    capsys):
+        # The clustered compile is always traced (its stats lines read
+        # the trace), but only --trace prints the report.
         assert main(["compile", loop_file]) == 0
         assert "phase profile:" not in capsys.readouterr().out
 
@@ -309,6 +311,30 @@ class TestAssignmentStatsSurfaced:
         assert "evictions=" in out
         assert "forced=" in out
         assert "scheduler stats:" in out
+
+    @pytest.mark.parametrize("name, assignment, scheduler", [
+        ("lk7_equation_of_state",
+         "placements=22 forced=6 evictions=8 copies=10 (II attempts: 2)",
+         "placements=24 displacements=0"),
+        ("synth0001",
+         "placements=16 forced=2 evictions=2 copies=6 (II attempts: 1)",
+         "placements=21 displacements=1"),
+    ])
+    def test_stats_lines_count_the_final_attempt(
+        self, name, assignment, scheduler, tmp_path, capsys,
+    ):
+        # The stats lines read the final attempt span's counters; these
+        # values are the ones the per-attempt stats records printed.
+        from repro.ddg.parse import format_loop
+        from repro.workloads import bundled_corpus
+
+        loop, = [ddg for ddg in bundled_corpus() if ddg.name == name]
+        path = tmp_path / f"{name}.txt"
+        path.write_text(format_loop(loop))
+        assert main(["compile", str(path), "--machine", "grid"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"assignment stats: {assignment}" in lines
+        assert f"scheduler stats: {scheduler}" in lines
 
 
 class TestParser:

@@ -41,7 +41,7 @@ class TestHistogram:
 
     def test_buckets_figure_layout(self):
         histogram = histogram_of([0] * 90 + [1] * 5 + [2] * 3 + [7] * 2)
-        buckets = histogram.buckets(max_bucket=3)
+        buckets = histogram.buckets()
         assert buckets[0] == ("0", 90.0)
         assert buckets[1] == ("1", 5.0)
         assert buckets[2] == ("2", 3.0)
@@ -50,5 +50,5 @@ class TestHistogram:
         assert pct == pytest.approx(2.0)
 
     def test_buckets_empty(self):
-        buckets = DeviationHistogram().buckets(2)
+        buckets = DeviationHistogram().buckets()
         assert all(pct == 0.0 for _, pct in buckets)

@@ -1,5 +1,7 @@
 """The cluster assignment phase."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -7,11 +9,11 @@ from repro.core import (
     HEURISTIC_ITERATIVE,
     SIMPLE,
     SIMPLE_ITERATIVE,
-    AssignmentStats,
     assign_clusters,
 )
 from repro.ddg import Ddg, Opcode
 from repro.machine import two_cluster_gp
+from repro.obs import tracing
 from repro.scheduling import assert_valid, modulo_schedule
 
 
@@ -41,13 +43,13 @@ class TestBasics:
         assert annotation_issues(annotated) == []
 
     def test_stats_populated(self, intro_example, two_gp):
-        stats = AssignmentStats(ii=4)
-        annotated = assign_clusters(
-            intro_example, two_gp, ii=4, stats=stats
-        )
+        with tracing() as trace:
+            annotated = assign_clusters(intro_example, two_gp, ii=4)
         assert annotated is not None
-        assert stats.succeeded
-        assert stats.placements >= len(intro_example)
+        span, = trace.find("assign")
+        assert span.attrs["succeeded"]
+        assert span.attrs["copies"] == annotated.copy_count
+        assert trace.counter("assign.placements") >= len(intro_example)
 
 
 class TestSccCohesion:
@@ -121,11 +123,12 @@ class TestVariants:
 
     def test_non_iterative_gives_up_on_first_failure(self, two_gp):
         graph = TestResourceSplitting()._wide_loop(17)
-        stats = AssignmentStats(ii=2)
-        result = assign_clusters(graph, two_gp, ii=2, config=HEURISTIC,
-                                 stats=stats)
+        with tracing() as trace:
+            result = assign_clusters(graph, two_gp, ii=2, config=HEURISTIC)
         assert result is None
-        assert stats.evictions == 0
+        assert trace.counter("assign.evictions") == 0
+        span, = trace.find("assign")
+        assert span.attrs["stop"] == "abandoned"
 
     def test_iterative_uses_evictions_under_pressure(
         self, two_gp, annotation_issues
@@ -138,9 +141,8 @@ class TestVariants:
         for i in range(12):
             node = graph.add_node(Opcode.ALU)
             graph.add_edge(p1 if i % 2 else p2, node, distance=0)
-        stats = AssignmentStats(ii=2)
         annotated = assign_clusters(
-            graph, two_gp, ii=2, config=HEURISTIC_ITERATIVE, stats=stats
+            graph, two_gp, ii=2, config=HEURISTIC_ITERATIVE
         )
         if annotated is not None:
             assert annotation_issues(annotated) == []
@@ -184,7 +186,7 @@ class TestBudget:
             node = graph.add_node(Opcode.ALU)
             graph.add_edge(hub, node, distance=0)
             graph.add_edge(node, hub, distance=1)
-        config = HEURISTIC_ITERATIVE.with_budget(2)
+        config = replace(HEURISTIC_ITERATIVE, budget_ratio=2)
         result = assign_clusters(graph, two_gp, ii=2, config=config)
         if result is not None:
             assert annotation_issues(result) == []

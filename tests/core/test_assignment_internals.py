@@ -4,14 +4,11 @@ with the premise it rests on, and the read-only probes against the
 apply-measure-roll-back transaction they replace."""
 
 import copy
+import weakref
 
 import pytest
 
-from repro.core.assignment import (
-    AssignmentStats,
-    _Assigner,
-    assign_clusters,
-)
+from repro.core.assignment import _Assigner, assign_clusters
 from repro.core.copies import RoutingState
 from repro.core.driver import compile_loop
 from repro.core.prediction import upper_bound
@@ -38,9 +35,7 @@ from repro.workloads import build_kernel, paper_suite
 
 
 def _assigner(ddg, machine, ii):
-    return _Assigner(
-        ddg, machine, ii, HEURISTIC_ITERATIVE, AssignmentStats(ii=ii)
-    )
+    return _Assigner(ddg, machine, ii, HEURISTIC_ITERATIVE)
 
 
 def _counts(pools):
@@ -133,9 +128,10 @@ class TestForcedPlacement:
         assigner = _assigner(graph, two_gp, ii=2)
         for node in nodes[:8]:
             assigner.commit(node, 0)
-        assert assigner.force_assign(nodes[8], 0)
+        with tracing() as trace:
+            assert assigner.force_assign(nodes[8], 0)
         assert assigner.routing.cluster_of[nodes[8]] == 0
-        assert assigner.stats.evictions >= 1
+        assert trace.counter("assign.evictions") >= 1
         # Exactly one of the previous holders went back to the worklist.
         assert len(assigner.unassigned) == 1
 
@@ -279,13 +275,19 @@ class TestCycleStop:
         # the cluster map and the histories.
         checked = {"steps": 0, "after_eviction": 0}
         revisits = _Assigner._revisits
+        evict = _Assigner.evict
+        evicted = weakref.WeakSet()
+
+        def noted_evict(assigner, node_id, protect):
+            evicted.add(assigner)
+            return evict(assigner, node_id, protect)
 
         def checked_revisits(assigner, step):
             plans, used = _rebuilt(assigner)
             assert assigner.routing._plans == plans
             assert _counts(assigner.pools) == used
             checked["steps"] += 1
-            if assigner.stats.evictions:
+            if assigner in evicted:
                 assert _unpacked(assigner) == (
                     assigner.routing.cluster_of, assigner.previously_on
                 )
@@ -294,6 +296,7 @@ class TestCycleStop:
                 assert assigner.state is None
             return revisits(assigner, step)
 
+        monkeypatch.setattr(_Assigner, "evict", noted_evict)
         monkeypatch.setattr(_Assigner, "_revisits", checked_revisits)
         machine = machine_factory()
         with tracing() as trace:

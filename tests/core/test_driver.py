@@ -3,6 +3,7 @@
 
 from repro.core import SIMPLE, compile_loop
 from repro.ddg import Ddg, Opcode, mii
+from repro.obs import tracing
 
 
 class TestCompileLoop:
@@ -58,10 +59,16 @@ class TestCompileLoop:
         assert result.mii == mii(intro_example, unified)
 
     def test_stats_attached(self, intro_example, two_gp):
-        result = compile_loop(intro_example, two_gp)
-        assert result.assignment_stats.succeeded
-        assert result.scheduler_stats.succeeded
-        assert result.assignment_stats.copies == result.copy_count
+        # The final attempt's span holds the assign and schedule spans
+        # that produced the result.
+        with tracing() as trace:
+            result = compile_loop(intro_example, two_gp)
+        attempts = trace.find("attempt")
+        assert len(attempts) == result.attempts
+        final = {span.name: span for span in attempts[-1].children}
+        assert final["assign"].attrs["succeeded"]
+        assert final["assign"].attrs["copies"] == result.copy_count
+        assert final["schedule"].attrs["succeeded"]
 
 
 class TestIiEscalation:

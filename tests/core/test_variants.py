@@ -1,5 +1,7 @@
 """Algorithm variant configurations."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -40,7 +42,7 @@ class TestVariantDefinitions:
         assert not NO_BROADCAST_SHARING.share_broadcast
 
     def test_with_budget(self):
-        custom = HEURISTIC_ITERATIVE.with_budget(3)
+        custom = replace(HEURISTIC_ITERATIVE, budget_ratio=3)
         assert custom.budget_ratio == 3
         assert custom.name == HEURISTIC_ITERATIVE.name
         assert HEURISTIC_ITERATIVE.budget_ratio == 6  # original intact

@@ -86,8 +86,9 @@ class TestPointToPoint:
         assert len(fabric.links) == 1
 
     def test_empty_fabric_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError) as exc:
             PointToPointInterconnect([])
+        assert exc.value.code == "MACH206"
 
 
 class TestGridLinks:

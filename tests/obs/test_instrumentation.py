@@ -37,12 +37,19 @@ class TestCompileInstrumentation:
     def test_counters_match_stats(self, traced_compile):
         trace, result = traced_compile
         assert trace.counter("driver.attempts") == result.attempts
-        # Placements/evictions across all attempts are at least the
-        # final (successful) attempt's stats.
-        assert trace.counter("assign.placements") >= \
-            result.assignment_stats.placements
-        assert trace.counter("sched.placements") >= \
-            result.scheduler_stats.placements
+        # Every placement happens inside an attempt, so the compile's
+        # totals are the sums of its attempts' counters.
+        attempts = trace.find("attempt")
+        for name in ("assign.placements", "sched.placements"):
+            assert trace.counter(name) == sum(
+                span.total_counters().get(name, 0) for span in attempts
+            )
+        # The final attempt placed every op of the annotated graph once,
+        # plus once more per displacement.
+        final = attempts[-1].total_counters()
+        assert final["assign.placements"] >= len(result.ddg)
+        assert final["sched.placements"] == len(result.annotated.ddg) + \
+            final.get("sched.backtracks", 0)
         assert trace.counter("sched.slot_probes") > 0
 
     def test_selection_outcomes_accounted(self, traced_compile):

@@ -4,11 +4,8 @@ import pytest
 
 from repro.ddg import Ddg, Opcode, build_ddg, mii, trivial_annotation
 from repro.machine import unified_fs, unified_gp
-from repro.scheduling import (
-    SchedulerStats,
-    assert_valid,
-    modulo_schedule,
-)
+from repro.obs import tracing
+from repro.scheduling import assert_valid, modulo_schedule
 
 
 def _annotate(graph, machine):
@@ -75,13 +72,12 @@ class TestResourceContention:
             node = graph.add_node(Opcode.ALU)
             graph.add_edge(prev, node, distance=0)
             prev = node
-        stats = SchedulerStats(ii=4)
-        schedule = modulo_schedule(
-            _annotate(graph, unified_gp(2)), ii=4, stats=stats
-        )
+        with tracing() as trace:
+            schedule = modulo_schedule(_annotate(graph, unified_gp(2)), ii=4)
         assert schedule is not None
-        assert stats.succeeded
-        assert stats.placements >= len(graph)
+        span, = trace.find("schedule")
+        assert span.attrs["succeeded"]
+        assert trace.counter("sched.placements") >= len(graph)
 
 
 class TestIiSearch:
@@ -111,15 +107,15 @@ class TestBudget:
         # placements, read at call time; a zero ratio leaves the
         # len+1 floor, which still schedules at II 6.
         annotated = _annotate(intro_example, unified_gp(1))
-        stats = SchedulerStats(ii=5)
-        assert modulo_schedule(annotated, ii=5, stats=stats) is None
-        assert stats.placements == 6 * 6
+        with tracing() as trace:
+            assert modulo_schedule(annotated, ii=5) is None
+        assert trace.counter("sched.placements") == 6 * 6
         monkeypatch.setattr(
             "repro.scheduling.modulo.DEFAULT_BUDGET_RATIO", 0
         )
-        stats = SchedulerStats(ii=5)
-        assert modulo_schedule(annotated, ii=5, stats=stats) is None
-        assert stats.placements == 6 + 1
+        with tracing() as trace:
+            assert modulo_schedule(annotated, ii=5) is None
+        assert trace.counter("sched.placements") == 6 + 1
         result = modulo_schedule(annotated, ii=6)
         assert result is not None
         assert_valid(result)

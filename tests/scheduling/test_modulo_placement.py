@@ -3,8 +3,8 @@
 
 from repro.ddg import Ddg, Opcode, trivial_annotation
 from repro.machine import unified_fs, unified_gp
+from repro.obs import tracing
 from repro.scheduling import assert_valid, modulo_schedule
-from repro.scheduling.modulo import SchedulerStats
 
 
 class TestBidirectionalWindows:
@@ -19,8 +19,7 @@ class TestBidirectionalWindows:
             graph.add_edge(a, b, distance=0)
         graph.add_edge(nodes[-1], nodes[0], distance=1)  # RecMII 6
         annotated = trivial_annotation(graph, unified_gp(2))
-        stats = SchedulerStats(ii=6)
-        schedule = modulo_schedule(annotated, ii=6, stats=stats)
+        schedule = modulo_schedule(annotated, ii=6)
         assert schedule is not None
         assert_valid(schedule)
 
@@ -78,10 +77,12 @@ class TestDisplacementAccounting:
             graph.add_edge(load, add, distance=0)
         machine = unified_fs(memory=2, integer=2, floating=2)
         annotated = trivial_annotation(graph, machine)
-        stats = SchedulerStats(ii=6)
-        schedule = modulo_schedule(annotated, ii=6, stats=stats)
+        with tracing() as trace:
+            schedule = modulo_schedule(annotated, ii=6)
         assert schedule is not None
-        assert stats.placements >= len(graph)
+        # Every op placed once, plus once more per displacement.
+        assert trace.counter("sched.placements") == \
+            len(graph) + trace.counter("sched.backtracks")
         assert_valid(schedule)
 
     def test_budget_exhaustion_returns_none(self):

@@ -7,7 +7,11 @@ import os
 
 import pytest
 
+from repro.analysis import EngineOptions, run_experiment
+from repro.machine import two_cluster_gp
+from repro.obs import tracing
 from repro.service import ShardedResultCache
+from repro.workloads import paper_suite
 
 KEY = "ab" + "0" * 62
 OTHER = "cd" + "1" * 62
@@ -57,13 +61,18 @@ class TestShardedCache:
         assert len(cache) == 1
 
     def test_hit_rate_counters(self, tmp_path):
-        cache = ShardedResultCache(str(tmp_path), version=3)
-        cache.put(KEY, {"x": 1})
-        cache.get(KEY)
-        cache.get(OTHER)
-        assert cache.hits == 1
-        assert cache.misses == 1
-        assert cache.hit_rate == 0.5
+        # The cache counts nothing; the runner counts each lookup of a
+        # resumed run on the trace, as a hit or as a miss.
+        suite = paper_suite(9)
+        machine = two_cluster_gp()
+        options = EngineOptions(cache_dir=str(tmp_path), resume=True)
+        run_experiment(suite[:5], machine, options=options)
+        with tracing() as trace:
+            result = run_experiment(suite, machine, options=options)
+        assert result.cache_hits == 5
+        assert trace.counter("engine.cache_hits") == result.cache_hits
+        assert trace.counter("engine.cache_misses") == \
+            len(suite) - result.cache_hits
 
     def test_short_key_rejected(self, tmp_path):
         cache = ShardedResultCache(str(tmp_path), version=3)

@@ -12,12 +12,12 @@ import pytest
 import repro.service.pool as pool_module
 from repro.core.driver import compile_loop
 from repro.machine.presets import two_cluster_gp
+from repro.obs import tracing
 from repro.service import (
     CompileRequest,
     CompileService,
     DeadlineExceeded,
     ServiceConfig,
-    ServiceStats,
     ShardedResultCache,
     WorkerPool,
     replay,
@@ -97,14 +97,14 @@ class TestServing:
                     CompileRequest(loop=ddg)
                     for _ in range(3) for ddg in loops
                 ]
-                replies = await replay(svc, requests)
-                return replies, svc.stats
+                return await replay(svc, requests)
 
-        replies, stats = run(main())
+        with tracing() as trace:
+            replies = run(main())
         assert len(replies) == 3 * len(loops)
         assert all(reply.status == "ok" for reply in replies)
-        assert stats.batches >= 1
-        assert stats.completed == len(replies)
+        assert trace.counter("service.batches") >= 1
+        assert trace.counter("service.requests") == len(replies)
 
     def test_replies_keep_request_order(self, warm_pool, loops):
         async def main():
@@ -128,14 +128,15 @@ class TestCacheAndCoalescing:
             async with CompileService(config, pool=warm_pool) as svc:
                 first = await svc.submit(CompileRequest(loop=ddg))
                 second = await svc.submit(CompileRequest(loop=ddg))
-                return first, second, svc.stats
+                return first, second
 
-        first, second, stats = run(main())
+        with tracing() as trace:
+            first, second = run(main())
         assert first.cached is False
         assert second.cached is True
         assert (first.ii, first.mii, first.copies) == \
             (second.ii, second.mii, second.copies)
-        assert stats.cache_hits == 1
+        assert trace.counter("service.cache_hits") == 1
 
     def test_cache_survives_service_restart(
         self, warm_pool, loops, tmp_path,
@@ -160,24 +161,24 @@ class TestCacheAndCoalescing:
 
         async def main():
             async with CompileService(config, pool=warm_pool) as svc:
-                replies = await asyncio.gather(*(
+                return await asyncio.gather(*(
                     svc.submit(CompileRequest(loop=ddg))
                     for _ in range(8)
                 ))
-                return replies, svc.stats
 
-        replies, stats = run(main())
+        with tracing() as trace:
+            replies = run(main())
         assert all(reply.status == "ok" for reply in replies)
         # Exactly one compile dispatched; the rest were coalesced.
-        assert stats.coalesced == 7
-        assert stats.cache_hit_rate == pytest.approx(7 / 8)
+        assert trace.counter("service.coalesced") == 7
+        assert sum(reply.cached for reply in replies) == 7
 
 
 class TestEventLoopGuard:
     def test_blocking_cache_read_trips_the_guard(
         self, warm_pool, loops, tmp_path, monkeypatch,
     ):
-        # _serve calls the cache synchronously on the loop; a slow read
+        # submit calls the cache synchronously on the loop; a slow read
         # there stalls every other request and must fail the test.
         real_get = ShardedResultCache.get
 
@@ -228,15 +229,18 @@ class TestFaults:
                 async with CompileService(config, pool=pool) as svc:
                     return await replay(
                         svc, [CompileRequest(loop=d) for d in loops],
-                    ), svc.stats
+                    )
 
-            replies, stats = run(main())
+            with tracing() as trace:
+                replies = run(main())
             failed = [r for r in replies if r.status == "failed"]
             assert failed, "the crashed batch never surfaced"
             assert all(
                 "worker crashed" in r.error for r in failed
             )
-            assert stats.worker_crash_failures == len(failed)
+            # Counted per request, however the batches were cut.
+            assert trace.counter("service.worker_crash_failures") == \
+                len(failed)
         finally:
             pool.close()
 
@@ -257,22 +261,48 @@ class TestFaults:
             config = ServiceConfig(deadline_s=0.2)
             service = CompileService(config, pool=_DeadlinePool())
             async with service:
-                reply = await service.submit(
+                return await service.submit(
                     CompileRequest(loop=loops[0])
                 )
-                return reply, service.stats
 
-        reply, stats = run(main())
+        with tracing() as trace:
+            reply = run(main())
         assert reply.status == "timeout"
         assert "deadline" in reply.error
-        assert stats.deadline_timeouts == 1
+        assert trace.counter("service.deadline_timeouts") == 1
 
 
 class TestStats:
-    def test_hit_rate_counts_cache_and_coalesced(self):
-        stats = ServiceStats()
-        assert stats.cache_hit_rate == 0.0
-        stats.requests = 10
-        stats.cache_hits = 3
-        stats.coalesced = 2
-        assert stats.cache_hit_rate == pytest.approx(0.5)
+    def test_hit_rate_counts_cache_and_coalesced(
+        self, warm_pool, loops, tmp_path,
+    ):
+        # One request hits the disk cache, two await an identical
+        # compile in flight, and four are compiled: the counters the
+        # ledger reads agree with the replies' cached flags.
+        config = ServiceConfig(cache_dir=str(tmp_path), batch_size=2)
+        requests = [CompileRequest(loop=ddg) for ddg in (
+            loops[0], loops[1], loops[1], loops[1],
+            loops[2], loops[3], loops[4],
+        )]
+
+        async def main():
+            async with CompileService(config, pool=warm_pool) as svc:
+                await svc.submit(CompileRequest(loop=loops[0]))
+            async with CompileService(config, pool=warm_pool) as svc:
+                with tracing() as trace:
+                    replies = await replay(svc, requests)
+                return replies, trace
+
+        replies, trace = run(main())
+        assert all(reply.status == "ok" for reply in replies)
+        compiled = [reply for reply in replies if not reply.cached]
+        assert trace.counter("service.requests") == len(replies) == 7
+        assert trace.counter("service.cache_hits") == 1
+        assert trace.counter("service.coalesced") == 2
+        assert trace.counter("service.cache_hits") + \
+            trace.counter("service.coalesced") == \
+            len(replies) - len(compiled)
+        # Each dispatched batch holds one to batch_size compiles.
+        batches = trace.counter("service.batches")
+        assert len(compiled) / config.batch_size <= batches <= \
+            len(compiled)

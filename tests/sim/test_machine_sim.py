@@ -10,7 +10,7 @@ from repro.sim import (
     assert_executes_correctly,
     simulate_schedule,
 )
-from repro.workloads import all_kernels, paper_suite
+from repro.workloads import all_kernels, generate_suite
 
 
 class TestCleanExecution:
@@ -134,7 +134,7 @@ class TestNegativeCases:
 class TestSuiteSweep:
     def test_synthetic_slice_executes_on_all_machines(self):
         machines = [two_cluster_gp(), four_cluster_fs(), four_cluster_grid()]
-        for loop in paper_suite(15, include_kernels=False):
+        for loop in generate_suite(15):
             for machine in machines:
                 result = compile_loop(loop, machine)
                 report = simulate_schedule(loop, result.schedule, 4)

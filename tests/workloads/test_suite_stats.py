@@ -5,6 +5,7 @@ import pytest
 from repro.workloads import (
     PAPER_SUITE_SIZE,
     all_kernels,
+    generate_suite,
     paper_suite,
     suite_statistics,
 )
@@ -43,7 +44,7 @@ class TestSuiteAssembly:
         assert len(suite) == 5
 
     def test_without_kernels(self):
-        suite = paper_suite(50, include_kernels=False)
+        suite = generate_suite(50)
         assert all(g.name.startswith("synth") for g in suite)
 
     def test_deterministic(self):
