@@ -5,6 +5,7 @@ from .reference_assignment import (
     ReferencePools,
     ReferenceRoutingState,
     reference_assign_clusters,
+    reference_build_annotated,
 )
 from .reference_pipeline import (
     ReferenceCompilation,
@@ -30,6 +31,7 @@ __all__ = [
     "ReferenceRoutingState",
     "reference_assign_clusters",
     "reference_assignment_order",
+    "reference_build_annotated",
     "reference_compile_loop",
     "reference_compute_metrics",
     "reference_find_sccs",

@@ -156,45 +156,66 @@ class Ddg:
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        self.name = state["name"]
         # Node ids are assigned densely in creation order (there is no
         # removal API), so positions in the node list are the ids.
         # Records are rebuilt through __new__ + __dict__ — the same
         # trusted-channel shortcut default dataclass unpickling takes —
         # because the frozen __init__'s object.__setattr__ calls are
         # measurable at service request rates.
+        # Bound locally: these loops run on every service cache miss.
+        new_node, new_edge = Node.__new__, Edge.__new__
         nodes: Dict[int, Node] = {}
-        succs: Dict[int, List[Edge]] = {}
-        preds: Dict[int, List[Edge]] = {}
         for node_id, (opcode, latency, name) in enumerate(
             state["nodes"]
         ):
-            node = Node.__new__(Node)
+            node = new_node(Node)
             node.__dict__.update(
                 node_id=node_id, opcode=opcode,
                 latency=latency, name=name,
             )
             nodes[node_id] = node
-            succs[node_id] = []
-            preds[node_id] = []
         edges: List[Edge] = []
+        append = edges.append
         for src, dst, distance in state["edges"]:
-            edge = Edge.__new__(Edge)
+            edge = new_edge(Edge)
             edge.__dict__.update(src=src, dst=dst, distance=distance)
-            edges.append(edge)
+            append(edge)
+        self._init_records(state["name"], nodes, edges)
+
+    def _init_records(
+        self, name: str, nodes: Dict[int, Node], edges: List[Edge]
+    ) -> None:
+        """The private constructor of a graph from trusted records.
+
+        ``nodes`` maps the dense ids ``0..n-1`` to their records, in id
+        order; ``edges`` lists the dependences in insertion order.  The
+        records are not checked again: they were checked where they were
+        made, by :class:`Edge` and :meth:`add_edge` or, for unpickled
+        ones, by ``validate_loop`` (DDG101, DDG107) before attempt 1.
+        Frozen records are shared as they are, as :meth:`copy` shares
+        them.  Called on a fresh ``Ddg.__new__(Ddg)`` by the kernel
+        graph builder (:func:`repro.core.annotate.build_annotated`) and
+        by :meth:`__setstate__`.
+        """
+        self.name = name
+        succs: Dict[int, List[Edge]] = {node_id: [] for node_id in nodes}
+        preds: Dict[int, List[Edge]] = {node_id: [] for node_id in nodes}
+        for edge in edges:
             # A dangling edge stays in the edge list only, as on a
             # sender that appended it there: the validator reports it.
-            if src in nodes and dst in nodes:
-                succs[src].append(edge)
-                preds[dst].append(edge)
+            out_list = succs.get(edge.src)
+            in_list = preds.get(edge.dst)
+            if out_list is not None and in_list is not None:
+                out_list.append(edge)
+                in_list.append(edge)
         self._nodes = nodes
         self._edges = edges
         self._succs = succs
         self._preds = preds
         self._next_id = len(nodes)
-        # Matches the version a play-by-play reconstruction would reach,
+        # The version an add-by-add build of the same records reaches,
         # so version-keyed consumers see a deterministic value.
-        self._version = len(self._nodes) + len(self._edges)
+        self._version = len(nodes) + len(edges)
         self._view = None
         self._defects = None
 

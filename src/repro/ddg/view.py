@@ -1,11 +1,10 @@
 """Compiled, immutable views of a :class:`~repro.ddg.graph.Ddg`.
 
 The Figure-5 driver re-runs ordering, assignment, and scheduling at every
-candidate II, but the *graph* only changes when the assignment phase
-splices copy nodes in.  Everything derivable from the bare topology —
-adjacency, per-edge weights, deduplicated neighbor lists, value-flow
-fan-out, SCC membership, per-SCC RecMII — is therefore invariant across
-the entire II search and worth computing exactly once.
+candidate II on the same input graph.  Everything derivable from the
+bare topology — adjacency, per-edge weights, deduplicated neighbor
+lists, value-flow fan-out, SCC membership, per-SCC RecMII — is therefore
+invariant across the entire II search and worth computing exactly once.
 
 :class:`DdgView` is that compiled artifact.  It is built lazily by
 :meth:`Ddg.view` and cached on the graph behind a mutation version
@@ -20,11 +19,21 @@ the memos (``recmii_exact``, ``recmii_validated``, ``demand``,
 exactly the lifetime their keys are valid for.  The view holds only
 what those modules, the SMS ordering, the priority metrics, copy
 routing and the scheduler read.
+
+Each attempt whose assignment succeeds hands the scheduler a new
+kernel graph: the input plus the copies the assignment spliced in.
+Only the entries a copy touches differ from the input's, so the
+kernel's view is not built but derived from the input's
+(:func:`derive_view`): it shares every untouched node's tuples, and its
+SCCs and RecMII memo follow from the input's.  A plain compile builds
+one view, the input's, whatever its number of attempts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..obs.trace import count as obs_count
 
@@ -103,38 +112,132 @@ def build_view(ddg, version: int) -> DdgView:
     view.latency = latency
     view.produces_value = produces
 
-    edge_array = tuple(
+    view.edge_array = tuple(
         (e.src, e.dst, latency[e.src], e.distance) for e in ddg.edges
     )
-    view.edge_array = edge_array
+    view.in_specs = {}
+    view.out_specs = {}
+    view.successors = {}
+    view.predecessors = {}
+    view.value_consumers = {}
+    view.value_producers = {}
+    _fill_adjacency(view, node_ids)
+    return view
 
+
+def _fill_adjacency(view: DdgView, node_ids: Sequence[int]) -> None:
+    """Write the six adjacency entries of each of ``node_ids``, in that
+    order, from ``view.edge_array`` into the view's per-node dicts."""
+    produces = view.produces_value
     in_lists: Dict[int, list] = {n: [] for n in node_ids}
     out_lists: Dict[int, list] = {n: [] for n in node_ids}
     value_cons: Dict[int, List[int]] = {n: [] for n in node_ids}
     value_prods: Dict[int, List[int]] = {n: [] for n in node_ids}
-    for src, dst, src_latency, distance in edge_array:
-        out_lists[src].append((dst, distance))
-        in_lists[dst].append((src, src_latency, distance))
-        if src != dst and produces[src]:
-            value_cons[src].append(dst)
-            value_prods[dst].append(src)
+    for src, dst, src_latency, distance in view.edge_array:
+        # Register value flow: no self-dependences, value producers only.
+        value = src != dst and produces[src]
+        if src in out_lists:
+            out_lists[src].append((dst, distance))
+            if value:
+                value_cons[src].append(dst)
+        if dst in in_lists:
+            in_lists[dst].append((src, src_latency, distance))
+            if value:
+                value_prods[dst].append(src)
 
-    view.in_specs = {n: tuple(in_lists[n]) for n in node_ids}
-    view.out_specs = {n: tuple(out_lists[n]) for n in node_ids}
-    view.successors = {
-        n: tuple(dict.fromkeys(dst for dst, _ in out_lists[n]))
-        for n in node_ids
-    }
-    view.predecessors = {
-        n: tuple(dict.fromkeys(src for src, _, _ in in_lists[n]))
-        for n in node_ids
-    }
-    view.value_consumers = {
-        n: tuple(dict.fromkeys(value_cons[n])) for n in node_ids
-    }
-    view.value_producers = {
-        n: tuple(dict.fromkeys(value_prods[n])) for n in node_ids
-    }
+    in_specs, out_specs = view.in_specs, view.out_specs
+    successors, predecessors = view.successors, view.predecessors
+    value_consumers = view.value_consumers
+    value_producers = view.value_producers
+    for n in node_ids:
+        ins, outs = in_lists[n], out_lists[n]
+        in_specs[n] = tuple(ins)
+        out_specs[n] = tuple(outs)
+        successors[n] = tuple(dict.fromkeys([dst for dst, _ in outs]))
+        predecessors[n] = tuple(dict.fromkeys([src for src, _, _ in ins]))
+        value_consumers[n] = tuple(dict.fromkeys(value_cons[n]))
+        value_producers[n] = tuple(dict.fromkeys(value_prods[n]))
+
+
+def derive_view(source, kernel, touched: Iterable[int]) -> DdgView:
+    """The view of ``kernel``, derived from the view of ``source``.
+
+    ``kernel`` is ``source`` with copy nodes spliced in (see
+    :func:`repro.core.annotate.build_annotated`): the same nodes under
+    the same ids, then the copies, each fed by one edge from its
+    producer or an earlier hop; the same edges in the same order, some
+    rewired to leave from the copy that carries their value.
+    ``touched`` holds every node whose edges differ from ``source``'s:
+    producers with copies, consumers of rewired edges, and the copies.
+
+    The per-node maps start as copies of ``source``'s, so untouched
+    nodes share its tuples, and only the touched entries are recomputed
+    from ``kernel``'s edges; keys stay in node-id order.  The SCCs and
+    their RecMII memo come from ``source``'s (see below), so Tarjan does
+    not run on ``kernel``.  Not counted as ``ddg.view_rebuilds``.
+    """
+    base = source.view()
+    view = DdgView(kernel.version)
+    first_copy = len(base.node_ids)
+    copies = range(first_copy, len(kernel))
+    view.node_ids = base.node_ids + tuple(copies)
+    view.latency = dict(base.latency)
+    view.produces_value = dict(base.produces_value)
+    for copy in copies:
+        node = kernel.node(copy)
+        view.latency[copy] = node.latency
+        view.produces_value[copy] = node.produces_value
+    touched = sorted(touched)
+    view.edge_array = tuple(
+        (e.src, e.dst, view.latency[e.src], e.distance)
+        for e in kernel.edges
+    ) if touched else base.edge_array
+    view.in_specs = dict(base.in_specs)
+    view.out_specs = dict(base.out_specs)
+    view.successors = dict(base.successors)
+    view.predecessors = dict(base.predecessors)
+    view.value_consumers = dict(base.value_consumers)
+    view.value_producers = dict(base.value_producers)
+    _fill_adjacency(view, touched)
+
+    # A copy lies on a cycle exactly when its producer is in a
+    # component S and its value reaches, through later hops, a
+    # consumer in S; it then joins S.  No other kernel node lies on a
+    # cycle, because copies only reroute existing values.  Hops feed
+    # later hops only, so one pass in reverse id order decides each.
+    components = scc_components(source)
+    owner: Dict[int, Optional[FrozenSet[int]]] = {}
+    for copy in copies:
+        feed = view.predecessors[copy][0]
+        owner[copy] = owner[feed] if feed >= first_copy else next(
+            (component for component in components if feed in component),
+            None,
+        )
+    on_cycle: set = set()
+    joined: Dict[FrozenSet[int], List[int]] = {}
+    for copy in reversed(copies):
+        component = owner[copy]
+        if component is not None and any(
+            succ in component or succ in on_cycle
+            for succ in view.successors[copy]
+        ):
+            on_cycle.add(copy)
+            joined.setdefault(component, []).append(copy)
+    view.components = tuple(
+        component | frozenset(joined[component])
+        if component in joined else component
+        for component in components
+    )
+    # A component no copy joined has the same edges as in ``source``,
+    # so its RecMII and its DDG103 check carry over; one that gained
+    # copies is searched afresh by repro.ddg.mii.
+    for component in components:
+        if component in joined:
+            continue
+        if component in base.recmii_exact:
+            view.recmii_exact[component] = base.recmii_exact[component]
+        if component in base.recmii_validated:
+            view.recmii_validated.add(component)
     return view
 
 

@@ -23,7 +23,7 @@ loose; any critical-source seed preserves its guarantees).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set
+from typing import List, Sequence, Set
 
 from ..ddg.graph import Ddg
 from ..ddg.scc import SccPartition, find_sccs
@@ -49,27 +49,27 @@ def ordering_sets(ddg: Ddg, partition: SccPartition) -> List[Set[int]]:
     return sets
 
 
-def _pick(
-    candidates: Iterable[int],
-    primary: "dict[int, int]",
-    metrics: PriorityMetrics,
-) -> int:
-    """Highest ``primary`` value; ties: lowest mobility, then lowest id."""
-    return min(
-        candidates,
-        key=lambda n: (-primary[n], metrics.mobility(n), n),
-    )
-
-
 def swing_order(
     ddg: Ddg,
     sets: Sequence[Set[int]],
     metrics: PriorityMetrics,
 ) -> List[int]:
-    """Order all nodes of ``ddg`` given priority ``sets`` and metrics."""
+    """Order all nodes of ``ddg`` given priority ``sets`` and metrics.
+
+    A top-down pick takes the greatest height, a bottom-up pick the
+    greatest depth (ASAP); ties go to the lowest mobility, then the
+    lowest id.  Each node's two keys are built once per call.
+    """
     view = ddg.view()
     successors = view.successors
     predecessors = view.predecessors
+    height, asap, mobility = metrics.height, metrics.asap, metrics.mobility
+    top_down_key = {
+        n: (-height[n], mobility(n), n) for n in view.node_ids
+    }.__getitem__
+    bottom_up_key = {
+        n: (-asap[n], mobility(n), n) for n in view.node_ids
+    }.__getitem__
     order: List[int] = []
     ordered: Set[int] = set()
 
@@ -91,24 +91,21 @@ def swing_order(
         elif ready_before_succs:
             frontier, direction = ready_before_succs, BOTTOM_UP
         else:
-            seed = _pick(pending, metrics.height, metrics)
+            seed = min(pending, key=top_down_key)
             frontier, direction = {seed}, TOP_DOWN
 
         while pending:
+            if direction == TOP_DOWN:
+                key, grows = top_down_key, successors
+            else:
+                key, grows = bottom_up_key, predecessors
             while frontier:
-                if direction == TOP_DOWN:
-                    node = _pick(frontier, metrics.height, metrics)
-                else:
-                    node = _pick(frontier, metrics.asap, metrics)
+                node = min(frontier, key=key)
                 order.append(node)
                 ordered.add(node)
                 pending.discard(node)
                 frontier.discard(node)
-                if direction == TOP_DOWN:
-                    grown = successors[node]
-                else:
-                    grown = predecessors[node]
-                frontier.update(n for n in grown if n in pending)
+                frontier.update(n for n in grows[node] if n in pending)
             # Swing: reverse direction, restart from the other frontier.
             if direction == TOP_DOWN:
                 direction = BOTTOM_UP
@@ -124,7 +121,7 @@ def swing_order(
                 }
             if not frontier and pending:
                 # Disconnected remainder of the set: reseed.
-                seed = _pick(pending, metrics.height, metrics)
+                seed = min(pending, key=top_down_key)
                 frontier, direction = {seed}, TOP_DOWN
     return order
 

@@ -3,8 +3,13 @@
 import pytest
 
 from repro import obs
-from repro.ddg import Ddg, Opcode, build_ddg, scc_components
-from repro.ddg.mii import rec_mii, rec_mii_exceeds
+from repro.core.driver import compile_loop
+from repro.ddg import Ddg, DdgView, Opcode, build_ddg, scc_components
+from repro.ddg.mii import mii, rec_mii, rec_mii_exceeds
+from repro.ddg.scc import find_sccs
+from repro.ddg.validate import validate_loop
+from repro.machine.presets import four_cluster_grid, two_cluster_gp
+from repro.workloads import paper_suite
 
 
 @pytest.fixture
@@ -153,3 +158,92 @@ class TestRecMiiMemoization:
             rec_mii(graph)
         with pytest.raises(ValueError):
             rec_mii_exceeds(graph, 1)
+
+
+#: The view's mutable memos (owned by repro.ddg.mii and repro.ddg.scc).
+MEMOS = ("partition", "recmii_exact", "recmii_validated", "demand")
+
+
+def _wide_2gp_loop() -> Ddg:
+    """Six independent load-multiply-store chains: more operations than
+    one cluster issues per II, so 2gp needs copies at the first II."""
+    ops, deps = [], []
+    for i in range(6):
+        ops += [(f"ld{i}", Opcode.LOAD), (f"mul{i}", Opcode.FP_MULT),
+                (f"st{i}", Opcode.STORE)]
+        deps += [(f"ld{i}", f"mul{i}", 0), (f"mul{i}", f"st{i}", 0)]
+    ops.append(("sum", Opcode.FP_ADD))
+    deps += [(f"mul{i}", "sum", 0) for i in range(6)]
+    deps.append(("sum", "sum", 1))
+    return build_ddg(ops=ops, deps=deps, name="wide")
+
+
+def _retried_2gp_loop() -> Ddg:
+    """A suite loop whose 2gp compile reaches the scheduler twice: the
+    attempt at its MII assigns but does not schedule."""
+    loop = paper_suite(441, 1998)[-1]
+    assert loop.name == "synth0396"
+    return loop
+
+
+class TestKernelView:
+    """The kernel graph's view is derived from the input's, not built."""
+
+    @pytest.mark.parametrize("make_loop, schedules", [
+        (_wide_2gp_loop, 1),
+        (_retried_2gp_loop, 2),
+    ], ids=["one-schedule", "two-schedules"])
+    def test_plain_compile_builds_one_view(self, make_loop, schedules):
+        with obs.tracing() as trace:
+            compiled = compile_loop(make_loop(), two_cluster_gp())
+        assert compiled.copy_count > 0
+        assert len(trace.find("schedule")) == schedules
+        assert trace.counter("ddg.view_rebuilds") == 1
+
+    def test_mutated_kernel_rebuilds(self):
+        compiled = compile_loop(_retried_2gp_loop(), two_cluster_gp())
+        kernel = compiled.annotated.ddg
+        derived = kernel.view()
+        assert derived.version == kernel.version
+        with obs.tracing() as trace:
+            assert kernel.view() is derived
+            kernel.add_node(Opcode.ALU)
+            rebuilt = kernel.view()
+        assert rebuilt is not derived
+        assert rebuilt.version == kernel.version
+        assert trace.counter("ddg.view_rebuilds") == 1
+
+    @pytest.mark.parametrize("machine_factory", [
+        two_cluster_gp, four_cluster_grid,
+    ], ids=["2gp", "grid"])
+    def test_compile_leaves_input_view_unchanged(self, machine_factory):
+        machine = machine_factory()
+        for loop in paper_suite(60, 1998):
+            # What compile_loop computes on the input before attempt 1,
+            # plus the SCC partition the assignment order reads.
+            validate_loop(loop, machine)
+            mii(loop, machine)
+            find_sccs(loop)
+            view = loop.view()
+            before = {
+                slot: _snapshot(getattr(view, slot))
+                for slot in DdgView.__slots__
+            }
+            kernel = compile_loop(loop, machine).annotated.ddg.view()
+            assert loop.view() is view, loop.name
+            for slot in DdgView.__slots__:
+                assert _snapshot(getattr(view, slot)) == before[slot], (
+                    loop.name, slot)
+            for slot in MEMOS:
+                memo = getattr(kernel, slot)
+                assert memo is None or memo is not getattr(view, slot), (
+                    loop.name, slot)
+
+
+def _snapshot(value):
+    """An equal copy of a view field that a later write cannot reach."""
+    if isinstance(value, dict):
+        return list(value.items())
+    if isinstance(value, set):
+        return set(value)
+    return value

@@ -8,6 +8,13 @@ to the final II, both must fail, or both must give the same cluster map
 and copy count.  Only the iterative variants are audited: the others
 never evict, so they never revisit a state.
 
+Where both succeed, the kernel graph the assigner derives from the
+input graph must equal the one the frozen reference rebuilds node by
+node (``reference_build_annotated``): the same records in the same
+order, a view equal to ``build_view`` of the rebuilt graph field by
+field (dict key order included), the SCCs Tarjan finds there, and the
+reference RecMII.
+
 The loops are those of ``test_differential_reference.py``:
 ``REPRO_SUITE_SIZE`` scales the synthetic corpus slice (default 60).
 CI runs the audit on the full 1327-loop corpus::
@@ -21,10 +28,12 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.baselines import reference_assign_clusters
+from repro.baselines import reference_assign_clusters, reference_rec_mii
 from repro.core.assignment import assign_clusters
 from repro.core.driver import compile_loop
 from repro.core.variants import HEURISTIC_ITERATIVE, SIMPLE_ITERATIVE
+from repro.ddg.mii import rec_mii
+from repro.ddg.view import build_view, cyclic_components, scc_components
 from repro.machine.presets import four_cluster_grid, two_cluster_gp
 
 from .test_differential_reference import _loops
@@ -62,5 +71,36 @@ def test_every_attempt_matches_the_full_budget(
                 if ours is not None:
                     assert ours.cluster_of == ref.cluster_of, where
                     assert ours.copy_count == ref.copy_count, where
+                    _assert_same_kernel(ours, ref, where)
     # The audit covers the stop it exists for.
     assert trace.counter("assign.cycle_stops") > 0
+
+
+#: Every per-node and per-edge field of a compiled view.
+VIEW_FIELDS = (
+    "node_ids", "latency", "produces_value", "edge_array", "in_specs",
+    "out_specs", "successors", "predecessors", "value_consumers",
+    "value_producers",
+)
+
+
+def _assert_same_kernel(ours, ref, where) -> None:
+    """``ours`` (derived) and ``ref`` (rebuilt) are the same kernel."""
+    kernel, rebuilt = ours.ddg, ref.ddg
+    assert kernel.nodes == rebuilt.nodes, where
+    assert kernel.edges == rebuilt.edges, where
+    assert kernel.version == rebuilt.version, where
+    assert ours.copy_targets == ref.copy_targets, where
+    assert ours.copy_value_of == ref.copy_value_of, where
+    derived = kernel.view()
+    built = build_view(rebuilt, rebuilt.version)
+    assert derived.version == built.version, where
+    for name in VIEW_FIELDS:
+        mine, theirs = getattr(derived, name), getattr(built, name)
+        assert mine == theirs, (where, name)
+        if isinstance(mine, dict):
+            assert list(mine) == list(theirs), (where, name, "key order")
+    assert set(scc_components(kernel)) == set(
+        cyclic_components(built.node_ids, built.successors)
+    ), where
+    assert rec_mii(kernel) == reference_rec_mii(rebuilt), where
